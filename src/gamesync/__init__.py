@@ -13,7 +13,6 @@ from gamesync.clock import (DelaySample, LatencyEstimator, VirtualClock,
 from gamesync.compare import compare
 from gamesync.deadreckoning import (DeadReckoningPolicy, EntityKinematics,
                                     converge, predict, should_send)
-from gamesync.kernels import BACKEND
 from gamesync.locallag import LagPolicy, PlayoutBuffer, PlayoutEntry
 from gamesync.netsim import NetworkSim, SimRng
 from gamesync.overlay import LinkKind, LinkSpec, PeerCapabilities, RouteDecision
@@ -30,7 +29,7 @@ from gamesync.scenario import ScenarioConfig, load_scenario, parse_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchoredCircle", "BACKEND", "Circle", "ConsistencyMode", "DelaySample",
+    "AnchoredCircle", "Circle", "ConsistencyMode", "DelaySample",
     "DeadReckoningPolicy", "DeliveryLog", "EntityKinematics", "EventKind",
     "EventMessage", "GameCallbacks", "LagPolicy", "LatencyEstimator",
     "LinkKind", "LinkSpec", "NetworkSim", "PeerCapabilities", "PingMessage",

@@ -9,8 +9,6 @@ every received data message contributes a sample.
 from dataclasses import dataclass, field
 from typing import Hashable
 
-from gamesync.kernels import ewma
-
 DEFAULT_ALPHA = 0.125
 
 
@@ -94,7 +92,10 @@ class LatencyEstimator:
         if prior is None:
             est = float(sample.delay_ms)
         else:
-            est = ewma(prior, sample.delay_ms, self.alpha)
+            # Incremental form of (1 - alpha) * prior + alpha * sample: it
+            # keeps the result inside [min, max] of the inputs even in float
+            # arithmetic, where the expanded form can overshoot by an ulp.
+            est = prior + (sample.delay_ms - prior) * self.alpha
         self._estimates[key] = est
         self._counts[key] = self._counts.get(key, 0) + 1
         return est

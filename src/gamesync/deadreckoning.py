@@ -8,10 +8,8 @@ the last received kinematics and blend corrections in over a convergence
 window instead of snapping.
 """
 
+import math
 from dataclasses import dataclass
-
-from gamesync.kernels import converge_blend, dist
-from gamesync.kernels import predict as _predict
 
 DEFAULT_HEARTBEAT_MS = 1000
 
@@ -39,11 +37,23 @@ class DeadReckoningPolicy:
             raise ValueError("convergence_ms must be >= 0")
 
 
+def dist(ax: float, ay: float, bx: float, by: float) -> float:
+    """Euclidean distance between two points.
+
+    Written out rather than math.hypot or math.dist, which round
+    differently and would change every divergence figure in the outputs.
+    """
+    dx = bx - ax
+    dy = by - ay
+    return math.sqrt(dx * dx + dy * dy)
+
+
 def predict(last: EntityKinematics, t: int) -> tuple[float, float]:
     """Extrapolate position to time t: pos + vel * (t - at) / 1000."""
     if t < last.at:
         raise TimeBeforeSample(f"t={t} before sample at {last.at}")
-    return _predict(last.pos[0], last.pos[1], last.vel[0], last.vel[1], last.at, t)
+    dt = (t - last.at) / 1000.0
+    return last.pos[0] + last.vel[0] * dt, last.pos[1] + last.vel[1] * dt
 
 
 def should_send(actual: EntityKinematics,
@@ -80,8 +90,10 @@ def converge(displayed: tuple[float, float],
     """
     if t < corrected.at:
         raise TimeBeforeSample(f"t={t} before correction at {corrected.at}")
-    return converge_blend(displayed[0], displayed[1],
-                          epoch_start, policy.convergence_ms,
-                          corrected.pos[0], corrected.pos[1],
-                          corrected.vel[0], corrected.vel[1],
-                          corrected.at, t)
+    tx, ty = predict(corrected, t)
+    window = policy.convergence_ms
+    if window <= 0 or t >= epoch_start + window:
+        return tx, ty
+    u = (t - epoch_start) / window
+    sx, sy = displayed
+    return sx + (tx - sx) * u, sy + (ty - sy) * u

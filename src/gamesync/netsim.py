@@ -18,7 +18,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable
 
-from gamesync.kernels import rng_step
 from gamesync.overlay import LinkSpec
 from gamesync.pdu import peek
 
@@ -26,6 +25,7 @@ from gamesync.pdu import peek
 ZERO_SEED_SUBSTITUTE = 0x9E3779B97F4A7C15
 
 _U64 = (1 << 64) - 1
+_RNG_MULT = 0x2545F4914F6CDD1D
 _INV_2_53 = 2.0 ** -53
 
 
@@ -53,8 +53,12 @@ class SimRng:
         self._state = (seed & _U64) or ZERO_SEED_SUBSTITUTE
 
     def next_u64(self) -> int:
-        self._state, out = rng_step(self._state)
-        return out
+        x = self._state
+        x ^= x >> 12
+        x = (x ^ (x << 25)) & _U64
+        x ^= x >> 27
+        self._state = x
+        return (x * _RNG_MULT) & _U64
 
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""

@@ -64,8 +64,11 @@ class RouteDecision:
     hysteresis_ms: int = DEFAULT_ROUTE_HYSTERESIS_MS
 
 
-def _best(candidates, estimates):
-    # Unknown estimates sort last; ties break on link_id for determinism.
+def best_link(candidates, estimates):
+    """The candidate link with the lowest estimated delay.
+
+    Unknown estimates sort last; ties break on link_id for determinism.
+    """
     def key(link):
         est = estimates.get(link.link_id)
         return (est if est is not None else float("inf"), link.link_id)
@@ -78,7 +81,7 @@ def default_route(links, estimates) -> int:
     if not available:
         raise NoAvailableLink("no available link")
     relays = [l for l in available if l.kind is LinkKind.RELAY]
-    return _best(relays or available, estimates).link_id
+    return best_link(relays or available, estimates).link_id
 
 
 def select_route(peer: int, links, latency_estimates: dict,
@@ -95,32 +98,12 @@ def select_route(peer: int, links, latency_estimates: dict,
     if not available:
         raise NoAvailableLink(f"no available link to peer {peer}")
     if critical_proximity and any(l.kind is LinkKind.DIRECT for l in available):
-        desired = _best(available, latency_estimates).link_id
+        desired = best_link(available, latency_estimates).link_id
     else:
         relays = [l for l in available if l.kind is LinkKind.RELAY]
-        desired = _best(relays or available, latency_estimates).link_id
+        desired = best_link(relays or available, latency_estimates).link_id
     if desired == decision.chosen_link:
         return decision
     if now - decision.last_switch_at < decision.hysteresis_ms:
         return decision
-    return replace(decision, chosen_link=desired, last_switch_at=now)
-
-
-def on_link_change(links_by_id: dict, link_id: int, available: bool,
-                   peer_links, decision: RouteDecision, now: int,
-                   latency_estimates: dict) -> RouteDecision:
-    """Apply a link availability change and fail over if it hit our route.
-
-    Failover ignores hysteresis: the dwell time only exists to stop
-    quality-driven flapping. Raises NoAvailableLink when nothing remains.
-    """
-    if link_id not in links_by_id:
-        raise KeyError(f"unknown link {link_id}")
-    links_by_id[link_id].available = available
-    if available or decision.chosen_link != link_id:
-        return decision
-    candidates = [l for l in peer_links if l.available]
-    if not candidates:
-        raise NoAvailableLink(f"link {link_id} was the last route")
-    desired = _best(candidates, latency_estimates).link_id
     return replace(decision, chosen_link=desired, last_switch_at=now)

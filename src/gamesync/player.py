@@ -25,8 +25,8 @@ from gamesync.deadreckoning import (DeadReckoningPolicy, EntityKinematics,
                                     converge, predict, should_send)
 from gamesync.locallag import DEFAULT_CLASS, LagPolicy, PlayoutBuffer
 from gamesync.overlay import (LinkKind, LinkSpec, NoAvailableLink,
-                              PeerCapabilities, RouteDecision, default_route,
-                              select_route)
+                              PeerCapabilities, RouteDecision, best_link,
+                              default_route, select_route)
 from gamesync.pdu import (DecodeError, EventMessage, PingMessage, PongMessage,
                           StateUpdate, decode, encode)
 from gamesync.regions import ConsistencyMode, ModeTracker, RegionSet
@@ -493,10 +493,7 @@ class PlayerManager:
         alive = [l for l in self.peer_links[peer] if l.available]
         if not alive:
             return None
-        estimates = self._link_estimates(peer)
-        best = min(alive, key=lambda l: (
-            estimates.get(l.link_id) if estimates.get(l.link_id) is not None
-            else float("inf"), l.link_id))
+        best = best_link(alive, self._link_estimates(peer))
         self.switch_log.append((now, peer, decision.chosen_link,
                                 best.link_id, True))
         new = replace(decision, chosen_link=best.link_id, last_switch_at=now)

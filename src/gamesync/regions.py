@@ -11,10 +11,9 @@ for a short hysteresis window to avoid flapping at boundaries.
 from dataclasses import dataclass
 from enum import Enum
 
-from gamesync.kernels import dist
+from gamesync.deadreckoning import dist
 
 EXIT_HYSTERESIS_MS = 250
-DEFAULT_THRESHOLD_SCALE = 0.25
 
 
 class InvalidGeometry(Exception):

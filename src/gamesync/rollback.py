@@ -79,10 +79,13 @@ class DeliveryLog:
         if watermark <= self._watermark:
             return
         self._watermark = watermark
-        while self._applied and self._applied[0].timestamp < watermark:
-            dropped = self._applied.pop(0)
-            self._keys.pop(0)
+        # (watermark,) sorts before every key stamped at the watermark, so
+        # entries stamped exactly at it stay.
+        cut = bisect.bisect_left(self._keys, (watermark,))
+        for dropped in self._applied[:cut]:
             self._seen.discard(stream_key(dropped))
+        del self._applied[:cut]
+        del self._keys[:cut]
 
     def on_deliver(self, msg, now: int):
         """Classify a delivery: Apply (committed), DropDuplicate,

@@ -11,8 +11,8 @@ simulation.
 import time
 from dataclasses import dataclass, field
 
-from gamesync.deadreckoning import DeadReckoningPolicy, EntityKinematics
-from gamesync.kernels import dist
+from gamesync.deadreckoning import (DeadReckoningPolicy, EntityKinematics,
+                                    dist)
 from gamesync.locallag import LagPolicy
 from gamesync.metrics import (DELIVERY_HEADER, EVENT_HEADER, TICK_HEADER,
                               CsvWriter, RunningStats, format_summary,
@@ -26,17 +26,15 @@ from gamesync.scenario import ScenarioConfig
 
 
 class _Bot(GameCallbacks):
-    """Scripted game: closed-form motion, event playout recording, and
-    per-message inverse records so rollback directives can be honored."""
+    """Scripted game: closed-form motion (the divergence ground truth) and
+    the first playout time of every event (for display-time differences).
+    States, undos and mode changes keep the no-op default callbacks."""
 
     def __init__(self, client_spec, now_fn):
         self.client_id = client_spec.client_id
         self.entities = {e.entity_id: e for e in client_spec.entities}
         self._now_fn = now_fn
         self.event_playouts: dict[tuple, int] = {}   # first playout per event
-        self.applied: list = []                       # (now, kind, msg-ish)
-        self.state_records: dict[int, list] = {}      # inverse records
-        self.mode_log: list = []
 
     def query_local_state(self, entity_id):
         spec = self.entities[entity_id]
@@ -47,22 +45,6 @@ class _Bot(GameCallbacks):
     def apply_event(self, msg):
         key = (msg.sender_id, msg.entity_id, msg.seq)
         self.event_playouts.setdefault(key, self._now_fn())
-        self.applied.append((self._now_fn(), "event", key))
-
-    def undo_event(self, msg):
-        key = (msg.sender_id, msg.entity_id, msg.seq)
-        self.applied.append((self._now_fn(), "undo", key))
-        records = self.state_records.get(msg.entity_id)
-        if records and records[-1][0] == key:
-            records.pop()
-
-    def apply_remote_state(self, entity_id, kin):
-        self.state_records.setdefault(entity_id, []).append(
-            ((kin.at,), kin))
-        self.applied.append((self._now_fn(), "state", entity_id))
-
-    def notify_mode(self, entity_id, mode):
-        self.mode_log.append((self._now_fn(), entity_id, mode))
 
 
 @dataclass

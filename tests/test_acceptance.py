@@ -3,6 +3,7 @@ pass/fail line per criterion (run with -s to see them live)."""
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -176,7 +177,9 @@ def _cli_run(scenario, outdir, tag):
            "--events", str(paths["events.csv"]),
            "--deliveries", str(paths["deliveries.csv"]),
            "--trace", str(paths["trace.log"])]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    # the child imports gamesync from wherever this process found it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return paths
 

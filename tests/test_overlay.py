@@ -1,10 +1,10 @@
-"""Route selection, dwell-time hysteresis, and failover."""
+"""Route selection and dwell-time hysteresis. Failover is driven through
+PlayerManager.on_link_change in test_player.py."""
 
 import pytest
 
 from gamesync.overlay import (LinkKind, LinkSpec, NoAvailableLink,
-                              RouteDecision, default_route, on_link_change,
-                              select_route)
+                              RouteDecision, default_route, select_route)
 
 
 def relay(link_id=0, delay=250, available=True):
@@ -59,33 +59,6 @@ def test_no_available_link_raises():
     links = [relay(available=False)]
     with pytest.raises(NoAvailableLink):
         select_route(1, links, {}, False, RouteDecision(0), 0)
-
-
-def test_failover_same_tick_ignores_hysteresis():
-    links = {0: relay(), 1: direct()}
-    peer_links = list(links.values())
-    decision = RouteDecision(1, last_switch_at=999, hysteresis_ms=500)
-    out = on_link_change(links, 1, False, peer_links, decision, 1000,
-                         {0: 250.0, 1: 40.0})
-    assert out.chosen_link == 0
-    assert out.last_switch_at == 1000
-
-
-def test_unrelated_link_change_keeps_decision():
-    links = {0: relay(), 1: direct()}
-    decision = RouteDecision(0, last_switch_at=0)
-    out = on_link_change(links, 1, False, list(links.values()), decision, 50,
-                         {0: 250.0})
-    assert out is decision
-
-
-def test_all_links_down_raises():
-    links = {0: relay(), 1: direct()}
-    decision = RouteDecision(0)
-    out = on_link_change(links, 1, False, list(links.values()), decision, 10, {})
-    assert out.chosen_link == 0
-    with pytest.raises(NoAvailableLink):
-        on_link_change(links, 0, False, list(links.values()), out, 20, {})
 
 
 def test_deterministic_tie_break_by_link_id():

@@ -257,18 +257,49 @@ def test_queue_then_drop_when_all_links_down():
     assert len(pm._pending[1]) == 0
 
 
-def test_failover_entry_marked_in_switch_log():
+def relay_and_direct_pm():
+    """Client 0 with a relay (link 0, the default route) and a direct link
+    (link 1) to peer 1, overlay on, 500 ms route dwell."""
     config = PlayerManagerConfig(
         client_id=0,
         links=[LinkSpec(0, (0, 1), 250),
                LinkSpec(1, (0, 1), 40, kind=LinkKind.DIRECT)],
-        overlay_enabled=True)
-    pm = PlayerManager(config, Spy(), lambda link, data: None)
+        overlay_enabled=True, route_hysteresis_ms=500)
+    sent = []
+    pm = PlayerManager(config, Spy(), lambda link, data: sent.append(link))
     pm.start_session([PeerCapabilities(1)], 0)
+    return pm, sent
+
+
+def test_failover_entry_marked_in_switch_log():
+    pm, _ = relay_and_direct_pm()
     assert pm.route_to(1) == 0
     pm.on_link_change(0, False, 700)
     assert pm.route_to(1) == 1
     assert pm.switch_log == [(700, 1, 0, 1, True)]
+
+
+def test_failover_inside_dwell_window_is_same_tick():
+    """The dwell only limits quality-driven switches: a chosen link that
+    goes down 100 ms after the last switch still fails over at once."""
+    pm, sent = relay_and_direct_pm()
+    assert pm.routes[1].last_switch_at == 0
+    pm.on_link_change(0, False, 100)
+    assert pm.routes[1].chosen_link == 1
+    assert pm.routes[1].last_switch_at == 100
+    sent.clear()
+    pm.send_event(3, EventKind.FIRE, b"\x00" * 8, 100)
+    assert sent == [1]
+
+
+def test_change_to_unchosen_link_keeps_route():
+    pm, _ = relay_and_direct_pm()
+    before = pm.routes[1]
+    pm.on_link_change(1, False, 50)
+    assert pm.routes[1] is before
+    pm.on_link_change(1, True, 60)
+    assert pm.routes[1] is before
+    assert pm.switch_log == []
 
 
 def test_sender_side_lag_buffers_own_events():

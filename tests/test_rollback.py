@@ -177,6 +177,20 @@ def test_pruning_forgets_old_entries():
     assert isinstance(log.on_deliver(ev(100, seq=1), 5001), DropBeyondWindow)
 
 
+def test_pruning_many_entries_at_once():
+    log = DeliveryLog(history_window_ms=1000)
+    for ts in range(0, 1001, 10):
+        log.on_deliver(ev(ts), ts)
+    assert len(log) == 101
+    log.on_deliver(ev(2000), 2000)   # watermark 1000 drops ts 0..990 at once
+    assert len(log) == 2
+    # an entry stamped exactly at the watermark stays
+    assert [m.timestamp for m in log.applied] == [1000, 2000]
+    # the stream keys of pruned entries are forgotten, kept ones are not
+    assert isinstance(log.on_deliver(ev(1500, seq=0), 2001), RollbackDirective)
+    assert isinstance(log.on_deliver(ev(2000), 2002), DropDuplicate)
+
+
 def test_callback_failure_leaves_log_unchanged():
     log = DeliveryLog()
     game = SpyGame(fail_on=120)
