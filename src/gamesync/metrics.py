@@ -1,8 +1,15 @@
 """Metrics records, CSV schemas, and summary statistics.
 
-Floats are written with repr() so parsing the CSV back recovers the exact
-same doubles: summary statistics recomputed from the files match the
-runner's reported summary exactly.
+Row contract: every number is written as its repr() and every text value
+verbatim, so the bytes of a row depend only on its values. Floats therefore
+round-trip: parsing the CSV back recovers the exact same doubles, and summary
+statistics recomputed from the files match the runner's reported summary
+exactly. (For an int, repr() and str() agree.)
+
+Each schema pairs its header with one %-template: %r for a number, %s for
+text. The tick template takes truth_x and truth_y as one text field already
+formatted as "%r,%r", because the runner writes the same truth for every
+viewer of an entity and formats it once.
 """
 
 import math
@@ -10,6 +17,13 @@ import math
 TICK_HEADER = "tick_ms,entity,owner,viewer,truth_x,truth_y,shown_x,shown_y,divergence_m,mode,route"
 EVENT_HEADER = "event_seq,owner,viewer,local_playout_ms,remote_playout_ms,diff_ms"
 DELIVERY_HEADER = "time_ms,sender,dest,entity,seq,delay_ms,critical"
+
+# tick_ms, entity, owner, viewer, "truth_x,truth_y", shown_x, shown_y,
+# divergence_m, mode, route
+TICK_ROW = "%r,%r,%r,%r,%s,%r,%r,%r,%s,%r\n"
+EVENT_ROW = "%r,%r,%r,%r,%r,%r\n"
+DELIVERY_ROW = "%r,%r,%r,%r,%r,%r,%r\n"
+TRUTH_COLUMNS = "%r,%r"
 
 
 def percentile(sorted_values, p: float):
@@ -46,16 +60,15 @@ class RunningStats:
 class CsvWriter:
     """Line-per-row CSV writer; no-op when no file is attached."""
 
-    def __init__(self, fh, header: str):
-        self._fh = fh
+    def __init__(self, fh, header: str, template: str):
+        self._write = None if fh is None else fh.write
+        self._template = template
         if fh is not None:
             fh.write(header + "\n")
 
     def row(self, *fields) -> None:
-        if self._fh is None:
-            return
-        self._fh.write(",".join(
-            repr(f) if isinstance(f, float) else str(f) for f in fields) + "\n")
+        if self._write is not None:
+            self._write(self._template % fields)
 
 
 def format_summary(summary: dict) -> str:

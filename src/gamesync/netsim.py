@@ -15,7 +15,9 @@ what exercises the rollback path downstream.
 """
 
 import heapq
-from dataclasses import dataclass, field
+import math
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Callable
 
 from gamesync.overlay import LinkSpec
@@ -69,7 +71,7 @@ class SimRng:
         return (self.next_u64() % (2 * half_width + 1)) - half_width
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SimEvent:
     deliver_at: int
     index: int
@@ -78,7 +80,8 @@ class SimEvent:
     link_id: int = -1
     sender: int = 0
     payload: bytes = b""
-    fn: Callable | None = field(default=None, compare=False)
+    fn: Callable | None = None
+    tag: str = ""                  # "\t<type>\t<seq>\n" trace suffix; "" untraced
 
 
 @dataclass
@@ -127,13 +130,11 @@ class NetworkSim:
         changes.sort()
 
     def effective_delay(self, link_id: int, at: int) -> int:
-        delay = self.links[link_id].base_delay_ms
-        for change_at, value in self._delay_changes[link_id]:
-            if change_at <= at:
-                delay = value
-            else:
-                break
-        return delay
+        """The last change at or before `at` in sorted order (so among
+        changes at one time the last wins), else the link's base delay."""
+        changes = self._delay_changes[link_id]
+        i = bisect_right(changes, (at, math.inf))
+        return changes[i - 1][1] if i else self.links[link_id].base_delay_ms
 
     def _push(self, event: SimEvent) -> None:
         heapq.heappush(self._heap, (event.deliver_at, event.index, event))
@@ -159,18 +160,21 @@ class NetworkSim:
         now = self._now
         dest = link.other_endpoint(sender)
         self.counters.sent += 1
-        self._trace_line("SEND", link_id, sender, dest, payload)
+        tag = ""
+        if self._trace is not None:
+            mtype, _, seq = peek(payload)
+            tag = f"\t{mtype}\t{seq}\n"
+            self._trace_line("SEND", link_id, sender, dest, tag)
         if self.rng.next_float() < link.loss_prob:
             self.counters.dropped += 1
-            self._trace_line("DROP", link_id, sender, dest, payload)
+            self._trace_line("DROP", link_id, sender, dest, tag)
             return False
         delay = self.effective_delay(link_id, now)
         if link.jitter_ms > 0:
             delay += self.rng.next_int_symmetric(link.jitter_ms)
         deliver_at = max(now + 1, now + delay)
         self._push(SimEvent(deliver_at, self._next_index(), "deliver",
-                            dest=dest, link_id=link_id, sender=sender,
-                            payload=payload))
+                            dest, link_id, sender, payload, None, tag))
         return True
 
     @property
@@ -199,7 +203,7 @@ class NetworkSim:
             return event
         self.counters.delivered += 1
         self._trace_line("DELIVER", event.link_id, event.sender, event.dest,
-                         event.payload)
+                         event.tag)
         handler = self._handlers.get(event.dest)
         if handler is not None:
             handler(event.payload, self._now, event.link_id)
@@ -210,9 +214,9 @@ class NetworkSim:
             self.step()
 
     def _trace_line(self, kind: str, link_id: int, sender: int, dest: int,
-                    payload: bytes) -> None:
+                    tag: str) -> None:
+        """One trace line; `tag` is the frame's header suffix, peeked once
+        at send."""
         if self._trace is None:
             return
-        mtype, _, seq = peek(payload)
-        self._trace.write(
-            f"{self._now}\t{kind}\t{link_id}\t{sender}\t{dest}\t{mtype}\t{seq}\n")
+        self._trace.write(f"{self._now}\t{kind}\t{link_id}\t{sender}\t{dest}{tag}")

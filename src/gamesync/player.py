@@ -145,6 +145,11 @@ class PlayerManager:
         self.buffer = PlayoutBuffer(config.lag_policy)
         self.log = rb.DeliveryLog(config.history_window_ms)
         self.modes = ModeTracker(config.regions, config.exit_hysteresis_ms)
+        # DR policy of every entity with a known class, resolved once;
+        # _dr_policy resolves any other entity through DEFAULT_CLASS.
+        self._dr_policies = {
+            entity_id: config.class_dr_policies.get(class_id, config.dr_policy)
+            for entity_id, class_id in config.entity_class.items()}
         self.counters = PmCounters()
         self.processing_ns: list[int] = []
         self.switch_log: list[tuple] = []   # (now, peer, old, new, failover)
@@ -378,6 +383,7 @@ class PlayerManager:
         now = self.clock.read(now)
         for entry in self.buffer.release_due(now):
             self._playout(entry.msg, now)
+        self._expire_pings(now)
 
         states = []
         for entity_id in self.config.local_entities:
@@ -573,12 +579,26 @@ class PlayerManager:
             self._send_fn(link.link_id, encode(ping))
         self._last_ping[peer] = now
 
+    def _expire_pings(self, now: int) -> None:
+        """Forget probes older than the history window: their pongs were
+        lost. The dict is in send order, so the stale ones lead it."""
+        pings = self._outstanding_pings
+        horizon = now - self.config.history_window_ms
+        while pings:
+            nonce = next(iter(pings))
+            if pings[nonce][0].timestamp >= horizon:
+                return
+            del pings[nonce]
+
     def _class_of(self, entity_id: int) -> str:
         return self.config.entity_class.get(entity_id, DEFAULT_CLASS)
 
     def _dr_policy(self, entity_id: int) -> DeadReckoningPolicy:
-        return self.config.class_dr_policies.get(self._class_of(entity_id),
-                                                 self.config.dr_policy)
+        policy = self._dr_policies.get(entity_id)
+        if policy is None:
+            policy = self.config.class_dr_policies.get(DEFAULT_CLASS,
+                                                       self.config.dr_policy)
+        return policy
 
     def _note_mode(self, entity_id: int, mode: ConsistencyMode) -> None:
         if self._entity_modes.get(entity_id) != mode:

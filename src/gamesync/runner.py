@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from gamesync.deadreckoning import (DeadReckoningPolicy, EntityKinematics,
                                     dist)
 from gamesync.locallag import LagPolicy
-from gamesync.metrics import (DELIVERY_HEADER, EVENT_HEADER, TICK_HEADER,
+from gamesync.metrics import (DELIVERY_HEADER, DELIVERY_ROW, EVENT_HEADER,
+                              EVENT_ROW, TICK_HEADER, TICK_ROW, TRUTH_COLUMNS,
                               CsvWriter, RunningStats, format_summary,
                               percentile)
 from gamesync.netsim import InvariantViolation, NetworkSim
@@ -119,9 +120,9 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
         return fh
 
     trace_fh = _open(trace_out)
-    tick_writer = CsvWriter(_open(out), TICK_HEADER)
-    delivery_fh = _open(deliveries_out)
-    delivery_writer = CsvWriter(delivery_fh, DELIVERY_HEADER)
+    tick_writer = CsvWriter(_open(out), TICK_HEADER, TICK_ROW)
+    delivery_writer = CsvWriter(_open(deliveries_out), DELIVERY_HEADER,
+                                DELIVERY_ROW)
 
     sim = NetworkSim(seed, trace=trace_fh)
     for link in config.links:
@@ -157,14 +158,19 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
         bots[cid] = bot
         pms[cid] = pm
 
-    entity_truth = {}
-    entity_owner = {}
+    # One sampling plan per entity, resolved before the first tick: its
+    # truth function, its owner and the owner's manager, and every other
+    # client with its bound displayed_position.
+    plans = []
     fire_cursor = {}
     for client_spec in clients:
+        owner = client_spec.client_id
         for spec in client_spec.entities:
-            entity_truth[spec.entity_id] = spec.motion
-            entity_owner[spec.entity_id] = client_spec.client_id
-            fire_cursor[(client_spec.client_id, spec.entity_id)] = 0
+            viewers = [(viewer, pms[viewer].displayed_position)
+                       for viewer in client_ids if viewer != owner]
+            plans.append((spec.entity_id, spec.motion.position, owner,
+                          pms[owner], viewers))
+            fire_cursor[(owner, spec.entity_id)] = 0
 
     caps = {c.client_id: PeerCapabilities(c.client_id,
                                           c.direct_address_known,
@@ -206,27 +212,28 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
                 fire_cursor[(cid, spec.entity_id)] = cursor
         return do_tick
 
+    tick_row = tick_writer.row
+    add_divergence = divergence.add
+
     def sample(now):
-        for entity_id, motion in entity_truth.items():
-            owner = entity_owner[entity_id]
-            truth = motion.position(now)
-            owner_pm = pms[owner]
+        for entity_id, position, owner, owner_pm, viewers in plans:
+            tx, ty = position(now)
+            truth = TRUTH_COLUMNS % (tx, ty)
             mode = owner_pm.mode_of(entity_id).value
-            for viewer in client_ids:
-                if viewer == owner:
-                    continue
-                shown = pms[viewer].displayed_position(entity_id, now)
+            for viewer, displayed_position in viewers:
+                shown = displayed_position(entity_id, now)
                 if shown is None:
                     continue
-                div = dist(truth[0], truth[1], shown[0], shown[1])
-                divergence.add(div)
+                sx, sy = shown
+                div = dist(tx, ty, sx, sy)
+                add_divergence(div)
                 route = owner_pm.route_to(viewer)
                 route = -1 if route is None else route
-                row = (now, entity_id, owner, viewer, truth[0], truth[1],
-                       shown[0], shown[1], div, mode, route)
-                tick_writer.row(*row)
+                tick_row(now, entity_id, owner, viewer, truth, sx, sy, div,
+                         mode, route)
                 if keep_rows:
-                    tick_rows.append(row)
+                    tick_rows.append((now, entity_id, owner, viewer, tx, ty,
+                                      sx, sy, div, mode, route))
         _check_invariants(now)
 
     def _check_invariants(now):
@@ -273,7 +280,7 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
                     event_rows.append((key[2], owner, viewer, local, remote, diff))
 
     events_fh = _open(events_out)
-    event_writer = CsvWriter(events_fh, EVENT_HEADER)
+    event_writer = CsvWriter(events_fh, EVENT_HEADER, EVENT_ROW)
     for row in event_rows:
         event_writer.row(*row)
 

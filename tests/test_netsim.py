@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from gamesync import netsim
 from gamesync.netsim import (EmptyQueue, LinkUnavailable, NetworkSim, SimRng,
                              UnknownLink)
 from gamesync.overlay import LinkSpec
@@ -125,6 +126,19 @@ def test_set_link_delay_idempotent():
     assert sim.effective_delay(0, 4000) == 100
 
 
+def test_delay_change_ties_and_send_time_boundary():
+    sim = make_sim(base=100)
+    sim.set_link_delay(0, 150, at=3000)
+    sim.set_link_delay(0, 300, at=5000)
+    sim.set_link_delay(0, 200, at=5000)
+    # changes at one time apply in sorted order, so the last (300) wins
+    assert sim.effective_delay(0, 2999) == 100
+    assert sim.effective_delay(0, 3000) == 150
+    assert sim.effective_delay(0, 4999) == 150
+    assert sim.effective_delay(0, 5000) == 300   # a change at the send time applies
+    assert sim.effective_delay(0, 10**9) == 300
+
+
 def test_minimum_one_ms_delivery():
     sim = make_sim(base=0, jitter=0)
     sim.schedule_call(10, lambda now: sim.send(0, 0, payload()))
@@ -201,3 +215,31 @@ def test_trace_line_format():
     lines = trace.getvalue().splitlines()
     assert lines[0] == "5\tSEND\t0\t0\t1\tPING\t1"
     assert lines[1] == "105\tDELIVER\t0\t0\t1\tPING\t1"
+
+
+def test_trace_writes_drop_and_unparseable_lines():
+    trace = io.StringIO()
+    sim = make_sim(seed=1, base=100, loss=1.0, trace=trace)
+    sim.schedule_call(5, lambda now: [sim.send(0, 0, payload()),
+                                      sim.send(0, 1, b"not a frame")])
+    while sim.pending:
+        sim.step()
+    assert trace.getvalue().splitlines() == [
+        "5\tSEND\t0\t0\t1\tPING\t1",
+        "5\tDROP\t0\t0\t1\tPING\t1",
+        "5\tSEND\t0\t1\t0\t?\t0",
+        "5\tDROP\t0\t1\t0\t?\t0",
+    ]
+
+
+def test_untraced_send_does_not_peek(monkeypatch):
+    def no_peek(data):
+        raise AssertionError("peek without a trace")
+    monkeypatch.setattr(netsim, "peek", no_peek)
+    sim = make_sim(seed=1, base=100)
+    arrivals = []
+    sim.register_handler(1, lambda data, now, link: arrivals.append(data))
+    sim.schedule_call(5, lambda now: sim.send(0, 0, b"not a frame"))
+    while sim.pending:
+        sim.step()
+    assert arrivals == [b"not a frame"]

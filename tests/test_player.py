@@ -336,6 +336,33 @@ def test_rollback_scope_events_leaves_states_alone():
     assert shown == expected
 
 
+def test_ping_lost_on_the_wire_expires_after_history_window():
+    pm, spy, sent = make_pm(history_window_ms=2000)
+    pm.start_session([PeerCapabilities(0)], 0)
+    lost = decode(sent[0][1])
+    pm.tick(2000)
+    assert lost.nonce in pm._outstanding_pings    # exactly at the horizon
+    pm.tick(2050)
+    assert lost.nonce not in pm._outstanding_pings
+    assert all(ping.timestamp >= 50
+               for ping, _ in pm._outstanding_pings.values())
+    pong = PongMessage(0, lost.nonce, 2060, lost.timestamp)
+    pm.on_network_message(encode(pong), 2100, 0)
+    assert pm.estimator.estimate((0, 0)) is None
+
+
+def test_late_pong_inside_history_window_is_observed():
+    pm, spy, sent = make_pm(history_window_ms=2000)
+    pm.start_session([PeerCapabilities(0)], 0)
+    ping = decode(sent[0][1])
+    for t in range(50, 1951, 50):
+        pm.tick(t)
+    pong = PongMessage(0, ping.nonce, 1000, ping.timestamp)
+    pm.on_network_message(encode(pong), 1990, 0)
+    assert ping.nonce not in pm._outstanding_pings
+    assert pm.estimator.estimate((0, 0)) == 995.0   # (1990 - 0 + 1) // 2
+
+
 def test_idle_pings_when_no_traffic_flows():
     pm, spy, sent = make_pm(client_id=1, peer=0, idle_ping_ms=1000)
     pm.start_session([PeerCapabilities(0)], 0)
