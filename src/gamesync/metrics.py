@@ -7,9 +7,7 @@ statistics recomputed from the files match the runner's reported summary
 exactly. (For an int, repr() and str() agree.)
 
 Each schema pairs its header with one %-template: %r for a number, %s for
-text. The tick template takes truth_x and truth_y as one text field already
-formatted as "%r,%r", because the runner writes the same truth for every
-viewer of an entity and formats it once.
+text.
 """
 
 import math
@@ -18,12 +16,9 @@ TICK_HEADER = "tick_ms,entity,owner,viewer,truth_x,truth_y,shown_x,shown_y,diver
 EVENT_HEADER = "event_seq,owner,viewer,local_playout_ms,remote_playout_ms,diff_ms"
 DELIVERY_HEADER = "time_ms,sender,dest,entity,seq,delay_ms,critical"
 
-# tick_ms, entity, owner, viewer, "truth_x,truth_y", shown_x, shown_y,
-# divergence_m, mode, route
-TICK_ROW = "%r,%r,%r,%r,%s,%r,%r,%r,%s,%r\n"
+TICK_ROW = "%r,%r,%r,%r,%r,%r,%r,%r,%r,%s,%r\n"
 EVENT_ROW = "%r,%r,%r,%r,%r,%r\n"
 DELIVERY_ROW = "%r,%r,%r,%r,%r,%r,%r\n"
-TRUTH_COLUMNS = "%r,%r"
 
 
 def percentile(sorted_values, p: float):

@@ -86,7 +86,7 @@ class PlayerManagerConfig:
     critical_tightening: bool = True
     idle_ping_ms: int = 1000
     queue_limit_ms: int = 1000
-    history_window_ms: int = 2000
+    history_window_ms: int = 2000        # rollback log and ping timeout
     ewma_alpha: float = 0.125
     clock_offset_ms: int = 0
     critical_proximity_radius_m: float | None = None
@@ -145,11 +145,6 @@ class PlayerManager:
         self.buffer = PlayoutBuffer(config.lag_policy)
         self.log = rb.DeliveryLog(config.history_window_ms)
         self.modes = ModeTracker(config.regions, config.exit_hysteresis_ms)
-        # DR policy of every entity with a known class, resolved once;
-        # _dr_policy resolves any other entity through DEFAULT_CLASS.
-        self._dr_policies = {
-            entity_id: config.class_dr_policies.get(class_id, config.dr_policy)
-            for entity_id, class_id in config.entity_class.items()}
         self.counters = PmCounters()
         self.processing_ns: list[int] = []
         self.switch_log: list[tuple] = []   # (now, peer, old, new, failover)
@@ -581,7 +576,11 @@ class PlayerManager:
 
     def _expire_pings(self, now: int) -> None:
         """Forget probes older than the history window: their pongs were
-        lost. The dict is in send order, so the stale ones lead it."""
+        lost. The dict is in send order, so the stale ones lead it.
+
+        history_window_ms therefore also bounds how long a probe waits for
+        its pong: a pong whose round trip exceeds the window yields no RTT
+        sample, and changing the window changes RTT probing too."""
         pings = self._outstanding_pings
         horizon = now - self.config.history_window_ms
         while pings:
@@ -594,11 +593,8 @@ class PlayerManager:
         return self.config.entity_class.get(entity_id, DEFAULT_CLASS)
 
     def _dr_policy(self, entity_id: int) -> DeadReckoningPolicy:
-        policy = self._dr_policies.get(entity_id)
-        if policy is None:
-            policy = self.config.class_dr_policies.get(DEFAULT_CLASS,
-                                                       self.config.dr_policy)
-        return policy
+        return self.config.class_dr_policies.get(self._class_of(entity_id),
+                                                 self.config.dr_policy)
 
     def _note_mode(self, entity_id: int, mode: ConsistencyMode) -> None:
         if self._entity_modes.get(entity_id) != mode:

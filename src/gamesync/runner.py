@@ -15,9 +15,8 @@ from gamesync.deadreckoning import (DeadReckoningPolicy, EntityKinematics,
                                     dist)
 from gamesync.locallag import LagPolicy
 from gamesync.metrics import (DELIVERY_HEADER, DELIVERY_ROW, EVENT_HEADER,
-                              EVENT_ROW, TICK_HEADER, TICK_ROW, TRUTH_COLUMNS,
-                              CsvWriter, RunningStats, format_summary,
-                              percentile)
+                              EVENT_ROW, TICK_HEADER, TICK_ROW, CsvWriter,
+                              RunningStats, format_summary, percentile)
 from gamesync.netsim import InvariantViolation, NetworkSim
 from gamesync.overlay import PeerCapabilities
 from gamesync.player import (GameCallbacks, PlayerManager,
@@ -218,7 +217,6 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
     def sample(now):
         for entity_id, position, owner, owner_pm, viewers in plans:
             tx, ty = position(now)
-            truth = TRUTH_COLUMNS % (tx, ty)
             mode = owner_pm.mode_of(entity_id).value
             for viewer, displayed_position in viewers:
                 shown = displayed_position(entity_id, now)
@@ -229,11 +227,11 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
                 add_divergence(div)
                 route = owner_pm.route_to(viewer)
                 route = -1 if route is None else route
-                tick_row(now, entity_id, owner, viewer, truth, sx, sy, div,
-                         mode, route)
+                row = (now, entity_id, owner, viewer, tx, ty, sx, sy, div,
+                       mode, route)
+                tick_row(*row)
                 if keep_rows:
-                    tick_rows.append((now, entity_id, owner, viewer, tx, ty,
-                                      sx, sy, div, mode, route))
+                    tick_rows.append(row)
         _check_invariants(now)
 
     def _check_invariants(now):
