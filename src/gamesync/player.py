@@ -1,12 +1,14 @@
 """Per-client composite wiring every manager into the reception and
 transmission pipelines.
 
-Reception runs decode -> delay estimation -> playout buffering -> critical
-area tracking -> rollback ordering -> prediction/convergence -> game
-callbacks. One detail is deliberately out of nominal order: the consistency
-mode that scales a message's playout lag is computed just before the enqueue
-(the buffered deadline must reflect it), while the critical-area bookkeeping
-stage itself runs after, where the stage instrumentation reports it.
+Reception runs decode -> delay estimation -> critical area tracking ->
+playout buffering -> rollback ordering -> prediction/convergence -> game
+callbacks. A data frame's consistency mode is evaluated once, after the
+frame's position is recorded: that one mode scales the playout deadline and
+becomes the entity's noted mode. Every state update, fresh or replayed by a
+rollback, reaches the game through one apply path as the displayed position
+at the playout time. The stages carry no instrumentation of their own;
+`processing_ns` times each received frame as a whole.
 
 Transmission runs per tick: dead-reckoning gate -> timestamping -> critical
 flag -> route selection -> encode -> network. Each player manager is
@@ -34,8 +36,7 @@ from gamesync.regions import ConsistencyMode, ModeTracker, RegionSet
 NORMAL = ConsistencyMode.NORMAL
 STRONG = ConsistencyMode.STRONG
 
-PIPELINE_STAGES = ("decode", "comm", "local_lag", "critical_area",
-                   "rollback", "sync", "game")
+QUEUE_LIMIT_MS = 1000    # frames queued longer than this are dropped
 
 
 class ConfigInvalid(Exception):
@@ -48,7 +49,9 @@ class GameCallbacks:
     own inverse records)."""
 
     def apply_remote_state(self, entity_id: int, kin: EntityKinematics) -> None:
-        pass
+        """kin is the entity's displayed position at the playout time, its
+        wire velocity, and that time; fresh updates and rollback replays
+        alike."""
 
     def apply_event(self, msg: EventMessage) -> None:
         pass
@@ -70,7 +73,6 @@ class PlayerManagerConfig:
     lag_policy: LagPolicy = field(default_factory=LagPolicy)
     regions: RegionSet = field(default_factory=RegionSet)
     links: list = field(default_factory=list)
-    tick_ms: int = 50
     heartbeat_ms: int = 1000
     local_entities: tuple = ()
     entity_class: dict = field(default_factory=dict)
@@ -85,7 +87,6 @@ class PlayerManagerConfig:
     receiver_side_lag: bool = True
     critical_tightening: bool = True
     idle_ping_ms: int = 1000
-    queue_limit_ms: int = 1000
     history_window_ms: int = 2000        # rollback log and ping timeout
     ewma_alpha: float = 0.125
     clock_offset_ms: int = 0
@@ -116,7 +117,7 @@ class _RemoteView:
 
 
 class _DirectiveAdapter:
-    """Routes rollback replays through the view bookkeeping before the game."""
+    """Routes replayed state updates through the fresh ones' apply path."""
 
     def __init__(self, pm: "PlayerManager", now: int):
         self._pm = pm
@@ -129,8 +130,7 @@ class _DirectiveAdapter:
         self._pm.callbacks.apply_event(msg)
 
     def apply_remote_state(self, entity_id, kin):
-        self._pm._update_view(entity_id, kin, self._now)
-        self._pm.callbacks.apply_remote_state(entity_id, kin)
+        self._pm._apply_state(entity_id, kin, self._now)
 
 
 class PlayerManager:
@@ -173,9 +173,6 @@ class PlayerManager:
 
         # observability hooks (wired by the scenario runner)
         self.on_delivery_metric = None    # fn(now, sender, entity, seq, delay, critical)
-        self.estimate_trace: list | None = None
-        self.record_stages = False
-        self.stage_log: dict[tuple, list[str]] = {}
 
     # -- session ---------------------------------------------------------
 
@@ -183,8 +180,6 @@ class PlayerManager:
                       now: int = 0) -> None:
         """Collect peer info, mark unreachable direct links, choose default
         routes, zero sequence counters, and fire the initial ping round."""
-        if self.config.tick_ms <= 0:
-            raise ConfigInvalid("tick_ms must be > 0")
         if self.config.heartbeat_ms <= 0:
             raise ConfigInvalid("heartbeat_ms must be > 0")
         now = self.clock.read(now)
@@ -242,8 +237,6 @@ class PlayerManager:
             return
 
         # data message (state update or event)
-        key = rb.stream_key(msg)
-        self._stage(key, "decode")
         self.counters.data_received += 1
         res = delay_from_timestamp(msg.timestamp, now)
         if res.clock_anomaly:
@@ -251,62 +244,41 @@ class PlayerManager:
         self._observe(msg.sender_id, link_id, res.delay_ms, now)
         if isinstance(msg, StateUpdate):
             self._peer_critical[msg.sender_id] = msg.critical
+            self._entity_positions[msg.entity_id] = msg.pos
         if self.on_delivery_metric is not None:
             critical = isinstance(msg, StateUpdate) and msg.critical
             self.on_delivery_metric(now, msg.sender_id, msg.entity_id,
                                     msg.seq, res.delay_ms, critical)
-        self._stage(key, "comm")
 
-        # Effective mode must be known before the enqueue computes the
-        # playout deadline; the stage itself is reported in nominal order.
-        mode = self._incoming_mode(msg, now)
+        mode = self._frame_mode(msg, now)
         entry = None
         if self.config.receiver_side_lag:
             entry = self.buffer.enqueue(msg, self._class_of(msg.entity_id),
                                         mode, now)
-        self._stage(key, "local_lag")
-
-        if isinstance(msg, StateUpdate):
-            self._entity_positions[msg.entity_id] = msg.pos
-        self._refresh_entity_mode(msg, now)
-        self._stage(key, "critical_area")
-
         if entry is None:
             self._playout(msg, now)
         elif entry.late:
             self.counters.late_messages += 1
             self._playout(msg, now)
 
-    def _incoming_mode(self, msg, now: int) -> ConsistencyMode:
+    def _frame_mode(self, msg, now: int) -> ConsistencyMode:
+        """Evaluate a data frame's mode once, at the entity's recorded
+        position (an event's entity may have none: normal, not noted), and
+        note it. A critical update is strong whatever its region."""
         if not self.config.critical_tightening:
             return NORMAL
-        if isinstance(msg, StateUpdate):
-            if msg.critical:
-                return STRONG
-            pos = msg.pos
-        else:
-            pos = self._entity_positions.get(msg.entity_id)
-        if pos is None:
-            return NORMAL
-        return self.modes.mode_for(msg.entity_id, pos,
-                                   self._entity_positions, now)
-
-    def _refresh_entity_mode(self, msg, now: int) -> None:
-        if not self.config.critical_tightening:
-            return
         pos = self._entity_positions.get(msg.entity_id)
         if pos is None:
-            return
+            return NORMAL
         mode = self.modes.mode_for(msg.entity_id, pos,
                                    self._entity_positions, now)
         if isinstance(msg, StateUpdate) and msg.critical:
             mode = STRONG
         self._note_mode(msg.entity_id, mode)
+        return mode
 
     def _playout(self, msg, now: int) -> None:
         """Rollback ordering, then prediction, then the game."""
-        key = rb.stream_key(msg)
-        self._stage(key, "rollback")
         in_scope = (self.config.rollback_scope == "all"
                     or isinstance(msg, EventMessage))
         if in_scope:
@@ -326,35 +298,29 @@ class PlayerManager:
                     self.counters.callback_failures += 1
                     raise
                 self.log.commit(outcome)
-                self._stage(key, "sync")
-                self._stage(key, "game")
                 return
-        self._apply_fresh(msg, now, key)
-
-    def _apply_fresh(self, msg, now: int, key) -> None:
         if isinstance(msg, StateUpdate):
-            kin = EntityKinematics(msg.pos, msg.vel, msg.timestamp)
-            self._update_view(msg.entity_id, kin, now)
-            self._stage(key, "sync")
-            shown = self.displayed_position(msg.entity_id, now)
-            self._stage(key, "game")
-            self.callbacks.apply_remote_state(
-                msg.entity_id, EntityKinematics(shown, msg.vel, now))
+            self._apply_state(msg.entity_id,
+                              EntityKinematics(msg.pos, msg.vel, msg.timestamp),
+                              now)
         else:
-            self._stage(key, "sync")
-            self._stage(key, "game")
             self.callbacks.apply_event(msg)
 
-    def _update_view(self, entity_id: int, kin: EntityKinematics,
+    def _apply_state(self, entity_id: int, kin: EntityKinematics,
                      now: int) -> None:
+        """Fold wire kinematics into the entity's view, then hand the game
+        the displayed position at now. Fresh and replayed updates both come
+        through here."""
         view = self._views.get(entity_id)
         if view is None:
             self._views[entity_id] = _RemoteView(kin, now, None)
-            return
-        if kin.at < view.corrected.at:
-            return    # an older correction never regresses the view
-        snapshot = self.displayed_position(entity_id, now)
-        self._views[entity_id] = _RemoteView(kin, now, snapshot)
+        elif kin.at >= view.corrected.at:    # an older one never regresses it
+            snapshot = self.displayed_position(entity_id, now)
+            self._views[entity_id] = _RemoteView(kin, now, snapshot)
+        self.callbacks.apply_remote_state(
+            entity_id,
+            EntityKinematics(self.displayed_position(entity_id, now), kin.vel,
+                             now))
 
     def displayed_position(self, entity_id: int, now: int) -> tuple | None:
         """Current dead-reckoned/converging display position, or None if no
@@ -508,7 +474,7 @@ class PlayerManager:
         pending = self._pending.get(peer)
         if not pending:
             return
-        while pending and now - pending[0][1] > self.config.queue_limit_ms:
+        while pending and now - pending[0][1] > QUEUE_LIMIT_MS:
             pending.popleft()
             self.counters.queue_drops += 1
         if not pending:
@@ -558,10 +524,8 @@ class PlayerManager:
                 for l in self.peer_links[peer]}
 
     def _observe(self, peer: int, link_id: int, delay: int, now: int) -> None:
-        est = self.estimator.observe(DelaySample((peer, link_id), delay, now))
+        self.estimator.observe(DelaySample((peer, link_id), delay, now))
         self._last_activity[peer] = now
-        if self.estimate_trace is not None:
-            self.estimate_trace.append((now, peer, link_id, delay, est))
 
     def _send_pings(self, peer: int, now: int) -> None:
         for link in self.peer_links.get(peer, ()):
@@ -607,7 +571,3 @@ class PlayerManager:
     def route_to(self, peer: int) -> int | None:
         decision = self.routes.get(peer)
         return None if decision is None else decision.chosen_link
-
-    def _stage(self, key, stage: str) -> None:
-        if self.record_stages:
-            self.stage_log.setdefault(key, []).append(stage)

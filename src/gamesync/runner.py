@@ -55,7 +55,6 @@ class RunResult:
     sim: NetworkSim
     event_rows: list
     tick_rows: list = field(default_factory=list)
-    estimate_traces: dict = field(default_factory=dict)
 
 
 def _build_pm_config(config: ScenarioConfig, client_spec) -> PlayerManagerConfig:
@@ -83,7 +82,6 @@ def _build_pm_config(config: ScenarioConfig, client_spec) -> PlayerManagerConfig
         regions=regions,
         links=[l for l in config.links
                if client_spec.client_id in l.endpoints],
-        tick_ms=config.tick_ms,
         heartbeat_ms=pol.heartbeat_ms,
         local_entities=tuple(e.entity_id for e in client_spec.entities),
         entity_class=entity_class,
@@ -131,7 +129,6 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
     client_ids = [c.client_id for c in clients]
     bots: dict[int, _Bot] = {}
     pms: dict[int, PlayerManager] = {}
-    estimate_traces: dict[int, list] = {}
     delay_all = RunningStats()
     delay_critical = RunningStats()
     tick_rows: list = []
@@ -142,8 +139,6 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
         pm_config = _build_pm_config(config, client_spec)
         pm = PlayerManager(pm_config, bot,
                            lambda link_id, data, c=cid: sim.send(link_id, c, data))
-        estimate_traces[cid] = []
-        pm.estimate_trace = estimate_traces[cid]
 
         def on_delivery(now, sender, entity, seq, delay, critical, dest=cid):
             delay_all.add(float(delay))
@@ -334,5 +329,4 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
         fh.close()
 
     return RunResult(summary=summary, pms=pms, bots=bots, sim=sim,
-                     event_rows=event_rows, tick_rows=tick_rows,
-                     estimate_traces=estimate_traces)
+                     event_rows=event_rows, tick_rows=tick_rows)

@@ -211,11 +211,6 @@ class ScenarioConfig:
     policies: PolicySet
     toggles: Toggles
 
-    def entity_specs(self):
-        for client in self.clients:
-            for spec in client.entities:
-                yield client, spec
-
 
 # -- parsing ---------------------------------------------------------------
 

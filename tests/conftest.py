@@ -3,6 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from gamesync.clock import LatencyEstimator
+from gamesync.runner import run
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO_ROOT / "scenarios"
 
@@ -46,3 +49,23 @@ def two_client_doc(**overrides):
     }
     doc.update(copy.deepcopy(overrides))
     return doc
+
+
+def run_observing_estimates(config, client_id):
+    """Run a scenario and return every (DelaySample, estimate) pair that
+    client_id's latency estimator observed, in order."""
+    seen = []
+    observe = LatencyEstimator.observe
+
+    def recording(estimator, sample):
+        estimate = observe(estimator, sample)
+        seen.append((estimator, sample, estimate))
+        return estimate
+
+    LatencyEstimator.observe = recording
+    try:
+        res = run(config)
+    finally:
+        LatencyEstimator.observe = observe
+    mine = res.pms[client_id].estimator
+    return [(s, e) for est, s, e in seen if est is mine]

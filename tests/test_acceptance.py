@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 
-from conftest import SCENARIOS, two_client_doc
+from conftest import SCENARIOS, run_observing_estimates, two_client_doc
 from gamesync.compare import compare
 from gamesync.netsim import SimRng
 from gamesync.pdu import EventKind, EventMessage
@@ -306,11 +306,12 @@ def test_criterion_8_latency_reestimation():
     doc["links"][0]["base_delay_ms"] = 100
     doc["link_events"] = [{"at": 5000, "link": 0, "base_delay_ms": 300}]
     doc["policies"]["heartbeat_ms"] = 50
-    res = run(parse_scenario(doc))
-    samples = [e for e in res.estimate_traces[1] if e[1] == 0 and e[3] == 300]
-    estimate_25 = samples[24][4] if len(samples) >= 25 else None
-    within = [i for i, e in enumerate(samples[:25])
-              if abs(e[4] - 300.0) <= 15.0]
+    observed = run_observing_estimates(parse_scenario(doc), 1)
+    samples = [est for s, est in observed
+               if s.peer_id[0] == 0 and s.delay_ms == 300]
+    estimate_25 = samples[24] if len(samples) >= 25 else None
+    within = [i for i, est in enumerate(samples[:25])
+              if abs(est - 300.0) <= 15.0]
     detail = (f"post-change samples={len(samples)} estimate@25={estimate_25} "
               f"first within 5% at sample {within[0] + 1 if within else 'never'}")
     passed = (len(samples) >= 25

@@ -8,8 +8,7 @@ from gamesync.locallag import LagPolicy
 from gamesync.overlay import LinkKind, LinkSpec, PeerCapabilities
 from gamesync.pdu import (EventKind, EventMessage, PongMessage, StateUpdate,
                           decode, encode)
-from gamesync.player import (PIPELINE_STAGES, GameCallbacks, PlayerManager,
-                             PlayerManagerConfig)
+from gamesync.player import GameCallbacks, PlayerManager, PlayerManagerConfig
 from gamesync.regions import ConsistencyMode, Rect, RegionSet
 
 
@@ -63,18 +62,6 @@ def state(ts, seq=1, sender=0, entity=7, pos=(1.0, 1.0), vel=(1.0, 0.0),
 
 def event(ts, seq, sender=0, entity=7):
     return EventMessage(sender, entity, seq, ts, EventKind.FIRE, b"\x00" * 8)
-
-
-def test_pipeline_stage_order_is_nominal():
-    pm, spy, _ = make_pm()
-    pm.start_session([PeerCapabilities(0)], 0)
-    pm.record_stages = True
-    msg = state(1000)
-    pm.on_network_message(encode(msg), 1250, 0)
-    assert pm.stage_log[(0, 7, 1)] == ["decode", "comm", "local_lag",
-                                       "critical_area"]
-    pm.tick(1500)   # due = 1000 + 500
-    assert tuple(pm.stage_log[(0, 7, 1)]) == PIPELINE_STAGES
 
 
 def test_on_time_update_applies_predicted_position():
@@ -330,10 +317,41 @@ def test_rollback_scope_events_leaves_states_alone():
     pm.on_network_message(encode(state(100, seq=2)), 206, 0)
     assert pm.counters.rollbacks == 0
     assert len(spy.states) == 2
-    # the stale update must not regress the displayed position
-    shown = pm.displayed_position(7, 300)
-    expected = pm.displayed_position(7, 300)
-    assert shown == expected
+    # the stale update must not regress the displayed position: it is
+    # still the prediction from the ts-200 update
+    assert pm.displayed_position(7, 300) == (1.1, 1.0)
+
+
+def test_rolled_back_state_reaches_game_as_displayed_position_now():
+    pm, spy, _ = make_pm(receiver_side_lag=False)
+    pm.start_session([PeerCapabilities(0)], 0)
+    pm.on_network_message(encode(state(200, seq=1)), 205, 0)
+    pm.on_network_message(encode(state(100, seq=2)), 206, 0)
+    assert pm.counters.rollbacks == 1
+    replays = spy.states[1:]
+    assert len(replays) == 2
+    for entity_id, kin in replays:
+        assert entity_id == 7
+        assert kin.at == 206
+        assert kin.pos == pm.displayed_position(7, 206)
+
+
+def test_each_data_frame_evaluates_its_mode_once():
+    pm, spy, _ = make_pm(regions=[Rect(10, -5, 20, 5)])
+    pm.start_session([PeerCapabilities(0)], 0)
+    calls = []
+    mode_for = pm.modes.mode_for
+
+    def counting(*args):
+        calls.append(args)
+        return mode_for(*args)
+
+    pm.modes.mode_for = counting
+    pm.on_network_message(encode(state(1000, pos=(15.0, 0.0))), 1250, 0)
+    assert len(calls) == 1
+    assert spy.modes == [(7, ConsistencyMode.STRONG)]
+    pm.on_network_message(encode(event(1010, seq=2)), 1260, 0)
+    assert len(calls) == 2
 
 
 def test_ping_lost_on_the_wire_expires_after_history_window():

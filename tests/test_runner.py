@@ -3,7 +3,7 @@ summary consistency with the emitted files."""
 
 import math
 
-from conftest import two_client_doc
+from conftest import run_observing_estimates, two_client_doc
 from gamesync.runner import run
 from gamesync.scenario import parse_scenario
 
@@ -142,10 +142,11 @@ def test_latency_restimation_after_step_change():
     doc["links"][0]["base_delay_ms"] = 100
     doc["link_events"] = [{"at": 5000, "link": 0, "base_delay_ms": 300}]
     doc["policies"]["heartbeat_ms"] = 50
-    res = run_doc(doc)
-    trace = [e for e in res.estimate_traces[1] if e[1] == 0 and e[3] == 300]
+    observed = run_observing_estimates(parse_scenario(doc), 1)
+    trace = [est for s, est in observed
+             if s.peer_id[0] == 0 and s.delay_ms == 300]
     assert len(trace) >= 25
-    estimate_25 = trace[24][4]
+    estimate_25 = trace[24]
     assert abs(estimate_25 - 300.0) <= 0.05 * 300.0
     closed_form = 300.0 - 200.0 * (0.875 ** 25)
     assert math.isclose(estimate_25, closed_form, rel_tol=1e-9)
