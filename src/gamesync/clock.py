@@ -7,7 +7,7 @@ every received data message contributes a sample.
 """
 
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 DEFAULT_ALPHA = 0.125
 
@@ -36,15 +36,13 @@ class VirtualClock:
         return self._last
 
 
-@dataclass(frozen=True)
-class DelaySample:
+class DelaySample(NamedTuple):
     peer_id: Hashable
     delay_ms: int
     at: int
 
 
-@dataclass(frozen=True)
-class DelayResult:
+class DelayResult(NamedTuple):
     delay_ms: int
     clock_anomaly: bool
 

@@ -10,6 +10,7 @@ window instead of snapping.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_HEARTBEAT_MS = 1000
 
@@ -18,8 +19,7 @@ class TimeBeforeSample(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class EntityKinematics:
+class EntityKinematics(NamedTuple):
     pos: tuple[float, float]
     vel: tuple[float, float]
     at: int  # virtual ms

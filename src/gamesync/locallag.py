@@ -9,6 +9,7 @@ only postpone the repair, so the caller hands them to rollback immediately.
 
 import heapq
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from gamesync.regions import ConsistencyMode
 
@@ -51,8 +52,7 @@ class LagPolicy:
         return lag
 
 
-@dataclass(frozen=True)
-class PlayoutEntry:
+class PlayoutEntry(NamedTuple):
     msg: object
     due: int
     arrived_at: int

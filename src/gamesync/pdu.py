@@ -20,12 +20,17 @@ followed by the type-specific payload:
 
 Positions and velocities are IEEE-754 binary64 bit patterns. Frames are
 fixed-length per type; framing/fragmentation is the transport's problem.
+
+The four message records are immutable, hashable NamedTuples, since one is
+built for every frame received. Equality is field-wise, as for tuples: a
+record equals any tuple holding the same values, so dispatch on a message's
+type with isinstance, never by comparison.
 """
 
 import math
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 MAGIC = b"\x4d\x53"
 VERSION = 0x01
@@ -87,8 +92,10 @@ class EventKind(IntEnum):
     DESPAWN = 3
 
 
-@dataclass(frozen=True)
-class StateUpdate:
+_EVENT_KINDS = {kind.value: kind for kind in EventKind}
+
+
+class StateUpdate(NamedTuple):
     sender_id: int
     entity_id: int
     seq: int
@@ -98,8 +105,7 @@ class StateUpdate:
     critical: bool = False
 
 
-@dataclass(frozen=True)
-class EventMessage:
+class EventMessage(NamedTuple):
     sender_id: int
     entity_id: int
     seq: int
@@ -108,15 +114,13 @@ class EventMessage:
     payload: bytes = b"\x00" * 8
 
 
-@dataclass(frozen=True)
-class PingMessage:
+class PingMessage(NamedTuple):
     sender_id: int
     nonce: int
     timestamp: int
 
 
-@dataclass(frozen=True)
-class PongMessage:
+class PongMessage(NamedTuple):
     sender_id: int
     nonce: int
     timestamp: int
@@ -199,10 +203,9 @@ def decode(data: bytes) -> Message:
                            (px, py), (vx, vy), bool(flags & 1))
     if mtype == TYPE_EVENT:
         kind, payload = _EVENT_PAYLOAD.unpack(body)
-        try:
-            event_kind = EventKind(kind)
-        except ValueError:
-            raise UnknownType(f"event kind {kind:#04x}") from None
+        event_kind = _EVENT_KINDS.get(kind)
+        if event_kind is None:
+            raise UnknownType(f"event kind {kind:#04x}")
         return EventMessage(sender_id, entity_id, seq, timestamp, event_kind, payload)
     if mtype == TYPE_PING:
         (nonce_high,) = _PING_PAYLOAD.unpack(body)

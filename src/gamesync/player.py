@@ -310,17 +310,26 @@ class PlayerManager:
                      now: int) -> None:
         """Fold wire kinematics into the entity's view, then hand the game
         the displayed position at now. Fresh and replayed updates both come
-        through here."""
+        through here.
+
+        An update that starts a blend epoch shows, at now, the snapshot it
+        blends from, so the game gets the snapshot; the position is
+        evaluated afresh only where that does not hold: a first update, an
+        older one (the view stays), a zero convergence window (it snaps) and
+        a clock behind the update (the wire position is shown)."""
         view = self._views.get(entity_id)
         if view is None:
             self._views[entity_id] = _RemoteView(kin, now, None)
+            shown = self.displayed_position(entity_id, now)
         elif kin.at >= view.corrected.at:    # an older one never regresses it
-            snapshot = self.displayed_position(entity_id, now)
-            self._views[entity_id] = _RemoteView(kin, now, snapshot)
+            shown = self.displayed_position(entity_id, now)
+            self._views[entity_id] = _RemoteView(kin, now, shown)
+            if now < kin.at or not self._dr_policy(entity_id).convergence_ms:
+                shown = self.displayed_position(entity_id, now)
+        else:
+            shown = self.displayed_position(entity_id, now)
         self.callbacks.apply_remote_state(
-            entity_id,
-            EntityKinematics(self.displayed_position(entity_id, now), kin.vel,
-                             now))
+            entity_id, EntityKinematics(shown, kin.vel, now))
 
     def displayed_position(self, entity_id: int, now: int) -> tuple | None:
         """Current dead-reckoned/converging display position, or None if no

@@ -79,6 +79,8 @@ class DeliveryLog:
         if watermark <= self._watermark:
             return
         self._watermark = watermark
+        if not self._keys or self._keys[0][0] >= watermark:
+            return
         # (watermark,) sorts before every key stamped at the watermark, so
         # entries stamped exactly at it stay.
         cut = bisect.bisect_left(self._keys, (watermark,))
@@ -97,13 +99,14 @@ class DeliveryLog:
         self.prune(now)
         if msg.timestamp < self._watermark:
             return DropBeyondWindow(msg)
-        if stream_key(msg) in self._seen:
+        stream = stream_key(msg)
+        if stream in self._seen:
             return DropDuplicate(msg)
         key = order_key(msg)
         if not self._applied or key >= self._keys[-1]:
             self._applied.append(msg)
             self._keys.append(key)
-            self._seen.add(stream_key(msg))
+            self._seen.add(stream)
             return Apply(msg)
         idx = bisect.bisect_left(self._keys, key)
         newer = tuple(self._applied[idx:])

@@ -24,6 +24,13 @@ def test_delay_clamped_with_anomaly_flag():
     assert res.delay_ms == 0 and res.clock_anomaly
 
 
+def test_delay_records_are_immutable():
+    with pytest.raises(AttributeError):
+        DelaySample("p", 10, 0).delay_ms = 11
+    with pytest.raises(AttributeError):
+        delay_from_timestamp(100, 150).delay_ms = 0
+
+
 def test_estimator_first_sample_initializes():
     est = LatencyEstimator()
     assert est.estimate("p") is None

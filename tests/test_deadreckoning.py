@@ -33,6 +33,12 @@ def test_predict_rejects_past():
         predict(last, 999)
 
 
+def test_kinematics_are_immutable():
+    kin = EntityKinematics((3.0, 4.0), (1.0, 0.0), 0)
+    with pytest.raises(AttributeError):
+        kin.at = 1
+
+
 def test_should_send_threshold_crossing():
     policy = DeadReckoningPolicy(threshold_m=0.5)
     last = EntityKinematics((0.0, 0.0), (0.0, 0.0), 0)

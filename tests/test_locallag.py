@@ -25,6 +25,12 @@ def test_set_local_lag_value_500():
     assert entry.due == 600 and not entry.late
 
 
+def test_playout_entries_are_immutable():
+    entry = PlayoutBuffer(LagPolicy()).enqueue(msg(100), "car", NORMAL, 100)
+    with pytest.raises(AttributeError):
+        entry.late = True
+
+
 def test_zero_lag_is_passthrough():
     policy = LagPolicy().set_local_lag_value("car", 0)
     buf = PlayoutBuffer(policy)

@@ -135,6 +135,18 @@ def test_unknown_type():
         decode(bytes(data))
 
 
+@pytest.mark.parametrize("msg", [
+    StateUpdate(1, 2, 3, 4, (0.0, 0.0), (0.0, 0.0)),
+    EventMessage(1, 2, 3, 4, EventKind.FIRE),
+    PingMessage(1, 2, 3),
+    PongMessage(1, 2, 3, 4),
+], ids=lambda msg: type(msg).__name__)
+def test_messages_are_immutable_and_hashable(msg):
+    with pytest.raises(AttributeError):
+        msg.timestamp = 5
+    assert len({msg, type(msg)(*msg)}) == 1
+
+
 def test_unknown_event_kind():
     data = bytearray(encode(EventMessage(1, 2, 3, 4, EventKind.FIRE)))
     data[pdu.HEADER_LEN] = 0xEE

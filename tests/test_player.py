@@ -336,6 +336,65 @@ def test_rolled_back_state_reaches_game_as_displayed_position_now():
         assert kin.pos == pm.displayed_position(7, 206)
 
 
+def blending_pm(**overrides):
+    """make_pm with a 200 ms convergence window and no receiver-side lag,
+    so each frame is applied on arrival."""
+    pm, spy, sent = make_pm(receiver_side_lag=False, **overrides)
+    pm.config.dr_policy = DeadReckoningPolicy(threshold_m=0.5,
+                                              convergence_ms=200)
+    pm.start_session([PeerCapabilities(0)], 0)
+    return pm, spy
+
+
+def test_each_applied_update_evaluates_the_display_once():
+    pm, spy = blending_pm()
+    calls = []
+    displayed_position = pm.displayed_position
+
+    def counting(entity_id, now):
+        calls.append(now)
+        return displayed_position(entity_id, now)
+
+    pm.displayed_position = counting
+    pm.on_network_message(encode(state(100, seq=1)), 105, 0)    # first
+    pm.on_network_message(encode(state(200, seq=2, pos=(3.0, 1.0))), 205, 0)
+    pm.on_network_message(encode(state(150, seq=3)), 210, 0)    # replays 150, 200
+    assert pm.counters.rollbacks == 1
+    assert len(spy.states) == 4
+    assert calls == [105, 205, 210, 210]
+
+
+def applied(pm, spy, msg, now):
+    """Deliver msg at now; return the position the game got, after checking
+    it is the displayed position at now (the contract of
+    GameCallbacks.apply_remote_state)."""
+    pm.on_network_message(encode(msg), now, 0)
+    entity_id, kin = spy.states[-1]
+    assert (entity_id, kin.vel, kin.at) == (msg.entity_id, msg.vel, now)
+    assert kin.pos == pm.displayed_position(entity_id, now)
+    return kin.pos
+
+
+def test_game_gets_the_displayed_position_in_every_apply_case():
+    pm, spy = blending_pm(rollback_scope="events")
+    first = state(100, seq=1, pos=(0.0, 0.0), vel=(10.0, 0.0))
+    assert applied(pm, spy, first, 150) == (0.5, 0.0)
+    # a blend starts from the position shown when the update arrives
+    blend = state(200, seq=2, pos=(5.0, 0.0), vel=(0.0, 0.0))
+    assert applied(pm, spy, blend, 250) == (1.5, 0.0)
+    # an older update leaves the view, a tenth of the way through the blend
+    older = state(120, seq=3, pos=(9.0, 9.0), vel=(0.0, 0.0))
+    assert applied(pm, spy, older, 270) == (1.5 + 3.5 * 0.1, 0.0)
+    # a sender clock ahead of ours: the wire position, not a blend
+    ahead = state(400, seq=4, pos=(7.0, 0.0), vel=(1.0, 0.0))
+    assert applied(pm, spy, ahead, 300) == (7.0, 0.0)
+
+    pm, spy, _ = make_pm(receiver_side_lag=False)     # zero window snaps
+    pm.start_session([PeerCapabilities(0)], 0)
+    applied(pm, spy, first, 150)
+    assert applied(pm, spy, blend, 250) == (5.0, 0.0)
+
+
 def test_each_data_frame_evaluates_its_mode_once():
     pm, spy, _ = make_pm(regions=[Rect(10, -5, 20, 5)])
     pm.start_session([PeerCapabilities(0)], 0)
