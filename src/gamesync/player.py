@@ -312,16 +312,18 @@ class PlayerManager:
         the displayed position at now. Fresh and replayed updates both come
         through here.
 
-        An update that starts a blend epoch shows, at now, the snapshot it
-        blends from, so the game gets the snapshot; the position is
-        evaluated afresh only where that does not hold: a first update, an
-        older one (the view stays), a zero convergence window (it snaps) and
-        a clock behind the update (the wire position is shown)."""
+        Only a newer update starts a blend epoch: an older one never
+        regresses the view, and a rollback replaying the update the view
+        already holds leaves its blend running. An epoch shows, at now, the
+        snapshot it blends from, so the game gets the snapshot; the position
+        is evaluated afresh only where that does not hold: a first update,
+        one that leaves the view, a zero convergence window (it snaps) and a
+        clock behind the update (the wire position is shown)."""
         view = self._views.get(entity_id)
         if view is None:
             self._views[entity_id] = _RemoteView(kin, now, None)
             shown = self.displayed_position(entity_id, now)
-        elif kin.at >= view.corrected.at:    # an older one never regresses it
+        elif kin.at >= view.corrected.at and kin != view.corrected:
             shown = self.displayed_position(entity_id, now)
             self._views[entity_id] = _RemoteView(kin, now, shown)
             if now < kin.at or not self._dr_policy(entity_id).convergence_ms:

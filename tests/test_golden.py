@@ -26,7 +26,7 @@ GOLDEN = {
         "trace": "5e61d5066e4cf23f7a4ed7a4118a8366fdcc0dbf8f30c1c9affd4e67380d2811",
     },
     "small_mesh": {
-        "tick": "498dfcd232d0431afb4d972d00ebeffbcdad08b65fd545f8744d68616ed901fb",
+        "tick": "a6986f060c4e74386d6cff08c375e996d86250017f5b257ce9c9cdf26a9fc3f1",
         "events": "7b4385c9edbdecdde1ce88b8f18e975b076f40868e0c52d56477d59c266f07df",
         "deliveries": "4f9bda7347e7e132aa6a307a70ae38255383e358b4498ae48921c456422b7bde",
         "trace": "e3cb4dc613b266ebbb007fe1317de2905e76dc4e44a1d35732b463157a760303",

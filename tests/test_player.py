@@ -364,6 +364,21 @@ def test_each_applied_update_evaluates_the_display_once():
     assert calls == [105, 205, 210, 210]
 
 
+def test_replaying_the_held_update_keeps_its_blend():
+    pm, spy = blending_pm()
+    pm.on_network_message(encode(state(100, seq=1, pos=(0.0, 0.0))), 100, 0)
+    pm.on_network_message(encode(state(200, seq=2, pos=(4.0, 0.0))), 200, 0)
+    held = pm._views[7]
+    assert (held.epoch_start, held.snapshot) == (200, (0.1, 0.0))
+    # the late ts-150 update replays 150, then the held ts-200 update
+    pm.on_network_message(encode(state(150, seq=3, pos=(9.0, 0.0))), 300, 0)
+    assert pm.counters.rollbacks == 1
+    view = pm._views[7]
+    assert view.corrected == held.corrected
+    assert (view.epoch_start, view.snapshot) == (200, (0.1, 0.0))
+    assert pm.displayed_position(7, 300) == spy.states[-1][1].pos
+
+
 def applied(pm, spy, msg, now):
     """Deliver msg at now; return the position the game got, after checking
     it is the displayed position at now (the contract of
