@@ -3,7 +3,11 @@ summary consistency with the emitted files."""
 
 import math
 
+import pytest
+
 from conftest import run_observing_estimates, two_client_doc
+from gamesync import runner
+from gamesync.player import PlayerManager
 from gamesync.runner import run
 from gamesync.scenario import parse_scenario
 
@@ -55,6 +59,26 @@ def test_same_seed_byte_identical_outputs(tmp_path):
                 trace_out=paths[tag]["trace"])
     for kind in ("tick", "events", "deliveries", "trace"):
         assert paths["a"][kind].read_bytes() == paths["b"][kind].read_bytes(), kind
+
+
+def test_aborted_run_closes_its_output_files(tmp_path, monkeypatch):
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    def failing_tick(self, now):
+        raise RuntimeError("tick failed")
+
+    monkeypatch.setattr(runner, "open", recording_open, raising=False)
+    monkeypatch.setattr(PlayerManager, "tick", failing_tick)
+    with pytest.raises(RuntimeError, match="tick failed"):
+        run_doc(two_client_doc(), out=tmp_path / "tick",
+                deliveries_out=tmp_path / "deliveries",
+                trace_out=tmp_path / "trace")
+    assert len(handles) == 3
+    assert all(fh.closed for fh in handles)
 
 
 def test_different_seed_changes_jittered_run(tmp_path):
