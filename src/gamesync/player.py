@@ -46,7 +46,11 @@ class ConfigInvalid(Exception):
 class GameCallbacks:
     """Game-facing contract. Override what the game needs; the undo hook
     receives every message a rollback directive reverts (the game keeps its
-    own inverse records)."""
+    own inverse records).
+
+    The messages and kinematics handed over are immutable NamedTuples:
+    equality is field-wise, as for tuples, and a game may keep them as
+    they are without copying."""
 
     def apply_remote_state(self, entity_id: int, kin: EntityKinematics) -> None:
         """kin is the entity's displayed position at the playout time, its
@@ -312,13 +316,14 @@ class PlayerManager:
         the displayed position at now. Fresh and replayed updates both come
         through here.
 
-        Only a newer update starts a blend epoch: an older one never
-        regresses the view, and a rollback replaying the update the view
-        already holds leaves its blend running. An epoch shows, at now, the
-        snapshot it blends from, so the game gets the snapshot; the position
-        is evaluated afresh only where that does not hold: a first update,
-        one that leaves the view, a zero convergence window (it snaps) and a
-        clock behind the update (the wire position is shown)."""
+        An update starts a blend epoch unless it is older than the view's
+        (it never regresses the view) or is the one the view holds (a
+        rollback replaying it leaves the blend running). At its start an
+        epoch shows the snapshot it blends from, so the game gets the
+        snapshot. The position is evaluated again only where that does not
+        hold, a zero convergence window (it snaps) or a clock behind the
+        update (the wire position shows), and for updates that start no
+        epoch."""
         view = self._views.get(entity_id)
         if view is None:
             self._views[entity_id] = _RemoteView(kin, now, None)
