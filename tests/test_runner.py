@@ -1,6 +1,7 @@
 """End-to-end scenario runs: closed-form expectations, determinism, and
 summary consistency with the emitted files."""
 
+import gc
 import math
 
 import pytest
@@ -79,6 +80,46 @@ def test_aborted_run_closes_its_output_files(tmp_path, monkeypatch):
                 trace_out=tmp_path / "trace")
     assert len(handles) == 3
     assert all(fh.closed for fh in handles)
+
+
+def test_run_raises_young_gc_threshold_and_restores_it(monkeypatch):
+    seen = []
+    tick = PlayerManager.tick
+
+    def recording_tick(self, now):
+        seen.append(gc.get_threshold())
+        return tick(self, now)
+
+    monkeypatch.setattr(PlayerManager, "tick", recording_tick)
+    before = gc.get_threshold()
+    try:
+        gc.set_threshold(700, 10, 10)
+        run_doc(two_client_doc())
+        assert gc.get_threshold() == (700, 10, 10)
+        assert set(seen) == {(runner.YOUNG_GC_THRESHOLD, 10, 10)}
+
+        seen.clear()
+        gc.set_threshold(runner.YOUNG_GC_THRESHOLD * 2, 10, 10)
+        run_doc(two_client_doc())
+        assert set(seen) == {(runner.YOUNG_GC_THRESHOLD * 2, 10, 10)}
+
+        seen.clear()
+        gc.set_threshold(0, 10, 10)   # automatic collection off stays off
+        run_doc(two_client_doc())
+        assert set(seen) == {(0, 10, 10)}
+    finally:
+        gc.set_threshold(*before)
+
+
+def test_aborted_run_restores_gc_threshold(monkeypatch):
+    def failing_tick(self, now):
+        raise RuntimeError("tick failed")
+
+    monkeypatch.setattr(PlayerManager, "tick", failing_tick)
+    before = gc.get_threshold()
+    with pytest.raises(RuntimeError, match="tick failed"):
+        run_doc(two_client_doc())
+    assert gc.get_threshold() == before
 
 
 def test_different_seed_changes_jittered_run(tmp_path):
