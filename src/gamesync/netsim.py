@@ -12,6 +12,11 @@ for loss, then (only if the link has jitter > 0) one integer draw
 clamped to at least now + 1 so causality is never instantaneous. FIFO is
 deliberately NOT enforced per link: jitter can reorder deliveries, which is
 what exercises the rollback path downstream.
+
+Events due at the same virtual time run calls first, then deliveries, each
+in the order they were scheduled. The heap key carries that rule, so a call
+scheduled while the run goes (a tick rescheduling itself) still runs before
+a delivery due at the same time that was sent earlier.
 """
 
 import heapq
@@ -71,16 +76,19 @@ class SimRng:
         return (self.next_u64() % (2 * half_width + 1)) - half_width
 
 
+# Second element of the heap key: at equal times calls sort before deliveries.
+_CALL, _DELIVER = 0, 1
+
+
 @dataclass(slots=True)
 class SimEvent:
     deliver_at: int
     index: int
-    kind: str                      # "deliver" | "call"
     dest: int = 0
     link_id: int = -1
     sender: int = 0
     payload: bytes = b""
-    fn: Callable | None = None
+    fn: Callable | None = None     # set for a call, None for a delivery
     tag: str = ""                  # "\t<type>\t<seq>\n" trace suffix; "" untraced
 
 
@@ -99,7 +107,7 @@ class NetworkSim:
         self.links: dict[int, LinkSpec] = {}
         self._delay_changes: dict[int, list[tuple[int, int]]] = {}
         self._handlers: dict[int, Callable] = {}
-        self._heap: list[tuple[int, int, SimEvent]] = []
+        self._heap: list[tuple[int, int, int, SimEvent]] = []
         self._index = 0
         self._now = 0
         self.counters = SimCounters()
@@ -136,12 +144,13 @@ class NetworkSim:
         i = bisect_right(changes, (at, math.inf))
         return changes[i - 1][1] if i else self.links[link_id].base_delay_ms
 
-    def _push(self, event: SimEvent) -> None:
-        heapq.heappush(self._heap, (event.deliver_at, event.index, event))
+    def _push(self, rank: int, event: SimEvent) -> None:
+        heapq.heappush(self._heap, (event.deliver_at, rank, event.index, event))
 
     def schedule_call(self, at: int, fn: Callable[[int], None]) -> None:
-        """Run fn(now) at virtual time `at` (control events, ticks...)."""
-        self._push(SimEvent(at, self._next_index(), "call", fn=fn))
+        """Run fn(now) at virtual time `at` (control events, ticks...),
+        before any delivery due at `at`."""
+        self._push(_CALL, SimEvent(at, self._next_index(), fn=fn))
 
     def _next_index(self) -> int:
         self._index += 1
@@ -173,8 +182,8 @@ class NetworkSim:
         if link.jitter_ms > 0:
             delay += self.rng.next_int_symmetric(link.jitter_ms)
         deliver_at = max(now + 1, now + delay)
-        self._push(SimEvent(deliver_at, self._next_index(), "deliver",
-                            dest, link_id, sender, payload, None, tag))
+        self._push(_DELIVER, SimEvent(deliver_at, self._next_index(), dest,
+                                      link_id, sender, payload, None, tag))
         return True
 
     @property
@@ -183,7 +192,7 @@ class NetworkSim:
 
     @property
     def pending_deliveries(self) -> int:
-        return sum(1 for _, _, e in self._heap if e.kind == "deliver")
+        return sum(1 for _, rank, _, _ in self._heap if rank == _DELIVER)
 
     def peek_time(self) -> int:
         if not self._heap:
@@ -194,11 +203,11 @@ class NetworkSim:
         """Deliver the next event, advancing the clock to its time."""
         if not self._heap:
             raise EmptyQueue("no scheduled events")
-        _, _, event = heapq.heappop(self._heap)
+        _, rank, _, event = heapq.heappop(self._heap)
         if event.deliver_at < self._now:
             raise InvariantViolation("virtual clock would move backwards")
         self._now = event.deliver_at
-        if event.kind == "call":
+        if rank == _CALL:
             event.fn(self._now)
             return event
         self.counters.delivered += 1

@@ -318,22 +318,25 @@ class PlayerManager:
 
         An update starts a blend epoch unless it is older than the view's
         (it never regresses the view) or is the one the view holds (a
-        rollback replaying it leaves the blend running). At its start an
-        epoch shows the snapshot it blends from, so the game gets the
-        snapshot. The position is evaluated again only where that does not
-        hold, a zero convergence window (it snaps) or a clock behind the
-        update (the wire position shows), and for updates that start no
-        epoch."""
+        rollback replaying it leaves the blend running). An epoch blends
+        from a snapshot, the position displayed when it starts, and shows
+        that snapshot at its start, so the game gets it. A zero convergence
+        window snaps and keeps no snapshot. The position is evaluated for
+        the game on its own only where there is no snapshot to hand over
+        (the first update, one that starts no epoch, a zero window) or the
+        clock is behind the update (the wire position shows)."""
         view = self._views.get(entity_id)
+        shown = None
         if view is None:
             self._views[entity_id] = _RemoteView(kin, now, None)
-            shown = self.displayed_position(entity_id, now)
         elif kin.at >= view.corrected.at and kin != view.corrected:
-            shown = self.displayed_position(entity_id, now)
-            self._views[entity_id] = _RemoteView(kin, now, shown)
-            if now < kin.at or not self._dr_policy(entity_id).convergence_ms:
-                shown = self.displayed_position(entity_id, now)
-        else:
+            snapshot = None
+            if self._dr_policy(entity_id).convergence_ms:
+                snapshot = self.displayed_position(entity_id, now)
+            self._views[entity_id] = _RemoteView(kin, now, snapshot)
+            if now >= kin.at:
+                shown = snapshot
+        if shown is None:
             shown = self.displayed_position(entity_id, now)
         self.callbacks.apply_remote_state(
             entity_id, EntityKinematics(shown, kin.vel, now))

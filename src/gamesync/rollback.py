@@ -51,6 +51,8 @@ class RollbackDirective:
     late: object
     undo: tuple            # newest first
     replay: tuple          # oldest first: late message then the undone ones
+    key: tuple             # order_key(late)
+    stream: tuple          # stream_key(late)
 
 
 class DeliveryLog:
@@ -112,15 +114,20 @@ class DeliveryLog:
         newer = tuple(self._applied[idx:])
         return RollbackDirective(late=msg,
                                  undo=tuple(reversed(newer)),
-                                 replay=(msg,) + newer)
+                                 replay=(msg,) + newer,
+                                 key=key, stream=stream)
 
     def commit(self, directive: RollbackDirective) -> None:
         """Record the late message once its directive has been applied."""
-        key = order_key(directive.late)
+        # The index is looked up again rather than carried: a game callback
+        # run by the directive can deliver into this log first (an event the
+        # game sends is played out at once without sender-side lag), which
+        # can prune, append or insert and so move the late message's place.
+        key = directive.key
         idx = bisect.bisect_left(self._keys, key)
         self._applied.insert(idx, directive.late)
         self._keys.insert(idx, key)
-        self._seen.add(stream_key(directive.late))
+        self._seen.add(directive.stream)
 
 
 def apply_directive(callbacks, directive: RollbackDirective) -> int:

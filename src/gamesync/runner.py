@@ -60,6 +60,8 @@ class _Bot(GameCallbacks):
 
 @dataclass
 class RunResult:
+    """A finished run. The tick and event rows are kept only when run() is
+    given keep_rows; otherwise they are only written to their files."""
     summary: dict
     pms: dict
     bots: dict
@@ -209,10 +211,16 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
 
         divergence = RunningStats()
 
+        # Each tick and sample schedules its own next run, so the heap holds
+        # one pending call of each at a time, not the whole run's.
+        tick_ms, duration_ms = config.tick_ms, config.duration_ms
+
         def make_tick(cid):
             client_spec = next(c for c in clients if c.client_id == cid)
 
             def do_tick(now):
+                if now + tick_ms <= duration_ms:
+                    sim.schedule_call(now + tick_ms, do_tick)
                 pm = pms[cid]
                 pm.tick(now)
                 for spec in client_spec.entities:
@@ -229,6 +237,8 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
         add_divergence = divergence.add
 
         def sample(now):
+            if now + tick_ms <= duration_ms:
+                sim.schedule_call(now + tick_ms, sample)
             for entity_id, position, owner, owner_pm, viewers in plans:
                 tx, ty = position(now)
                 mode = owner_pm.mode_of(entity_id).value
@@ -259,19 +269,19 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
                         raise InvariantViolation(
                             f"client {cid} holds a dead route to {peer} at {now}")
 
-        do_ticks = {cid: make_tick(cid) for cid in client_ids}
-        for t in range(0, config.duration_ms + 1, config.tick_ms):
-            for cid in client_ids:
-                sim.schedule_call(t, do_ticks[cid])
-            sim.schedule_call(t, sample)
+        for cid in client_ids:
+            sim.schedule_call(0, make_tick(cid))
+        sim.schedule_call(0, sample)
 
-        sim.run_until(config.duration_ms)
+        sim.run_until(duration_ms)
 
         in_flight = sim.pending_deliveries
         if sim.counters.sent != sim.counters.delivered + sim.counters.dropped + in_flight:
             raise InvariantViolation("payload accounting mismatch")
 
-        # event display-time rows need both playout times
+        # Event display-time rows need both playout times, so they are
+        # computed after the run and written as they are computed.
+        event_writer = CsvWriter(_open(events_out), EVENT_HEADER, EVENT_ROW)
         event_rows = []
         diff_stats = RunningStats()
         for client_spec in clients:
@@ -289,12 +299,10 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
                             continue
                         diff = remote - local
                         diff_stats.add(float(abs(diff)))
-                        event_rows.append((key[2], owner, viewer, local, remote, diff))
-
-        events_fh = _open(events_out)
-        event_writer = CsvWriter(events_fh, EVENT_HEADER, EVENT_ROW)
-        for row in event_rows:
-            event_writer.row(*row)
+                        row = (key[2], owner, viewer, local, remote, diff)
+                        event_writer.row(*row)
+                        if keep_rows:
+                            event_rows.append(row)
 
         processing = sorted(ns for pm in pms.values() for ns in pm.processing_ns)
         data_received = sum(pm.counters.data_received for pm in pms.values())
@@ -327,7 +335,7 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
             "divergence_rows": divergence.count,
             "mean_divergence_m": divergence.mean if divergence.count else 0.0,
             "max_divergence_m": divergence.max if divergence.count else 0.0,
-            "event_rows": len(event_rows),
+            "event_rows": diff_stats.count,
             "mean_abs_display_diff_ms": diff_stats.mean if diff_stats.count else 0.0,
             "max_abs_display_diff_ms": diff_stats.max if diff_stats.count else 0.0,
             "mean_delay_ms": delay_all.mean if delay_all.count else 0.0,

@@ -89,6 +89,19 @@ def test_same_time_events_deliver_in_insertion_order():
     assert order == ["a", "b"]
 
 
+def test_call_runs_before_delivery_due_at_same_time():
+    """A call scheduled after a delivery due at the same time was sent
+    still runs first: the order at one time is calls, then deliveries."""
+    sim = make_sim(base=100)
+    order = []
+    sim.register_handler(1, lambda data, now, link: order.append(("deliver", now)))
+    assert sim.send(0, 0, payload())
+    sim.schedule_call(100, lambda now: order.append(("call", now)))
+    sim.run_until(100)
+    assert order == [("call", 100), ("deliver", 100)]
+    assert sim.pending == 0
+
+
 def test_global_order_is_schedule_sort_oracle():
     sim = make_sim(seed=9, base=10, jitter=5)
     sim.add_link(LinkSpec(1, (0, 1), 20, jitter_ms=10))

@@ -364,6 +364,27 @@ def test_each_applied_update_evaluates_the_display_once():
     assert calls == [105, 205, 210, 210]
 
 
+def test_zero_window_evaluates_the_display_once_per_epoch():
+    """A zero convergence window snaps: an update that starts an epoch keeps
+    no snapshot, and the display is evaluated once for the game."""
+    pm, spy, _ = make_pm(receiver_side_lag=False)
+    pm.start_session([PeerCapabilities(0)], 0)
+    calls = []
+    displayed_position = pm.displayed_position
+
+    def counting(entity_id, now):
+        calls.append(now)
+        return displayed_position(entity_id, now)
+
+    pm.displayed_position = counting
+    pm.on_network_message(encode(state(100, seq=1)), 105, 0)    # first
+    pm.on_network_message(encode(state(200, seq=2, pos=(3.0, 1.0))), 205, 0)
+    pm.on_network_message(encode(state(300, seq=3, pos=(5.0, 1.0))), 305, 0)
+    assert calls == [105, 205, 305]
+    assert pm._views[7].snapshot is None
+    assert spy.states[-1][1].pos == (5.0 + 0.005, 1.0)
+
+
 def test_replaying_the_held_update_keeps_its_blend():
     pm, spy = blending_pm()
     pm.on_network_message(encode(state(100, seq=1, pos=(0.0, 0.0))), 100, 0)

@@ -8,7 +8,8 @@ import pytest
 from gamesync.pdu import EventKind, EventMessage
 from gamesync.rollback import (Apply, CallbackFailure, DeliveryLog,
                                DropBeyondWindow, DropDuplicate,
-                               RollbackDirective, apply_directive, order_key)
+                               RollbackDirective, apply_directive, order_key,
+                               stream_key)
 
 
 def ev(ts, seq=None, sender=0, entity=0):
@@ -95,7 +96,9 @@ def test_callback_trace_for_late_event():
 
 
 def test_directive_with_empty_undo_is_single_apply():
-    directive = RollbackDirective(late=ev(50), undo=(), replay=(ev(50),))
+    late = ev(50)
+    directive = RollbackDirective(late=late, undo=(), replay=(late,),
+                                  key=order_key(late), stream=stream_key(late))
     game = SpyGame()
     assert apply_directive(game, directive) == 1
     assert game.trace == [("apply", 50)]
@@ -189,6 +192,34 @@ def test_pruning_many_entries_at_once():
     # the stream keys of pruned entries are forgotten, kept ones are not
     assert isinstance(log.on_deliver(ev(1500, seq=0), 2001), RollbackDirective)
     assert isinstance(log.on_deliver(ev(2000), 2002), DropDuplicate)
+
+
+def test_commit_after_a_callback_delivered_into_the_log():
+    """A game callback can deliver into the log while a directive is being
+    applied, here a second late message that is committed first and lands
+    before the first one. The first commit still finds its place."""
+    log = DeliveryLog()
+    for ts in (100, 130, 140):
+        log.on_deliver(ev(ts), ts)
+    first = log.on_deliver(ev(120), 141)
+    assert [m.timestamp for m in first.undo] == [140, 130]
+
+    class Reentrant:
+        def undo_event(self, msg):
+            pass
+
+        def apply_event(self, msg):
+            if msg is first.late:
+                second = log.on_deliver(ev(110), 142)
+                assert isinstance(second, RollbackDirective)
+                log.commit(second)
+
+    apply_directive(Reentrant(), first)
+    log.commit(first)
+    assert [m.timestamp for m in log.applied] == [100, 110, 120, 130, 140]
+    assert log._keys == [order_key(m) for m in log.applied]
+    assert isinstance(log.on_deliver(ev(110), 143), DropDuplicate)
+    assert isinstance(log.on_deliver(ev(120), 143), DropDuplicate)
 
 
 def test_callback_failure_leaves_log_unchanged():

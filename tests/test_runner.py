@@ -8,6 +8,7 @@ import pytest
 
 from conftest import run_observing_estimates, two_client_doc
 from gamesync import runner
+from gamesync.netsim import NetworkSim
 from gamesync.player import PlayerManager
 from gamesync.runner import run
 from gamesync.scenario import parse_scenario
@@ -28,12 +29,45 @@ def test_fire_event_display_diff_zero_closed_form():
     doc["policies"]["default"]["lag_ms"] = 500
     doc["clients"][0]["entities"][0]["events"] = [
         {"kind": "fire", "first": 1000, "every": 500, "count": 6}]
-    res = run_doc(doc)
+    res = run_doc(doc, keep_rows=True)
     assert res.summary["event_rows"] == 6
     assert [r for r in res.event_rows if r[5] != 0] == []
     assert res.summary["mean_abs_display_diff_ms"] == 0.0
     first = res.event_rows[0]
     assert (first[3], first[4]) == (1500, 1500)
+
+
+def test_event_rows_are_kept_only_under_keep_rows(tmp_path):
+    doc = two_client_doc()
+    doc["links"][0]["jitter_ms"] = 40
+    doc["clients"][0]["entities"][0]["events"] = [
+        {"kind": "fire", "first": 500, "every": 250, "count": 10}]
+    streamed = run_doc(doc, events_out=tmp_path / "streamed.csv")
+    kept = run_doc(doc, events_out=tmp_path / "kept.csv", keep_rows=True)
+    assert (streamed.event_rows, streamed.tick_rows) == ([], [])
+    assert len(kept.event_rows) == kept.summary["event_rows"] == 10
+    written = (tmp_path / "streamed.csv").read_text().splitlines()[1:]
+    assert written == [",".join(map(repr, row)) for row in kept.event_rows]
+    assert (tmp_path / "streamed.csv").read_bytes() == \
+        (tmp_path / "kept.csv").read_bytes()
+
+
+def test_simulator_heap_does_not_grow_with_run_length(monkeypatch):
+    """Ticks and samples are scheduled as the run goes: the heap holds the
+    frames in flight and one pending call per client and for sampling."""
+    step = NetworkSim.step
+    peaks = []
+
+    def recording(sim):
+        peaks[-1] = max(peaks[-1], sim.pending)
+        return step(sim)
+
+    monkeypatch.setattr(NetworkSim, "step", recording)
+    for duration_ms in (2000, 20000):
+        peaks.append(0)
+        run_doc(two_client_doc(duration_ms=duration_ms))
+    assert peaks[0] == peaks[1]
+    assert peaks[0] < 2000 // 50
 
 
 def test_straight_line_car_has_zero_divergence():
