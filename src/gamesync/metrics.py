@@ -7,7 +7,11 @@ statistics recomputed from the files match the runner's reported summary
 exactly. (For an int, repr() and str() agree.)
 
 Each schema pairs its header with one %-template: %r for a number, %s for
-text.
+text. The tick row also comes in parts, so a sampler formats the columns
+an entity's viewers share once per entity and tick: TICK_ENTITY renders
+tick_ms, entity and owner, TICK_TRUTH renders truth_x and truth_y, and
+TICK_VIEWER takes both rendered parts whole, around the viewer, and ends the
+row. The parts render the same bytes as TICK_ROW.
 """
 
 import math
@@ -19,6 +23,12 @@ DELIVERY_HEADER = "time_ms,sender,dest,entity,seq,delay_ms,critical"
 TICK_ROW = "%r,%r,%r,%r,%r,%r,%r,%r,%r,%s,%r\n"
 EVENT_ROW = "%r,%r,%r,%r,%r,%r\n"
 DELIVERY_ROW = "%r,%r,%r,%r,%r,%r,%r\n"
+
+TICK_ENTITY = "%r,%r,%r,"                 # tick_ms, entity, owner
+TICK_TRUTH = ",%r,%r,"                    # truth_x, truth_y
+TICK_VIEWER = "%s%r%s%r,%r,%r,%s,%r\n"    # entity part, viewer, truth part,
+                                          # shown_x, shown_y, divergence_m,
+                                          # mode, route
 
 
 def percentile(sorted_values, p: float):
@@ -53,17 +63,20 @@ class RunningStats:
 
 
 class CsvWriter:
-    """Line-per-row CSV writer; no-op when no file is attached."""
+    """Line-per-row CSV writer; no-op when no file is attached.
+
+    `write` is the file's write method, or None without a file, for a caller
+    that formats rows itself and writes them in one batch."""
 
     def __init__(self, fh, header: str, template: str):
-        self._write = None if fh is None else fh.write
+        self.write = None if fh is None else fh.write
         self._template = template
         if fh is not None:
             fh.write(header + "\n")
 
     def row(self, *fields) -> None:
-        if self._write is not None:
-            self._write(self._template % fields)
+        if self.write is not None:
+            self.write(self._template % fields)
 
 
 def format_summary(summary: dict) -> str:

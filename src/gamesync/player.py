@@ -118,6 +118,7 @@ class _RemoteView:
     corrected: EntityKinematics
     epoch_start: int
     snapshot: tuple | None    # displayed pos when the epoch began; None snaps
+    policy: DeadReckoningPolicy   # the entity's policy when the epoch began
 
 
 class _DirectiveAdapter:
@@ -165,6 +166,7 @@ class PlayerManager:
         self.routes: dict[int, RouteDecision] = {}
         self._pending: dict[int, deque] = {}
         self._peer_critical: dict[int, bool] = {}
+        self._peer_entities: dict[int, tuple] = {}   # peer -> its entities
         self._views: dict[int, _RemoteView] = {}
         self._last_sent: dict[int, EntityKinematics] = {}
         self._seqs: dict[int, int] = {}
@@ -189,6 +191,10 @@ class PlayerManager:
         now = self.clock.read(now)
         self.peers = sorted(c.peer_id for c in peer_capabilities)
         caps = {c.peer_id: c for c in peer_capabilities}
+        self._peer_entities = {
+            peer: tuple(e for e, owner in self.config.entity_owner.items()
+                        if owner == peer)
+            for peer in self.peers}
         self._seqs.clear()
         self.estimator.reset()
         for peer in self.peers:
@@ -328,12 +334,14 @@ class PlayerManager:
         view = self._views.get(entity_id)
         shown = None
         if view is None:
-            self._views[entity_id] = _RemoteView(kin, now, None)
+            self._views[entity_id] = _RemoteView(kin, now, None,
+                                                 self._dr_policy(entity_id))
         elif kin.at >= view.corrected.at and kin != view.corrected:
+            policy = self._dr_policy(entity_id)
             snapshot = None
-            if self._dr_policy(entity_id).convergence_ms:
+            if policy.convergence_ms:
                 snapshot = self.displayed_position(entity_id, now)
-            self._views[entity_id] = _RemoteView(kin, now, snapshot)
+            self._views[entity_id] = _RemoteView(kin, now, snapshot, policy)
             if now >= kin.at:
                 shown = snapshot
         if shown is None:
@@ -351,9 +359,8 @@ class PlayerManager:
             return view.corrected.pos    # skewed clock: no backwards extrapolation
         if view.snapshot is None:
             return predict(view.corrected, now)
-        policy = self._dr_policy(entity_id)
         return converge(view.snapshot, view.epoch_start, view.corrected,
-                        policy, now)
+                        view.policy, now)
 
     # -- transmission pipeline ---------------------------------------------
 
@@ -513,28 +520,31 @@ class PlayerManager:
     # -- helpers -----------------------------------------------------------
 
     def _critical_proximity(self, peer: int) -> bool:
+        """True when the peer flags its updates critical while a local
+        entity is strong, or when one of the peer's entities is within the
+        proximity radius of a local one."""
         if not self.config.critical_tightening:
             return False
-        local_strong = any(self._entity_modes.get(e) is STRONG
-                           for e in self.config.local_entities)
-        if local_strong and self._peer_critical.get(peer, False):
+        if self._peer_critical.get(peer, False) and any(
+                self._entity_modes.get(e) is STRONG
+                for e in self.config.local_entities):
             return True
         radius = self.config.critical_proximity_radius_m
         if radius is None:
             return False
+        reach = radius * radius
+        positions = self._entity_positions
         for mine in self.config.local_entities:
-            my_pos = self._entity_positions.get(mine)
+            my_pos = positions.get(mine)
             if my_pos is None:
                 continue
-            for other, owner in self.config.entity_owner.items():
-                if owner != peer:
-                    continue
-                pos = self._entity_positions.get(other)
+            for other in self._peer_entities[peer]:
+                pos = positions.get(other)
                 if pos is None:
                     continue
                 dx = my_pos[0] - pos[0]
                 dy = my_pos[1] - pos[1]
-                if dx * dx + dy * dy <= radius * radius:
+                if dx * dx + dy * dy <= reach:
                     return True
         return False
 

@@ -16,8 +16,9 @@ from gamesync.deadreckoning import (DeadReckoningPolicy, EntityKinematics,
                                     dist)
 from gamesync.locallag import LagPolicy
 from gamesync.metrics import (DELIVERY_HEADER, DELIVERY_ROW, EVENT_HEADER,
-                              EVENT_ROW, TICK_HEADER, TICK_ROW, CsvWriter,
-                              RunningStats, format_summary, percentile)
+                              EVENT_ROW, TICK_ENTITY, TICK_HEADER, TICK_ROW,
+                              TICK_TRUTH, TICK_VIEWER, CsvWriter, RunningStats,
+                              format_summary, percentile)
 from gamesync.netsim import InvariantViolation, NetworkSim
 from gamesync.overlay import PeerCapabilities
 from gamesync.player import (GameCallbacks, PlayerManager,
@@ -233,15 +234,21 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
                     fire_cursor[(cid, spec.entity_id)] = cursor
             return do_tick
 
-        tick_row = tick_writer.row
+        write_ticks = tick_writer.write
         add_divergence = divergence.add
 
         def sample(now):
+            """Add every (entity, viewer) divergence in row order, and write
+            the tick's rows in one batch before checking the invariants. The
+            columns an entity's viewers share are formatted once, and
+            nothing is formatted without a tick file."""
             if now + tick_ms <= duration_ms:
                 sim.schedule_call(now + tick_ms, sample)
+            lines = []
             for entity_id, position, owner, owner_pm, viewers in plans:
                 tx, ty = position(now)
                 mode = owner_pm.mode_of(entity_id).value
+                entity_part = None
                 for viewer, displayed_position in viewers:
                     shown = displayed_position(entity_id, now)
                     if shown is None:
@@ -251,11 +258,18 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
                     add_divergence(div)
                     route = owner_pm.route_to(viewer)
                     route = -1 if route is None else route
-                    row = (now, entity_id, owner, viewer, tx, ty, sx, sy, div,
-                           mode, route)
-                    tick_row(*row)
+                    if write_ticks is not None:
+                        if entity_part is None:
+                            entity_part = TICK_ENTITY % (now, entity_id, owner)
+                            truth_part = TICK_TRUTH % (tx, ty)
+                        lines.append(TICK_VIEWER % (entity_part, viewer,
+                                                    truth_part, sx, sy, div,
+                                                    mode, route))
                     if keep_rows:
-                        tick_rows.append(row)
+                        tick_rows.append((now, entity_id, owner, viewer, tx,
+                                          ty, sx, sy, div, mode, route))
+            if lines:
+                write_ticks("".join(lines))
             _check_invariants(now)
 
         def _check_invariants(now):

@@ -3,7 +3,8 @@
 import io
 
 from gamesync.metrics import (DELIVERY_HEADER, DELIVERY_ROW, EVENT_HEADER,
-                              EVENT_ROW, TICK_HEADER, TICK_ROW, CsvWriter)
+                              EVENT_ROW, TICK_ENTITY, TICK_HEADER, TICK_ROW,
+                              TICK_TRUTH, TICK_VIEWER, CsvWriter)
 
 SUBNORMAL = 5e-324
 AWKWARD = (-0.0, SUBNORMAL, 1e22, 0.1 + 0.2)
@@ -32,6 +33,11 @@ def test_tick_rows_match_reference_join():
             for mode, route in (("normal", -1), ("strong", 12))]
     got = written(TICK_HEADER, TICK_ROW, rows)
     assert got == TICK_HEADER + "\n" + "".join(map(join_reference, rows))
+    # The per-entity and per-viewer parts render the same bytes.
+    parts = "".join(TICK_VIEWER % ((TICK_ENTITY % row[:3], row[3],
+                                    TICK_TRUTH % row[4:6]) + row[6:])
+                    for row in rows)
+    assert TICK_HEADER + "\n" + parts == got
 
 
 def test_event_and_delivery_rows_match_reference_join():

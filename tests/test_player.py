@@ -223,6 +223,29 @@ def test_three_client_session_builds_per_peer_state():
     assert sorted(sent) == [0, 1]   # one session ping per peer link
 
 
+def test_critical_proximity_holds_only_for_the_peer_within_the_radius():
+    """Client 0 owns entity 10, peers 1 and 2 own entities 11 and 12. Entity
+    11 is exactly at the 5 m radius of entity 10 (the bound is inclusive),
+    entity 12 just outside it; neither peer flags its updates critical."""
+    config = PlayerManagerConfig(
+        client_id=0,
+        links=[LinkSpec(0, (0, 1), 250), LinkSpec(1, (0, 2), 250)],
+        local_entities=(10,), entity_owner={10: 0, 11: 1, 12: 2},
+        critical_proximity_radius_m=5.0)
+    spy = Spy()
+    pm = PlayerManager(config, spy, lambda link, data: None)
+    pm.start_session([PeerCapabilities(1), PeerCapabilities(2)], 0)
+    spy.local[10] = EntityKinematics((0.0, 0.0), (0.0, 0.0), 100)
+    pm.tick(100)
+    assert (pm._critical_proximity(1), pm._critical_proximity(2)) == (False, False)
+    pm.on_network_message(
+        encode(state(100, sender=1, entity=11, pos=(3.0, 4.0))), 150, 0)
+    pm.on_network_message(
+        encode(state(100, sender=2, entity=12, pos=(5.0, 0.1))), 150, 1)
+    assert pm._critical_proximity(1) is True
+    assert pm._critical_proximity(2) is False
+
+
 def test_queue_then_drop_when_all_links_down():
     pm, spy, sent = make_pm(client_id=0, peer=1, local_entities=(3,),
                             heartbeat_ms=50)

@@ -8,10 +8,12 @@ import pytest
 
 from conftest import run_observing_estimates, two_client_doc
 from gamesync import runner
+from gamesync.metrics import TICK_HEADER, TICK_ROW
 from gamesync.netsim import NetworkSim
 from gamesync.player import PlayerManager
 from gamesync.runner import run
 from gamesync.scenario import parse_scenario
+from test_golden import small_mesh_doc
 
 
 def run_doc(doc, **kwargs):
@@ -50,6 +52,22 @@ def test_event_rows_are_kept_only_under_keep_rows(tmp_path):
     assert written == [",".join(map(repr, row)) for row in kept.event_rows]
     assert (tmp_path / "streamed.csv").read_bytes() == \
         (tmp_path / "kept.csv").read_bytes()
+
+
+def test_kept_tick_rows_match_written_rows(tmp_path):
+    """Sampling formats the columns an entity's viewers share once and
+    writes a tick's rows in one batch; the file still holds every kept row
+    as TICK_ROW renders it, and a run without a tick file sums the same
+    divergences in the same order."""
+    tick_csv = tmp_path / "tick.csv"
+    written = run_doc(small_mesh_doc(), out=tick_csv, keep_rows=True)
+    assert len(written.tick_rows) == written.summary["divergence_rows"] > 0
+    assert tick_csv.read_bytes() == (TICK_HEADER + "\n" + "".join(
+        TICK_ROW % row for row in written.tick_rows)).encode()
+    unwritten = run_doc(small_mesh_doc(), keep_rows=True)
+    assert unwritten.tick_rows == written.tick_rows
+    for key in ("divergence_rows", "mean_divergence_m", "max_divergence_m"):
+        assert unwritten.summary[key] == written.summary[key], key
 
 
 def test_simulator_heap_does_not_grow_with_run_length(monkeypatch):
