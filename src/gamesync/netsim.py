@@ -14,16 +14,23 @@ deliberately NOT enforced per link: jitter can reorder deliveries, which is
 what exercises the rollback path downstream.
 
 Events due at the same virtual time run calls first, then deliveries, each
-in the order they were scheduled. The heap key carries that rule, so a call
-scheduled while the run goes (a tick rescheduling itself) still runs before
-a delivery due at the same time that was sent earlier.
+in the order they were scheduled. Each event is its own heap entry, a tuple
+that sorts by (time, call-or-delivery, index), so a call scheduled while the
+run goes (a tick rescheduling itself) still runs before a delivery due at
+the same time that was sent earlier.
+
+A trace line's parts are rendered once: the `\t<link>\t<sender>\t<dest>`
+part per (link, sender), the `\t<type>\t<seq>\n` part per payload object
+(a fan-out hands one payload to every peer, and its header is peeked once).
+The event carries the joined suffix to its DELIVER line. An untraced send
+never peeks.
 """
 
-import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from heapq import heappop, heappush
+from typing import Callable, NamedTuple
 
 from gamesync.overlay import LinkSpec
 from gamesync.pdu import peek
@@ -76,20 +83,28 @@ class SimRng:
         return (self.next_u64() % (2 * half_width + 1)) - half_width
 
 
-# Second element of the heap key: at equal times calls sort before deliveries.
+# Second field of an event: at equal times calls sort before deliveries.
 _CALL, _DELIVER = 0, 1
 
 
-@dataclass(slots=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """One scheduled event, and its own heap entry: it sorts by
+    (deliver_at, rank, index), and the index is unique. Built through
+    `tuple.__new__`, at about half the cost of the generated `__new__`.
+
+    `trace` is the trace-line suffix
+    "\t<link>\t<sender>\t<dest>\t<type>\t<seq>\n", or "" untraced."""
     deliver_at: int
+    rank: int                      # _CALL or _DELIVER
     index: int
-    dest: int = 0
-    link_id: int = -1
-    sender: int = 0
-    payload: bytes = b""
-    fn: Callable | None = None     # set for a call, None for a delivery
-    tag: str = ""                  # "\t<type>\t<seq>\n" trace suffix; "" untraced
+    fn: Callable | None            # set for a call, None for a delivery
+    dest: int
+    link_id: int
+    payload: bytes
+    trace: str
+
+
+_new_event = tuple.__new__
 
 
 @dataclass
@@ -105,23 +120,31 @@ class NetworkSim:
     def __init__(self, seed: int, trace=None):
         self.rng = SimRng(seed)
         self.links: dict[int, LinkSpec] = {}
+        # Only links with a scheduled delay change have an entry.
         self._delay_changes: dict[int, list[tuple[int, int]]] = {}
         self._handlers: dict[int, Callable] = {}
-        self._heap: list[tuple[int, int, int, SimEvent]] = []
+        self._heap: list[SimEvent] = []
         self._index = 0
         self._now = 0
         self.counters = SimCounters()
         self._trace = trace  # writable file-like or None
+        # Traced only: "\t<link>\t<sender>\t<dest>" per (link, sender), and
+        # the "\t<type>\t<seq>\n" part of the last payload sent. Holding the
+        # payload keeps its id from being reused, so `is` is a safe test.
+        self._endpoint_parts: dict[tuple[int, int], str] = {}
+        self._tag_payload: bytes | None = None
+        self._tag = ""
 
     @property
     def now(self) -> int:
         return self._now
 
     def add_link(self, spec: LinkSpec) -> None:
+        """Add a copy of `spec`: a link going down or up during the run
+        changes the simulator's copy, never the caller's."""
         if spec.link_id in self.links:
             raise ValueError(f"duplicate link id {spec.link_id}")
-        self.links[spec.link_id] = spec
-        self._delay_changes[spec.link_id] = []
+        self.links[spec.link_id] = replace(spec)
 
     def register_handler(self, client_id: int,
                          handler: Callable[[bytes, int, int], None]) -> None:
@@ -133,28 +156,23 @@ class NetworkSim:
         are unaffected."""
         if link_id not in self.links:
             raise UnknownLink(f"link {link_id}")
-        changes = self._delay_changes[link_id]
+        changes = self._delay_changes.setdefault(link_id, [])
         changes.append((at, new_base_delay))
         changes.sort()
 
     def effective_delay(self, link_id: int, at: int) -> int:
         """The last change at or before `at` in sorted order (so among
         changes at one time the last wins), else the link's base delay."""
-        changes = self._delay_changes[link_id]
+        changes = self._delay_changes.get(link_id, ())
         i = bisect_right(changes, (at, math.inf))
         return changes[i - 1][1] if i else self.links[link_id].base_delay_ms
-
-    def _push(self, rank: int, event: SimEvent) -> None:
-        heapq.heappush(self._heap, (event.deliver_at, rank, event.index, event))
 
     def schedule_call(self, at: int, fn: Callable[[int], None]) -> None:
         """Run fn(now) at virtual time `at` (control events, ticks...),
         before any delivery due at `at`."""
-        self._push(_CALL, SimEvent(at, self._next_index(), fn=fn))
-
-    def _next_index(self) -> int:
         self._index += 1
-        return self._index
+        heappush(self._heap, _new_event(
+            SimEvent, (at, _CALL, self._index, fn, 0, -1, b"", "")))
 
     def send(self, link_id: int, sender: int, payload: bytes) -> bool:
         """Schedule a payload on a link at the current virtual time.
@@ -169,21 +187,34 @@ class NetworkSim:
         now = self._now
         dest = link.other_endpoint(sender)
         self.counters.sent += 1
-        tag = ""
-        if self._trace is not None:
-            mtype, _, seq = peek(payload)
-            tag = f"\t{mtype}\t{seq}\n"
-            self._trace_line("SEND", link_id, sender, dest, tag)
+        trace = self._trace
+        suffix = ""
+        if trace is not None:
+            if payload is not self._tag_payload:
+                mtype, _, seq = peek(payload)
+                self._tag_payload = payload
+                self._tag = f"\t{mtype}\t{seq}\n"
+            endpoints = self._endpoint_parts.get((link_id, sender))
+            if endpoints is None:
+                endpoints = f"\t{link_id}\t{sender}\t{dest}"
+                self._endpoint_parts[(link_id, sender)] = endpoints
+            suffix = endpoints + self._tag
+            trace.write(f"{now}\tSEND{suffix}")
         if self.rng.next_float() < link.loss_prob:
             self.counters.dropped += 1
-            self._trace_line("DROP", link_id, sender, dest, tag)
+            if trace is not None:
+                trace.write(f"{now}\tDROP{suffix}")
             return False
-        delay = self.effective_delay(link_id, now)
+        if link_id in self._delay_changes:
+            delay = self.effective_delay(link_id, now)
+        else:
+            delay = link.base_delay_ms
         if link.jitter_ms > 0:
             delay += self.rng.next_int_symmetric(link.jitter_ms)
-        deliver_at = max(now + 1, now + delay)
-        self._push(_DELIVER, SimEvent(deliver_at, self._next_index(), dest,
-                                      link_id, sender, payload, None, tag))
+        self._index += 1
+        heappush(self._heap, _new_event(
+            SimEvent, (now + delay if delay > 0 else now + 1, _DELIVER,
+                       self._index, None, dest, link_id, payload, suffix)))
         return True
 
     @property
@@ -192,7 +223,7 @@ class NetworkSim:
 
     @property
     def pending_deliveries(self) -> int:
-        return sum(1 for _, rank, _, _ in self._heap if rank == _DELIVER)
+        return sum(1 for event in self._heap if event[1] == _DELIVER)
 
     def peek_time(self) -> int:
         if not self._heap:
@@ -203,29 +234,22 @@ class NetworkSim:
         """Deliver the next event, advancing the clock to its time."""
         if not self._heap:
             raise EmptyQueue("no scheduled events")
-        _, rank, _, event = heapq.heappop(self._heap)
-        if event.deliver_at < self._now:
+        event = heappop(self._heap)
+        now, rank, _, fn, dest, link_id, payload, suffix = event
+        if now < self._now:
             raise InvariantViolation("virtual clock would move backwards")
-        self._now = event.deliver_at
+        self._now = now
         if rank == _CALL:
-            event.fn(self._now)
+            fn(now)
             return event
         self.counters.delivered += 1
-        self._trace_line("DELIVER", event.link_id, event.sender, event.dest,
-                         event.tag)
-        handler = self._handlers.get(event.dest)
+        if suffix:
+            self._trace.write(f"{now}\tDELIVER{suffix}")
+        handler = self._handlers.get(dest)
         if handler is not None:
-            handler(event.payload, self._now, event.link_id)
+            handler(payload, now, link_id)
         return event
 
     def run_until(self, t_end: int) -> None:
         while self._heap and self._heap[0][0] <= t_end:
             self.step()
-
-    def _trace_line(self, kind: str, link_id: int, sender: int, dest: int,
-                    tag: str) -> None:
-        """One trace line; `tag` is the frame's header suffix, peeked once
-        at send."""
-        if self._trace is None:
-            return
-        self._trace.write(f"{self._now}\t{kind}\t{link_id}\t{sender}\t{dest}{tag}")

@@ -256,3 +256,71 @@ def test_untraced_send_does_not_peek(monkeypatch):
     while sim.pending:
         sim.step()
     assert arrivals == [b"not a frame"]
+
+
+def test_trace_lines_follow_each_frames_own_link_and_payload():
+    """Trace-line parts are memoised per (link, sender) and on the last
+    payload sent; every SEND, DROP and DELIVER line still equals one built
+    from its own frame, across a fan-out, a new payload, a return to an
+    earlier one, an unparseable frame and the reverse direction."""
+    trace = io.StringIO()
+    sim = NetworkSim(5, trace=trace)
+    links = [LinkSpec(0, (0, 1), 40, jitter_ms=10, loss_prob=0.4),
+             LinkSpec(1, (0, 2), 60, jitter_ms=10, loss_prob=0.4)]
+    for link in links:
+        sim.add_link(link)
+    a = encode(PingMessage(0, 11, 0))
+    b = encode(PingMessage(0, 12, 0))
+    sends = [(0, 0, a), (1, 0, a), (0, 0, b), (1, 0, a),
+             (0, 0, b"not a frame"), (0, 1, a)]
+    frames = {"SEND": [], "DROP": [], "DELIVER": []}
+
+    def handler(dest):
+        def deliver(data, now, link_id):
+            sender = links[link_id].other_endpoint(dest)
+            frames["DELIVER"].append((now, link_id, sender, dest, data))
+        return deliver
+    for cid in (0, 1, 2):
+        sim.register_handler(cid, handler(cid))
+
+    def burst(now):
+        for link_id, sender, data in sends:
+            dest = links[link_id].other_endpoint(sender)
+            frame = (now, link_id, sender, dest, data)
+            frames["SEND"].append(frame)
+            if not sim.send(link_id, sender, data):
+                frames["DROP"].append(frame)
+    for at in range(0, 200, 10):
+        sim.schedule_call(at, burst)
+    while sim.pending:
+        sim.step()
+
+    reference = {kind: iter(sent) for kind, sent in frames.items()}
+    lines = trace.getvalue().splitlines(keepends=True)
+    for line in lines:
+        kind = line.split("\t")[1]
+        now, link_id, sender, dest, data = next(reference[kind])
+        mtype, _, seq = netsim.peek(data)
+        assert line == (f"{now}\t{kind}\t{link_id}\t{sender}\t{dest}"
+                        f"\t{mtype}\t{seq}\n")
+    assert len(lines) == sum(map(len, frames.values()))
+    assert len(frames["DROP"]) > 0 and len(frames["DELIVER"]) > 0
+
+
+def test_delay_change_on_a_link_that_has_carried_sends():
+    """A link without delay changes reads its base delay directly; one
+    that gains a change mid-run uses it from the next send on."""
+    sim = make_sim(base=100)
+    arrivals = []
+    sim.register_handler(1, lambda data, now, link: arrivals.append(now))
+
+    def send_change_send(now):
+        sim.send(0, 0, payload())
+        sim.set_link_delay(0, 30, at=now)
+        sim.send(0, 0, payload())
+    sim.schedule_call(10, lambda now: sim.send(0, 0, payload()))
+    sim.schedule_call(20, send_change_send)
+    sim.schedule_call(40, lambda now: sim.send(0, 0, payload()))
+    while sim.pending:
+        sim.step()
+    assert arrivals == [20 + 30, 40 + 30, 10 + 100, 20 + 100]

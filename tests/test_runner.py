@@ -287,3 +287,41 @@ def test_clock_offset_flags_anomalies():
     doc["clients"][1]["clock_offset_ms"] = -400
     res = run_doc(doc)
     assert res.summary["clock_anomalies"] > 0
+
+
+def test_run_leaves_its_config_unchanged(tmp_path):
+    """A link that goes down and stays down is down only in the run's own
+    simulator: the same parsed config runs again to the same bytes, and its
+    links are all still available afterwards."""
+    doc = small_mesh_doc()
+    doc["link_events"] = [e for e in doc["link_events"]
+                          if e.get("available") is not True]
+    config = parse_scenario(doc)
+    outputs = []
+    for tag in ("first", "second"):
+        paths = {kind: tmp_path / f"{tag}.{kind}"
+                 for kind in ("tick", "events", "deliveries", "trace")}
+        run(config, out=paths["tick"], events_out=paths["events"],
+            deliveries_out=paths["deliveries"], trace_out=paths["trace"])
+        outputs.append({kind: path.read_bytes() for kind, path in paths.items()})
+    assert outputs[0] == outputs[1]
+    assert all(link.available for link in config.links)
+
+
+def test_tracing_does_not_change_outputs(tmp_path):
+    """A trace only adds its own file: the CSVs are byte-identical and the
+    summaries equal apart from wall-clock timings."""
+    outputs, summaries = [], []
+    for tag, trace_out in (("plain", None), ("traced", tmp_path / "trace")):
+        paths = {kind: tmp_path / f"{tag}.{kind}"
+                 for kind in ("tick", "events", "deliveries")}
+        res = run_doc(small_mesh_doc(), out=paths["tick"],
+                      events_out=paths["events"],
+                      deliveries_out=paths["deliveries"], trace_out=trace_out)
+        outputs.append({kind: path.read_bytes() for kind, path in paths.items()})
+        summaries.append({key: value for key, value in res.summary.items()
+                          if key != "wall_time_s"
+                          and not key.startswith("processing_")})
+    assert outputs[0] == outputs[1]
+    assert summaries[0] == summaries[1]
+    assert (tmp_path / "trace").stat().st_size > 0
