@@ -14,6 +14,7 @@ from typing import NamedTuple
 from gamesync.regions import ConsistencyMode
 
 DEFAULT_CLASS = "default"
+DEFAULT_CRITICAL_SCALE = 0.5    # strong-mode lag scale
 
 
 class NegativeLag(Exception):
@@ -25,7 +26,7 @@ class LagPolicy:
     """Lag per object class (ms) plus the strong-mode scale factor."""
 
     base_lag_ms: dict = field(default_factory=dict)
-    critical_scale: float = 0.5
+    critical_scale: float = DEFAULT_CRITICAL_SCALE
     default_lag_ms: int = 0
 
     def __post_init__(self):

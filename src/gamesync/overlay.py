@@ -10,8 +10,6 @@ immediate and exempt.
 from dataclasses import dataclass, replace
 from enum import Enum
 
-DEFAULT_ROUTE_HYSTERESIS_MS = 500
-
 
 class NoAvailableLink(Exception):
     pass
@@ -54,14 +52,12 @@ class LinkSpec:
 class PeerCapabilities:
     peer_id: int
     direct_address_known: bool = True
-    has_gps_clock: bool = True
 
 
 @dataclass(frozen=True)
 class RouteDecision:
     chosen_link: int
     last_switch_at: int = 0
-    hysteresis_ms: int = DEFAULT_ROUTE_HYSTERESIS_MS
 
 
 def best_link(candidates, estimates):
@@ -86,7 +82,7 @@ def default_route(links, estimates) -> int:
 
 def select_route(peer: int, links, latency_estimates: dict,
                  critical_proximity: bool, decision: RouteDecision,
-                 now: int) -> RouteDecision:
+                 now: int, hysteresis_ms: int) -> RouteDecision:
     """Re-evaluate the route to a peer.
 
     links: every LinkSpec connecting us to the peer. In critical proximity
@@ -104,6 +100,6 @@ def select_route(peer: int, links, latency_estimates: dict,
         desired = best_link(relays or available, latency_estimates).link_id
     if desired == decision.chosen_link:
         return decision
-    if now - decision.last_switch_at < decision.hysteresis_ms:
+    if now - decision.last_switch_at < hysteresis_ms:
         return decision
     return replace(decision, chosen_link=desired, last_switch_at=now)

@@ -12,8 +12,15 @@ at the playout time. The stages carry no instrumentation of their own;
 
 Transmission runs per tick: dead-reckoning gate -> timestamping -> critical
 flag -> route selection -> encode -> network. Each player manager is
-single-threaded; distinct managers share nothing and talk only through the
-network layer.
+single-threaded; distinct managers share no mutable state and talk only
+through the network layer.
+
+The Medium's settings are defined here once: a PolicySet (a ClassPolicy per
+object class, which is that class's dead-reckoning policy plus its local
+lag, and the run-wide scales, intervals and dwells) and Toggles (which
+pipeline stages run). A PlayerManagerConfig adds what differs per client
+and the run-wide entity and region tables; every client of a run shares one
+PolicySet and one Toggles, and the manager reads them live.
 """
 
 import time
@@ -21,17 +28,20 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from gamesync import rollback as rb
-from gamesync.clock import (DelaySample, LatencyEstimator, VirtualClock,
-                            delay_from_timestamp, rtt_probe)
-from gamesync.deadreckoning import (DeadReckoningPolicy, EntityKinematics,
-                                    converge, predict, should_send)
-from gamesync.locallag import DEFAULT_CLASS, LagPolicy, PlayoutBuffer
+from gamesync.clock import (DEFAULT_ALPHA, DelaySample, LatencyEstimator,
+                            VirtualClock, delay_from_timestamp, rtt_probe)
+from gamesync.deadreckoning import (DEFAULT_HEARTBEAT_MS, DeadReckoningPolicy,
+                                    EntityKinematics, converge, predict,
+                                    should_send)
+from gamesync.locallag import (DEFAULT_CLASS, DEFAULT_CRITICAL_SCALE,
+                               LagPolicy, PlayoutBuffer)
 from gamesync.overlay import (LinkKind, LinkSpec, NoAvailableLink,
                               PeerCapabilities, RouteDecision, best_link,
                               default_route, select_route)
 from gamesync.pdu import (DecodeError, EventMessage, PingMessage, PongMessage,
                           StateUpdate, decode, encode)
-from gamesync.regions import ConsistencyMode, ModeTracker, RegionSet
+from gamesync.regions import (EXIT_HYSTERESIS_MS, ConsistencyMode,
+                              ModeTracker, RegionSet)
 
 NORMAL = ConsistencyMode.NORMAL
 STRONG = ConsistencyMode.STRONG
@@ -70,31 +80,60 @@ class GameCallbacks:
         pass
 
 
+@dataclass(frozen=True)
+class ClassPolicy(DeadReckoningPolicy):
+    """An object class's dead-reckoning policy plus its local lag."""
+
+    lag_ms: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.lag_ms < 0:
+            raise ValueError("lag_ms must be >= 0")
+
+
 @dataclass
-class PlayerManagerConfig:
-    client_id: int
-    dr_policy: DeadReckoningPolicy = field(default_factory=DeadReckoningPolicy)
-    lag_policy: LagPolicy = field(default_factory=LagPolicy)
-    regions: RegionSet = field(default_factory=RegionSet)
-    links: list = field(default_factory=list)
-    heartbeat_ms: int = 1000
-    local_entities: tuple = ()
-    entity_class: dict = field(default_factory=dict)
-    class_dr_policies: dict = field(default_factory=dict)
-    entity_owner: dict = field(default_factory=dict)
-    strong_threshold_scale: float = 0.25
-    exit_hysteresis_ms: int = 250
+class PolicySet:
+    default: ClassPolicy = field(default_factory=ClassPolicy)
+    classes: dict = field(default_factory=dict)   # class id -> ClassPolicy
+    critical_threshold_scale: float = 0.25
+    critical_lag_scale: float = DEFAULT_CRITICAL_SCALE
+    heartbeat_ms: int = DEFAULT_HEARTBEAT_MS
+    ewma_alpha: float = DEFAULT_ALPHA
+    exit_hysteresis_ms: int = EXIT_HYSTERESIS_MS
     route_hysteresis_ms: int = 500
-    overlay_enabled: bool = False
+    idle_ping_ms: int = 1000
+    critical_proximity_radius_m: float | None = None
+
+    def for_class(self, class_id: str) -> ClassPolicy:
+        return self.classes.get(class_id, self.default)
+
+
+@dataclass
+class Toggles:
+    overlay: bool = False
     rollback_scope: str = "all"          # "all" | "events"
     sender_side_lag: bool = True
     receiver_side_lag: bool = True
     critical_tightening: bool = True
-    idle_ping_ms: int = 1000
-    history_window_ms: int = 2000        # rollback log and ping timeout
-    ewma_alpha: float = 0.125
+
+
+@dataclass
+class PlayerManagerConfig:
+    """One client's view of a run: its own id, links, entities and clock
+    offset, the run-wide entity and region tables, and the policies and
+    toggles every client of the run shares. The manager takes the EWMA
+    alpha, the lag table and the exit hysteresis once, at construction, and
+    reads every other setting live."""
+    client_id: int
+    links: list = field(default_factory=list)
+    local_entities: tuple = ()
+    entity_class: dict = field(default_factory=dict)
+    entity_owner: dict = field(default_factory=dict)
+    regions: RegionSet = field(default_factory=RegionSet)
     clock_offset_ms: int = 0
-    critical_proximity_radius_m: float | None = None
+    policies: PolicySet = field(default_factory=PolicySet)
+    toggles: Toggles = field(default_factory=Toggles)
 
 
 @dataclass
@@ -110,7 +149,6 @@ class PmCounters:
     beyond_window: int = 0
     clock_anomalies: int = 0
     queue_drops: int = 0
-    callback_failures: int = 0
 
 
 @dataclass
@@ -145,11 +183,15 @@ class PlayerManager:
         self.config = config
         self.callbacks = callbacks
         self._send_fn = send_fn
+        pol = config.policies
         self.clock = VirtualClock(config.clock_offset_ms)
-        self.estimator = LatencyEstimator(config.ewma_alpha)
-        self.buffer = PlayoutBuffer(config.lag_policy)
-        self.log = rb.DeliveryLog(config.history_window_ms)
-        self.modes = ModeTracker(config.regions, config.exit_hysteresis_ms)
+        self.estimator = LatencyEstimator(pol.ewma_alpha)
+        self.buffer = PlayoutBuffer(LagPolicy(
+            base_lag_ms={name: cp.lag_ms for name, cp in pol.classes.items()},
+            critical_scale=pol.critical_lag_scale,
+            default_lag_ms=pol.default.lag_ms))
+        self.log = rb.DeliveryLog()
+        self.modes = ModeTracker(config.regions, pol.exit_hysteresis_ms)
         self.counters = PmCounters()
         self.processing_ns: list[int] = []
         self.switch_log: list[tuple] = []   # (now, peer, old, new, failover)
@@ -186,7 +228,7 @@ class PlayerManager:
                       now: int = 0) -> None:
         """Collect peer info, mark unreachable direct links, choose default
         routes, zero sequence counters, and fire the initial ping round."""
-        if self.config.heartbeat_ms <= 0:
+        if self.config.policies.heartbeat_ms <= 0:
             raise ConfigInvalid("heartbeat_ms must be > 0")
         now = self.clock.read(now)
         self.peers = sorted(c.peer_id for c in peer_capabilities)
@@ -208,9 +250,8 @@ class PlayerManager:
             self.peer_links[peer] = links
             self._pending[peer] = deque()
             if links:
-                self.routes[peer] = RouteDecision(
-                    default_route(links, {}), last_switch_at=now,
-                    hysteresis_ms=self.config.route_hysteresis_ms)
+                self.routes[peer] = RouteDecision(default_route(links, {}),
+                                                  last_switch_at=now)
             self._send_pings(peer, now)
 
     # -- reception pipeline ------------------------------------------------
@@ -262,7 +303,7 @@ class PlayerManager:
 
         mode = self._frame_mode(msg, now)
         entry = None
-        if self.config.receiver_side_lag:
+        if self.config.toggles.receiver_side_lag:
             entry = self.buffer.enqueue(msg, self._class_of(msg.entity_id),
                                         mode, now)
         if entry is None:
@@ -275,7 +316,7 @@ class PlayerManager:
         """Evaluate a data frame's mode once, at the entity's recorded
         position (an event's entity may have none: normal, not noted), and
         note it. A critical update is strong whatever its region."""
-        if not self.config.critical_tightening:
+        if not self.config.toggles.critical_tightening:
             return NORMAL
         pos = self._entity_positions.get(msg.entity_id)
         if pos is None:
@@ -289,7 +330,7 @@ class PlayerManager:
 
     def _playout(self, msg, now: int) -> None:
         """Rollback ordering, then prediction, then the game."""
-        in_scope = (self.config.rollback_scope == "all"
+        in_scope = (self.config.toggles.rollback_scope == "all"
                     or isinstance(msg, EventMessage))
         if in_scope:
             outcome = self.log.on_deliver(msg, now)
@@ -301,12 +342,7 @@ class PlayerManager:
                 return
             if isinstance(outcome, rb.RollbackDirective):
                 self.counters.rollbacks += 1
-                adapter = _DirectiveAdapter(self, now)
-                try:
-                    rb.apply_directive(adapter, outcome)
-                except rb.CallbackFailure:
-                    self.counters.callback_failures += 1
-                    raise
+                rb.apply_directive(_DirectiveAdapter(self, now), outcome)
                 self.log.commit(outcome)
                 return
         if isinstance(msg, StateUpdate):
@@ -377,17 +413,18 @@ class PlayerManager:
             kin = self.callbacks.query_local_state(entity_id)
             self._entity_positions[entity_id] = kin.pos
             mode = NORMAL
-            if self.config.critical_tightening:
+            if self.config.toggles.critical_tightening:
                 mode = self.modes.mode_for(entity_id, kin.pos,
                                            self._entity_positions, now)
             self._note_mode(entity_id, mode)
             states.append((entity_id, kin, mode))
 
+        pol = self.config.policies
         for entity_id, kin, mode in states:
             policy = self._dr_policy(entity_id)
-            scale = self.config.strong_threshold_scale if mode is STRONG else 1.0
+            scale = pol.critical_threshold_scale if mode is STRONG else 1.0
             if not should_send(kin, self._last_sent.get(entity_id), policy,
-                               now, self.config.heartbeat_ms, scale):
+                               now, pol.heartbeat_ms, scale):
                 continue
             seq = self._seqs.get(entity_id, 0) + 1
             self._seqs[entity_id] = seq
@@ -403,8 +440,8 @@ class PlayerManager:
 
         for peer in self.peers:
             idle = now - self._last_activity.get(peer, 0)
-            since_ping = now - self._last_ping.get(peer, -self.config.idle_ping_ms)
-            if idle >= self.config.idle_ping_ms and since_ping >= self.config.idle_ping_ms:
+            since_ping = now - self._last_ping.get(peer, -pol.idle_ping_ms)
+            if idle >= pol.idle_ping_ms and since_ping >= pol.idle_ping_ms:
                 self._send_pings(peer, now)
             self._flush_pending(peer, now)
 
@@ -421,7 +458,7 @@ class PlayerManager:
         for peer in self.peers:
             self._transmit(peer, data, now)
         mode = self._entity_modes.get(entity_id, NORMAL)
-        if self.config.sender_side_lag:
+        if self.config.toggles.sender_side_lag:
             entry = self.buffer.enqueue(msg, self._class_of(entity_id), mode, now)
             if entry.late:
                 self._playout(msg, now)
@@ -434,11 +471,12 @@ class PlayerManager:
         if decision is None:
             return
         links = self.peer_links[peer]
-        if self.config.overlay_enabled:
+        if self.config.toggles.overlay:
             try:
                 new = select_route(peer, links, self._link_estimates(peer),
                                    self._critical_proximity(peer), decision,
-                                   now)
+                                   now,
+                                   self.config.policies.route_hysteresis_ms)
             except NoAvailableLink:
                 self._queue_frame(peer, data, now)
                 return
@@ -523,13 +561,13 @@ class PlayerManager:
         """True when the peer flags its updates critical while a local
         entity is strong, or when one of the peer's entities is within the
         proximity radius of a local one."""
-        if not self.config.critical_tightening:
+        if not self.config.toggles.critical_tightening:
             return False
         if self._peer_critical.get(peer, False) and any(
                 self._entity_modes.get(e) is STRONG
                 for e in self.config.local_entities):
             return True
-        radius = self.config.critical_proximity_radius_m
+        radius = self.config.policies.critical_proximity_radius_m
         if radius is None:
             return False
         reach = radius * radius
@@ -571,11 +609,12 @@ class PlayerManager:
         """Forget probes older than the history window: their pongs were
         lost. The dict is in send order, so the stale ones lead it.
 
-        history_window_ms therefore also bounds how long a probe waits for
-        its pong: a pong whose round trip exceeds the window yields no RTT
-        sample, and changing the window changes RTT probing too."""
+        The log's history window therefore also bounds how long a probe
+        waits for its pong: a pong whose round trip exceeds the window
+        yields no RTT sample, and changing the window changes RTT probing
+        too."""
         pings = self._outstanding_pings
-        horizon = now - self.config.history_window_ms
+        horizon = now - self.log.history_window_ms
         while pings:
             nonce = next(iter(pings))
             if pings[nonce][0].timestamp >= horizon:
@@ -585,9 +624,8 @@ class PlayerManager:
     def _class_of(self, entity_id: int) -> str:
         return self.config.entity_class.get(entity_id, DEFAULT_CLASS)
 
-    def _dr_policy(self, entity_id: int) -> DeadReckoningPolicy:
-        return self.config.class_dr_policies.get(self._class_of(entity_id),
-                                                 self.config.dr_policy)
+    def _dr_policy(self, entity_id: int) -> ClassPolicy:
+        return self.config.policies.for_class(self._class_of(entity_id))
 
     def _note_mode(self, entity_id: int, mode: ConsistencyMode) -> None:
         if self._entity_modes.get(entity_id) != mode:

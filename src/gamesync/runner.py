@@ -12,9 +12,7 @@ import gc
 import time
 from dataclasses import dataclass, field
 
-from gamesync.deadreckoning import (DeadReckoningPolicy, EntityKinematics,
-                                    dist)
-from gamesync.locallag import LagPolicy
+from gamesync.deadreckoning import EntityKinematics, dist
 from gamesync.metrics import (DELIVERY_HEADER, DELIVERY_ROW, EVENT_HEADER,
                               EVENT_ROW, TICK_ENTITY, TICK_HEADER, TICK_ROW,
                               TICK_TRUTH, TICK_VIEWER, CsvWriter, RunningStats,
@@ -71,50 +69,6 @@ class RunResult:
     tick_rows: list = field(default_factory=list)
 
 
-def _build_pm_config(config: ScenarioConfig, client_spec) -> PlayerManagerConfig:
-    pol = config.policies
-    regions = RegionSet()
-    for region in config.regions:
-        regions.add(region)
-    class_dr = {name: DeadReckoningPolicy(cp.threshold_m, cp.convergence_ms)
-                for name, cp in pol.classes.items()}
-    lag = LagPolicy(base_lag_ms={name: cp.lag_ms
-                                 for name, cp in pol.classes.items()},
-                    critical_scale=pol.critical_lag_scale,
-                    default_lag_ms=pol.default.lag_ms)
-    entity_class = {}
-    entity_owner = {}
-    for client in config.clients:
-        for spec in client.entities:
-            entity_class[spec.entity_id] = spec.class_id
-            entity_owner[spec.entity_id] = client.client_id
-    return PlayerManagerConfig(
-        client_id=client_spec.client_id,
-        dr_policy=DeadReckoningPolicy(pol.default.threshold_m,
-                                      pol.default.convergence_ms),
-        lag_policy=lag,
-        regions=regions,
-        links=[l for l in config.links
-               if client_spec.client_id in l.endpoints],
-        heartbeat_ms=pol.heartbeat_ms,
-        local_entities=tuple(e.entity_id for e in client_spec.entities),
-        entity_class=entity_class,
-        class_dr_policies=class_dr,
-        entity_owner=entity_owner,
-        strong_threshold_scale=pol.critical_threshold_scale,
-        exit_hysteresis_ms=pol.exit_hysteresis_ms,
-        route_hysteresis_ms=pol.route_hysteresis_ms,
-        overlay_enabled=config.toggles.overlay,
-        rollback_scope=config.toggles.rollback_scope,
-        sender_side_lag=config.toggles.sender_side_lag,
-        receiver_side_lag=config.toggles.receiver_side_lag,
-        critical_tightening=config.toggles.critical_tightening,
-        idle_ping_ms=pol.idle_ping_ms,
-        ewma_alpha=pol.ewma_alpha,
-        clock_offset_ms=client_spec.clock_offset_ms,
-        critical_proximity_radius_m=pol.critical_proximity_radius_m)
-
-
 def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
         trace_out=None, summary_out=None, seed=None, keep_rows=False) -> RunResult:
     """Run a scenario to completion. File arguments are paths or None.
@@ -155,10 +109,28 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
         delay_critical = RunningStats()
         tick_rows: list = []
 
+        # The run-wide tables, built once and shared by every manager along
+        # with the config's own policies and toggles, which nothing mutates.
+        entity_class, entity_owner = {}, {}
+        for client_spec in clients:
+            for spec in client_spec.entities:
+                entity_class[spec.entity_id] = spec.class_id
+                entity_owner[spec.entity_id] = client_spec.client_id
+        regions = RegionSet()
+        for region in config.regions:
+            regions.add(region)
+
         for client_spec in clients:
             cid = client_spec.client_id
             bot = _Bot(client_spec, lambda: sim.now)
-            pm_config = _build_pm_config(config, client_spec)
+            pm_config = PlayerManagerConfig(
+                client_id=cid,
+                links=[l for l in config.links if cid in l.endpoints],
+                local_entities=tuple(spec.entity_id
+                                     for spec in client_spec.entities),
+                entity_class=entity_class, entity_owner=entity_owner,
+                regions=regions, clock_offset_ms=client_spec.clock_offset_ms,
+                policies=config.policies, toggles=config.toggles)
             pm = PlayerManager(pm_config, bot,
                                lambda link_id, data, c=cid: sim.send(link_id, c, data))
 
@@ -189,8 +161,7 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
                 fire_cursor[(owner, spec.entity_id)] = 0
 
         caps = {c.client_id: PeerCapabilities(c.client_id,
-                                              c.direct_address_known,
-                                              c.has_gps_clock)
+                                              c.direct_address_known)
                 for c in clients}
 
         def session_start(now):

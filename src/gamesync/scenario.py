@@ -3,7 +3,10 @@ entity motion, links, regions, policies, and toggles.
 
 Motion scripts are closed-form (position as a pure function of virtual
 time), which is what gives the metrics an exact ground-truth oracle. Unknown
-keys anywhere in the document are rejected.
+keys anywhere in the document are rejected, and so is a value of the wrong
+type: every failure is a ValidationError naming the field. The "policies"
+and "toggles" objects parse into the Medium's own PolicySet and Toggles
+(gamesync.player), and a missing key takes the default those types define.
 
 Top-level document:
 
@@ -14,7 +17,6 @@ Top-level document:
       "clients": [
         {"id": 0,
          "direct_address_known": true,    # optional
-         "has_gps_clock": true,           # optional
          "clock_offset_ms": 0,            # optional
          "entities": [
            {"id": 0, "class": "car",
@@ -59,10 +61,12 @@ Top-level document:
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
+from gamesync.locallag import DEFAULT_CLASS
 from gamesync.overlay import LinkKind, LinkSpec
 from gamesync.pdu import EventKind
+from gamesync.player import ClassPolicy, PolicySet, Toggles
 from gamesync.regions import AnchoredCircle, Circle, Rect, Region
 
 
@@ -162,41 +166,7 @@ class ClientSpec:
     client_id: int
     entities: list
     direct_address_known: bool = True
-    has_gps_clock: bool = True
     clock_offset_ms: int = 0
-
-
-@dataclass
-class ClassPolicy:
-    threshold_m: float = 0.5
-    convergence_ms: int = 200
-    lag_ms: int = 0
-
-
-@dataclass
-class PolicySet:
-    default: ClassPolicy = field(default_factory=ClassPolicy)
-    classes: dict = field(default_factory=dict)
-    critical_threshold_scale: float = 0.25
-    critical_lag_scale: float = 0.5
-    heartbeat_ms: int = 1000
-    ewma_alpha: float = 0.125
-    exit_hysteresis_ms: int = 250
-    route_hysteresis_ms: int = 500
-    idle_ping_ms: int = 1000
-    critical_proximity_radius_m: float | None = None
-
-    def for_class(self, class_id: str) -> ClassPolicy:
-        return self.classes.get(class_id, self.default)
-
-
-@dataclass
-class Toggles:
-    overlay: bool = False
-    rollback_scope: str = "all"
-    sender_side_lag: bool = True
-    receiver_side_lag: bool = True
-    critical_tightening: bool = True
 
 
 @dataclass
@@ -225,9 +195,20 @@ def _require_keys(obj: dict, path: str, required: set, optional: set) -> None:
         raise ValidationError(f"{path}: missing key(s) {sorted(missing)}")
 
 
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+def _is_number(obj) -> bool:
+    """An int, or a finite float (Python's json reads NaN and Infinity)."""
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def _number(obj, path, minimum=None, integer=False):
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ValidationError(f"{path}: expected a number")
+    if not _is_number(obj):
+        raise ValidationError(f"{path}: expected a finite number")
     if integer and not isinstance(obj, int):
         raise ValidationError(f"{path}: expected an integer")
     if minimum is not None and obj < minimum:
@@ -237,7 +218,7 @@ def _number(obj, path, minimum=None, integer=False):
 
 def _point(obj, path):
     if (not isinstance(obj, list) or len(obj) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in obj)):
+            or not all(map(_is_number, obj))):
         raise ValidationError(f"{path}: expected [x, y]")
     return (float(obj[0]), float(obj[1]))
 
@@ -245,6 +226,18 @@ def _point(obj, path):
 def _bool(obj, path):
     if not isinstance(obj, bool):
         raise ValidationError(f"{path}: expected a boolean")
+    return obj
+
+
+def _list(obj, path):
+    if not isinstance(obj, list):
+        raise ValidationError(f"{path}: expected a list")
+    return obj
+
+
+def _string(obj, path):
+    if not isinstance(obj, str):
+        raise ValidationError(f"{path}: expected a string")
     return obj
 
 
@@ -258,10 +251,8 @@ def _parse_motion(obj, path) -> MotionScript:
                                 _point(obj["vel"], f"{path}.vel"))
     if kind == "waypoints":
         _require_keys(obj, path, {"kind", "points", "speed"}, {"loop"})
-        points = obj["points"]
-        if not isinstance(points, list):
-            raise ValidationError(f"{path}.points: expected a list")
-        pts = [_point(p, f"{path}.points[{i}]") for i, p in enumerate(points)]
+        pts = [_point(p, f"{path}.points[{i}]")
+               for i, p in enumerate(_list(obj["points"], f"{path}.points"))]
         return WaypointPath(pts, _number(obj["speed"], f"{path}.speed"),
                             _bool(obj.get("loop", False), f"{path}.loop"))
     raise ValidationError(f"{path}.kind: unknown motion kind {kind!r}")
@@ -273,11 +264,11 @@ _EVENT_KINDS = {"fire": EventKind.FIRE, "spawn": EventKind.SPAWN,
 
 def _parse_events(items, path):
     events = []
-    for i, obj in enumerate(items):
+    for i, obj in enumerate(_list(items, path)):
         p = f"{path}[{i}]"
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValidationError(f"{p}: expected an event object with 'kind'")
-        kind = _EVENT_KINDS.get(obj["kind"])
+        kind = _EVENT_KINDS.get(_string(obj["kind"], f"{p}.kind"))
         if kind is None:
             raise ValidationError(f"{p}.kind: unknown event kind {obj['kind']!r}")
         if "at" in obj:
@@ -320,7 +311,7 @@ def _parse_region(obj, path) -> Region:
 
 
 def _parse_class_policy(obj, path, base: ClassPolicy) -> ClassPolicy:
-    _require_keys(obj, path, set(), {"threshold_m", "convergence_ms", "lag_ms"})
+    _require_keys(obj, path, set(), _field_names(ClassPolicy))
     return ClassPolicy(
         threshold_m=_number(obj.get("threshold_m", base.threshold_m),
                             f"{path}.threshold_m", 1e-9),
@@ -344,16 +335,16 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     clients = []
     client_ids = set()
     entity_ids = set()
-    for i, obj in enumerate(doc["clients"]):
+    for i, obj in enumerate(_list(doc["clients"], "$.clients")):
         path = f"$.clients[{i}]"
         _require_keys(obj, path, {"id", "entities"},
-                      {"direct_address_known", "has_gps_clock", "clock_offset_ms"})
+                      {"direct_address_known", "clock_offset_ms"})
         cid = _number(obj["id"], f"{path}.id", 0, True)
         if cid in client_ids:
             raise ValidationError(f"{path}.id: duplicate client id {cid}")
         client_ids.add(cid)
         entities = []
-        for j, ent in enumerate(obj["entities"]):
+        for j, ent in enumerate(_list(obj["entities"], f"{path}.entities")):
             epath = f"{path}.entities[{j}]"
             _require_keys(ent, epath, {"id", "motion"}, {"class", "events"})
             eid = _number(ent["id"], f"{epath}.id", 0, True)
@@ -362,21 +353,20 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             entity_ids.add(eid)
             entities.append(EntitySpec(
                 entity_id=eid,
-                class_id=ent.get("class", "default"),
+                class_id=_string(ent.get("class", DEFAULT_CLASS),
+                                 f"{epath}.class"),
                 motion=_parse_motion(ent["motion"], f"{epath}.motion"),
                 events=_parse_events(ent.get("events", []), f"{epath}.events")))
         clients.append(ClientSpec(
             client_id=cid, entities=entities,
             direct_address_known=_bool(obj.get("direct_address_known", True),
                                        f"{path}.direct_address_known"),
-            has_gps_clock=_bool(obj.get("has_gps_clock", True),
-                                f"{path}.has_gps_clock"),
             clock_offset_ms=_number(obj.get("clock_offset_ms", 0),
                                     f"{path}.clock_offset_ms", None, True)))
 
     links = []
     link_ids = set()
-    for i, obj in enumerate(doc.get("links", [])):
+    for i, obj in enumerate(_list(doc.get("links", []), "$.links")):
         path = f"$.links[{i}]"
         _require_keys(obj, path, {"id", "endpoints", "base_delay_ms"},
                       {"jitter_ms", "loss_prob", "kind", "available",
@@ -395,10 +385,10 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         if (not isinstance(endpoints, list) or len(endpoints) != 2
                 or endpoints[0] == endpoints[1]):
             raise ValidationError(f"{path}.endpoints: expected two distinct client ids")
-        for e in endpoints:
-            if e not in client_ids:
+        for j, e in enumerate(endpoints):
+            if _number(e, f"{path}.endpoints[{j}]") not in client_ids:
                 raise ValidationError(f"{path}.endpoints: unknown client {e}")
-        kind = obj.get("kind", "relay")
+        kind = _string(obj.get("kind", "relay"), f"{path}.kind")
         if kind not in _LINK_KINDS:
             raise ValidationError(f"{path}.kind: unknown link kind {kind!r}")
         try:
@@ -414,11 +404,12 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             raise ValidationError(f"{path}: {exc}") from exc
 
     link_events = []
-    for i, obj in enumerate(doc.get("link_events", [])):
+    items = _list(doc.get("link_events", []), "$.link_events")
+    for i, obj in enumerate(items):
         path = f"$.link_events[{i}]"
         _require_keys(obj, path, {"at", "link"}, {"base_delay_ms", "available"})
         at = _number(obj["at"], f"{path}.at", 0, True)
-        lid = obj["link"]
+        lid = _number(obj["link"], f"{path}.link")
         if lid not in link_ids:
             raise ValidationError(f"{path}.link: unknown link {lid}")
         if "base_delay_ms" in obj:
@@ -432,68 +423,62 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             raise ValidationError(f"{path}: needs base_delay_ms or available")
     link_events.sort(key=lambda e: (e[0], e[1], e[2]))
 
+    items = _list(doc.get("regions", []), "$.regions")
     regions = [_parse_region(obj, f"$.regions[{i}]")
-               for i, obj in enumerate(doc.get("regions", []))]
+               for i, obj in enumerate(items)]
     for i, region in enumerate(regions):
         if isinstance(region, AnchoredCircle) and region.anchor_entity_id not in entity_ids:
             raise ValidationError(
                 f"$.regions[{i}].anchor_entity: unknown entity {region.anchor_entity_id}")
 
     pol = doc.get("policies", {})
-    _require_keys(pol, "$.policies", set(),
-                  {"default", "classes", "critical_threshold_scale",
-                   "critical_lag_scale", "heartbeat_ms", "ewma_alpha",
-                   "exit_hysteresis_ms", "route_hysteresis_ms",
-                   "idle_ping_ms", "critical_proximity_radius_m"})
+    _require_keys(pol, "$.policies", set(), _field_names(PolicySet))
+    base = PolicySet()
     default = _parse_class_policy(pol.get("default", {}), "$.policies.default",
-                                  ClassPolicy())
-    classes = {}
-    for name, obj in pol.get("classes", {}).items():
-        classes[name] = _parse_class_policy(obj, f"$.policies.classes.{name}",
-                                            default)
+                                  base.default)
+    classes_obj = pol.get("classes", {})
+    if not isinstance(classes_obj, dict):
+        raise ValidationError("$.policies.classes: expected an object")
+    classes = {name: _parse_class_policy(obj, f"$.policies.classes.{name}",
+                                         default)
+               for name, obj in classes_obj.items()}
+
+    def setting(key, minimum, integer=False):
+        return _number(pol.get(key, getattr(base, key)), f"$.policies.{key}",
+                       minimum, integer)
+
     radius = pol.get("critical_proximity_radius_m")
+    if radius is not None:
+        radius = setting("critical_proximity_radius_m", 0)
     policies = PolicySet(
         default=default, classes=classes,
-        critical_threshold_scale=_number(pol.get("critical_threshold_scale", 0.25),
-                                         "$.policies.critical_threshold_scale", 1e-9),
-        critical_lag_scale=_number(pol.get("critical_lag_scale", 0.5),
-                                   "$.policies.critical_lag_scale", 1e-9),
-        heartbeat_ms=_number(pol.get("heartbeat_ms", 1000),
-                             "$.policies.heartbeat_ms", 1, True),
-        ewma_alpha=_number(pol.get("ewma_alpha", 0.125), "$.policies.ewma_alpha", 1e-9),
-        exit_hysteresis_ms=_number(pol.get("exit_hysteresis_ms", 250),
-                                   "$.policies.exit_hysteresis_ms", 0, True),
-        route_hysteresis_ms=_number(pol.get("route_hysteresis_ms", 500),
-                                    "$.policies.route_hysteresis_ms", 0, True),
-        idle_ping_ms=_number(pol.get("idle_ping_ms", 1000),
-                             "$.policies.idle_ping_ms", 1, True),
-        critical_proximity_radius_m=(None if radius is None else
-                                     _number(radius,
-                                             "$.policies.critical_proximity_radius_m",
-                                             0)))
-    if not 0 < policies.critical_threshold_scale <= 1:
-        raise ValidationError("$.policies.critical_threshold_scale: must be in (0, 1]")
-    if not 0 < policies.critical_lag_scale <= 1:
-        raise ValidationError("$.policies.critical_lag_scale: must be in (0, 1]")
-    if not 0 < policies.ewma_alpha <= 1:
-        raise ValidationError("$.policies.ewma_alpha: must be in (0, 1]")
+        critical_threshold_scale=setting("critical_threshold_scale", 1e-9),
+        critical_lag_scale=setting("critical_lag_scale", 1e-9),
+        heartbeat_ms=setting("heartbeat_ms", 1, True),
+        ewma_alpha=setting("ewma_alpha", 1e-9),
+        exit_hysteresis_ms=setting("exit_hysteresis_ms", 0, True),
+        route_hysteresis_ms=setting("route_hysteresis_ms", 0, True),
+        idle_ping_ms=setting("idle_ping_ms", 1, True),
+        critical_proximity_radius_m=radius)
+    for key in ("critical_threshold_scale", "critical_lag_scale",
+                "ewma_alpha"):
+        if not 0 < getattr(policies, key) <= 1:
+            raise ValidationError(f"$.policies.{key}: must be in (0, 1]")
 
     tog = doc.get("toggles", {})
-    _require_keys(tog, "$.toggles", set(),
-                  {"overlay", "rollback_scope", "sender_side_lag",
-                   "receiver_side_lag", "critical_tightening"})
-    scope = tog.get("rollback_scope", "all")
+    _require_keys(tog, "$.toggles", set(), _field_names(Toggles))
+    base = Toggles()
+    scope = tog.get("rollback_scope", base.rollback_scope)
     if scope not in ("all", "events"):
         raise ValidationError("$.toggles.rollback_scope: must be 'all' or 'events'")
-    toggles = Toggles(
-        overlay=_bool(tog.get("overlay", False), "$.toggles.overlay"),
-        rollback_scope=scope,
-        sender_side_lag=_bool(tog.get("sender_side_lag", True),
-                              "$.toggles.sender_side_lag"),
-        receiver_side_lag=_bool(tog.get("receiver_side_lag", True),
-                                "$.toggles.receiver_side_lag"),
-        critical_tightening=_bool(tog.get("critical_tightening", True),
-                                  "$.toggles.critical_tightening"))
+
+    def switch(key):
+        return _bool(tog.get(key, getattr(base, key)), f"$.toggles.{key}")
+
+    toggles = Toggles(overlay=switch("overlay"), rollback_scope=scope,
+                      sender_side_lag=switch("sender_side_lag"),
+                      receiver_side_lag=switch("receiver_side_lag"),
+                      critical_tightening=switch("critical_tightening"))
 
     return ScenarioConfig(duration_ms=duration, tick_ms=tick, seed=seed,
                           clients=clients, links=links,

@@ -49,6 +49,13 @@ def test_config_error_exit_two(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli.main(["run", str(missing)]) == 2
 
+    malformed = tmp_path / "malformed.json"
+    doc = two_client_doc()
+    doc["links"][0]["endpoints"] = [[0], [1]]
+    malformed.write_text(json.dumps(doc))
+    assert cli.main(["run", str(malformed)]) == 2
+    assert "endpoints" in capsys.readouterr().err
+
 
 def test_invariant_violation_exit_three(scenario_file, monkeypatch, capsys):
     def broken_run(*args, **kwargs):

@@ -3,12 +3,17 @@ route/queue behavior. These tests drive the manager by hand through a
 captured transport; full-simulator integration lives in test_runner.py."""
 
 
-from gamesync.deadreckoning import DeadReckoningPolicy, EntityKinematics
-from gamesync.locallag import LagPolicy
+from dataclasses import fields
+
+import pytest
+
+from gamesync import rollback as rb
+from gamesync.deadreckoning import EntityKinematics
 from gamesync.overlay import LinkKind, LinkSpec, PeerCapabilities
 from gamesync.pdu import (EventKind, EventMessage, PongMessage, StateUpdate,
                           decode, encode)
-from gamesync.player import GameCallbacks, PlayerManager, PlayerManagerConfig
+from gamesync.player import (ClassPolicy, GameCallbacks, PlayerManager,
+                             PlayerManagerConfig, PolicySet, Toggles)
 from gamesync.regions import ConsistencyMode, Rect, RegionSet
 
 
@@ -36,20 +41,28 @@ class Spy(GameCallbacks):
         self.modes.append((entity_id, mode))
 
 
+TOGGLES = {f.name for f in fields(Toggles)}
+
+
 def make_pm(client_id=1, peer=0, lag=500, local_entities=(), regions=None,
             **overrides):
+    """A manager for client_id with one relay link to peer. Overrides name
+    PolicySet or Toggles fields; the default class policy has a zero
+    convergence window and the given lag."""
     sent = []
     region_set = RegionSet()
     for region in regions or ():
         region_set.add(region)
+    toggles = {k: overrides.pop(k) for k in TOGGLES & set(overrides)}
     config = PlayerManagerConfig(
         client_id=client_id,
-        dr_policy=DeadReckoningPolicy(threshold_m=0.5, convergence_ms=0),
-        lag_policy=LagPolicy(default_lag_ms=lag),
         regions=region_set,
         links=[LinkSpec(0, (client_id, peer), 250)],
         local_entities=local_entities,
-        **overrides)
+        policies=PolicySet(default=ClassPolicy(threshold_m=0.5,
+                                               convergence_ms=0, lag_ms=lag),
+                           **overrides),
+        toggles=Toggles(**toggles))
     spy = Spy()
     pm = PlayerManager(config, spy, lambda link, data: sent.append((link, data)))
     return pm, spy, sent
@@ -99,6 +112,22 @@ def test_late_event_rollback_callback_trace():
     assert [m.timestamp for m in spy.undone] == [140, 130]
     assert [m.timestamp for m in spy.events] == [100, 130, 140, 120, 130, 140]
     assert pm.counters.rollbacks == 1
+
+
+def test_failing_game_callback_aborts_the_rollback_uncommitted():
+    pm, spy, _ = make_pm(receiver_side_lag=False)
+    pm.start_session([PeerCapabilities(0)], 0)
+    for i, ts in enumerate((100, 130, 140)):
+        pm.on_network_message(encode(event(ts, seq=i + 1)), ts + 5, 0)
+    logged = len(pm.log)
+
+    def failing_undo(msg):
+        raise RuntimeError("the game lost its inverse record")
+
+    spy.undo_event = failing_undo
+    with pytest.raises(rb.CallbackFailure):
+        pm.on_network_message(encode(event(120, seq=4)), 141, 0)
+    assert len(pm.log) == logged
 
 
 def test_late_tagged_message_goes_straight_to_rollback():
@@ -166,7 +195,7 @@ def test_strong_mode_tightens_threshold():
     pm, spy, sent = make_pm(client_id=0, peer=1, local_entities=(3,),
                             regions=[Rect(-100, -100, 100, 100)],
                             heartbeat_ms=10**9,
-                            strong_threshold_scale=0.25)
+                            critical_threshold_scale=0.25)
     pm.start_session([PeerCapabilities(1)], 0)
     spy.local[3] = EntityKinematics((0.0, 0.0), (0.0, 0.0), 0)
     pm.tick(0)    # initial unconditional send
@@ -231,7 +260,7 @@ def test_critical_proximity_holds_only_for_the_peer_within_the_radius():
         client_id=0,
         links=[LinkSpec(0, (0, 1), 250), LinkSpec(1, (0, 2), 250)],
         local_entities=(10,), entity_owner={10: 0, 11: 1, 12: 2},
-        critical_proximity_radius_m=5.0)
+        policies=PolicySet(critical_proximity_radius_m=5.0))
     spy = Spy()
     pm = PlayerManager(config, spy, lambda link, data: None)
     pm.start_session([PeerCapabilities(1), PeerCapabilities(2)], 0)
@@ -274,7 +303,8 @@ def relay_and_direct_pm():
         client_id=0,
         links=[LinkSpec(0, (0, 1), 250),
                LinkSpec(1, (0, 1), 40, kind=LinkKind.DIRECT)],
-        overlay_enabled=True, route_hysteresis_ms=500)
+        policies=PolicySet(route_hysteresis_ms=500),
+        toggles=Toggles(overlay=True))
     sent = []
     pm = PlayerManager(config, Spy(), lambda link, data: sent.append(link))
     pm.start_session([PeerCapabilities(1)], 0)
@@ -363,8 +393,8 @@ def blending_pm(**overrides):
     """make_pm with a 200 ms convergence window and no receiver-side lag,
     so each frame is applied on arrival."""
     pm, spy, sent = make_pm(receiver_side_lag=False, **overrides)
-    pm.config.dr_policy = DeadReckoningPolicy(threshold_m=0.5,
-                                              convergence_ms=200)
+    pm.config.policies.default = ClassPolicy(threshold_m=0.5,
+                                             convergence_ms=200)
     pm.start_session([PeerCapabilities(0)], 0)
     return pm, spy
 
@@ -473,7 +503,8 @@ def test_each_data_frame_evaluates_its_mode_once():
 
 
 def test_ping_lost_on_the_wire_expires_after_history_window():
-    pm, spy, sent = make_pm(history_window_ms=2000)
+    pm, spy, sent = make_pm()
+    assert pm.log.history_window_ms == 2000
     pm.start_session([PeerCapabilities(0)], 0)
     lost = decode(sent[0][1])
     pm.tick(2000)
@@ -488,7 +519,7 @@ def test_ping_lost_on_the_wire_expires_after_history_window():
 
 
 def test_late_pong_inside_history_window_is_observed():
-    pm, spy, sent = make_pm(history_window_ms=2000)
+    pm, spy, sent = make_pm()
     pm.start_session([PeerCapabilities(0)], 0)
     ping = decode(sent[0][1])
     for t in range(50, 1951, 50):
@@ -524,8 +555,8 @@ def test_traffic_suppresses_idle_pings():
 
 def test_convergence_blends_toward_new_correction():
     pm, spy, _ = make_pm(receiver_side_lag=False)
-    pm.config.dr_policy = DeadReckoningPolicy(threshold_m=0.5,
-                                              convergence_ms=200)
+    pm.config.policies.default = ClassPolicy(threshold_m=0.5,
+                                             convergence_ms=200)
     pm.start_session([PeerCapabilities(0)], 0)
     pm.on_network_message(encode(state(100, seq=1, pos=(0.0, 0.0),
                                        vel=(0.0, 0.0))), 100, 0)

@@ -114,6 +114,50 @@ def test_rollback_scope_validated():
         parse_scenario(doc)
 
 
+def test_has_gps_clock_key_rejected():
+    doc = minimal_doc()
+    doc["clients"][0]["has_gps_clock"] = False
+    with pytest.raises(ValidationError, match="has_gps_clock"):
+        parse_scenario(doc)
+
+
+# (path into the shipped carrace document, malformed value, the field the
+# error must name)
+MALFORMED = [
+    (("clients",), 5, r"\$\.clients"),
+    (("clients", 0, "entities"), 5, r"clients\[0\]\.entities"),
+    (("clients", 0, "entities", 0, "events"), 5, r"entities\[0\]\.events"),
+    (("links",), 5, r"\$\.links"),
+    (("regions",), 5, r"\$\.regions"),
+    (("policies", "classes"), [1], r"policies\.classes"),
+    (("links", 0, "endpoints"), [[0], [1]], r"links\[0\]\.endpoints"),
+    (("links", 0, "kind"), [1], r"links\[0\]\.kind"),
+    (("link_events",), [{"at": 0, "link": [0], "available": False}],
+     r"link_events\[0\]\.link"),
+    (("clients", 0, "entities", 0, "events"), [{"kind": [1], "at": 0}],
+     r"events\[0\]\.kind"),
+    (("clients", 0, "entities", 0, "class"), [1], r"entities\[0\]\.class"),
+    (("clients", 0, "entities", 0, "motion", "speed"), float("inf"),
+     r"motion\.speed"),
+    (("clients", 0, "entities", 0, "motion", "points", 0), [float("nan"), 0],
+     r"motion\.points\[0\]"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, named", MALFORMED,
+    ids=[".".join(map(str, p)) + "=" + json.dumps(v) for p, v, _ in MALFORMED])
+def test_malformed_document_raises_validation_error(scenarios_dir, path,
+                                                    value, named):
+    doc = json.loads((scenarios_dir / "carrace.json").read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValidationError, match=named):
+        parse_scenario(doc)
+
+
 def test_shipped_carrace_scenario(scenarios_dir):
     config = load_scenario(scenarios_dir / "carrace.json")
     assert len(config.clients) == 2
