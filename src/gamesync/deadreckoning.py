@@ -48,12 +48,36 @@ def dist(ax: float, ay: float, bx: float, by: float) -> float:
     return math.sqrt(dx * dx + dy * dy)
 
 
+def displayed_at(corrected: EntityKinematics, snapshot: tuple | None,
+                 epoch_start: int, window: int, t: int) -> tuple[float, float]:
+    """The display rule: where a receiver shows an entity at t.
+
+    corrected is the latest correction; snapshot is the position displayed
+    when its blend epoch began at epoch_start, and window the epoch's
+    convergence window. Before corrected.at (a skewed clock) the rule shows
+    corrected.pos and never extrapolates backwards. From then on it blends
+    linearly from snapshot toward the prediction pos + vel * (t - at) / 1000,
+    completing at epoch_start + window and tracking the prediction exactly
+    thereafter. No snapshot, or a zero window, snaps to the prediction.
+    """
+    pos, vel, at = corrected
+    if t < at:
+        return pos
+    dt = (t - at) / 1000.0
+    tx = pos[0] + vel[0] * dt
+    ty = pos[1] + vel[1] * dt
+    if snapshot is None or window <= 0 or t >= epoch_start + window:
+        return tx, ty
+    u = (t - epoch_start) / window
+    sx, sy = snapshot
+    return sx + (tx - sx) * u, sy + (ty - sy) * u
+
+
 def predict(last: EntityKinematics, t: int) -> tuple[float, float]:
     """Extrapolate position to time t: pos + vel * (t - at) / 1000."""
     if t < last.at:
         raise TimeBeforeSample(f"t={t} before sample at {last.at}")
-    dt = (t - last.at) / 1000.0
-    return last.pos[0] + last.vel[0] * dt, last.pos[1] + last.vel[1] * dt
+    return displayed_at(last, None, 0, 0, t)
 
 
 def should_send(actual: EntityKinematics,
@@ -90,10 +114,5 @@ def converge(displayed: tuple[float, float],
     """
     if t < corrected.at:
         raise TimeBeforeSample(f"t={t} before correction at {corrected.at}")
-    tx, ty = predict(corrected, t)
-    window = policy.convergence_ms
-    if window <= 0 or t >= epoch_start + window:
-        return tx, ty
-    u = (t - epoch_start) / window
-    sx, sy = displayed
-    return sx + (tx - sx) * u, sy + (ty - sy) * u
+    return displayed_at(corrected, displayed, epoch_start,
+                        policy.convergence_ms, t)

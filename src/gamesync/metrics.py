@@ -11,7 +11,10 @@ text. The tick row also comes in parts, so a sampler formats the columns
 an entity's viewers share once per entity and tick: TICK_ENTITY renders
 tick_ms, entity and owner, TICK_TRUTH renders truth_x and truth_y, and
 TICK_VIEWER takes both rendered parts whole, around the viewer, and ends the
-row. The parts render the same bytes as TICK_ROW.
+row. Viewers that show an entity at the same point also share its shown
+columns: TICK_SHOWN renders shown_x, shown_y, divergence_m and mode once per
+point, and TICK_SHARED takes that part whole in their place. Either way the
+parts render the same bytes as TICK_ROW.
 """
 
 import math
@@ -29,6 +32,10 @@ TICK_TRUTH = ",%r,%r,"                    # truth_x, truth_y
 TICK_VIEWER = "%s%r%s%r,%r,%r,%s,%r\n"    # entity part, viewer, truth part,
                                           # shown_x, shown_y, divergence_m,
                                           # mode, route
+TICK_SHOWN = "%r,%r,%r,%s,"               # shown_x, shown_y, divergence_m,
+                                          # mode
+TICK_SHARED = "%s%r%s%s%r\n"              # entity part, viewer, truth part,
+                                          # shown part, route
 
 
 def percentile(sorted_values, p: float):

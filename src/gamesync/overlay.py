@@ -60,23 +60,49 @@ class RouteDecision:
     last_switch_at: int = 0
 
 
+_INF = float("inf")
+
+
 def best_link(candidates, estimates):
     """The candidate link with the lowest estimated delay.
 
-    Unknown estimates sort last; ties break on link_id for determinism.
+    Unknown estimates sort last; ties break on the lower link_id for
+    determinism. This is the one place the order (estimate or infinity,
+    link_id) is written. Raises ValueError on no candidates.
     """
-    def key(link):
-        est = estimates.get(link.link_id)
-        return (est if est is not None else float("inf"), link.link_id)
-    return min(candidates, key=key)
+    best = None
+    for link in candidates:
+        link_id = link.link_id
+        est = estimates.get(link_id)
+        if est is None:
+            est = _INF
+        if (best is None or est < best_est
+                or (est == best_est and link_id < best_id)):
+            best, best_est, best_id = link, est, link_id
+    if best is None:
+        raise ValueError("best_link() of no candidates")
+    return best
+
+
+def _partition(links):
+    """One pass over a peer's links: the available ones, the available
+    relays, and whether an available direct link exists."""
+    available, relays, direct_up = [], [], False
+    for link in links:
+        if link.available:
+            available.append(link)
+            if link.kind is LinkKind.RELAY:
+                relays.append(link)
+            elif link.kind is LinkKind.DIRECT:
+                direct_up = True
+    return available, relays, direct_up
 
 
 def default_route(links, estimates) -> int:
     """Initial choice: best relay link, or best available link if no relay."""
-    available = [l for l in links if l.available]
+    available, relays, _ = _partition(links)
     if not available:
         raise NoAvailableLink("no available link")
-    relays = [l for l in available if l.kind is LinkKind.RELAY]
     return best_link(relays or available, estimates).link_id
 
 
@@ -90,13 +116,12 @@ def select_route(peer: int, links, latency_estimates: dict,
     delay; otherwise returns to the relay default. Never switches within
     hysteresis_ms of the previous switch.
     """
-    available = [l for l in links if l.available]
+    available, relays, direct_up = _partition(links)
     if not available:
         raise NoAvailableLink(f"no available link to peer {peer}")
-    if critical_proximity and any(l.kind is LinkKind.DIRECT for l in available):
+    if critical_proximity and direct_up:
         desired = best_link(available, latency_estimates).link_id
     else:
-        relays = [l for l in available if l.kind is LinkKind.RELAY]
         desired = best_link(relays or available, latency_estimates).link_id
     if desired == decision.chosen_link:
         return decision

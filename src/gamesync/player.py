@@ -30,8 +30,11 @@ from dataclasses import dataclass, field, replace
 from gamesync import rollback as rb
 from gamesync.clock import (DEFAULT_ALPHA, DelaySample, LatencyEstimator,
                             VirtualClock, delay_from_timestamp, rtt_probe)
+# converge is no longer called here: displayed_at is the display rule it
+# delegates to. The name stays importable from this module, where
+# perfbench's traced runs wrap it.
 from gamesync.deadreckoning import (DEFAULT_HEARTBEAT_MS, DeadReckoningPolicy,
-                                    EntityKinematics, converge, predict,
+                                    EntityKinematics, converge, displayed_at,
                                     should_send)
 from gamesync.locallag import (DEFAULT_CLASS, DEFAULT_CRITICAL_SCALE,
                                LagPolicy, PlayoutBuffer)
@@ -151,12 +154,12 @@ class PmCounters:
     queue_drops: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _RemoteView:
     corrected: EntityKinematics
     epoch_start: int
     snapshot: tuple | None    # displayed pos when the epoch began; None snaps
-    policy: DeadReckoningPolicy   # the entity's policy when the epoch began
+    window: int     # the entity's convergence window when the epoch began
 
 
 class _DirectiveAdapter:
@@ -370,14 +373,14 @@ class PlayerManager:
         view = self._views.get(entity_id)
         shown = None
         if view is None:
-            self._views[entity_id] = _RemoteView(kin, now, None,
-                                                 self._dr_policy(entity_id))
+            self._views[entity_id] = _RemoteView(
+                kin, now, None, self._dr_policy(entity_id).convergence_ms)
         elif kin.at >= view.corrected.at and kin != view.corrected:
-            policy = self._dr_policy(entity_id)
+            window = self._dr_policy(entity_id).convergence_ms
             snapshot = None
-            if policy.convergence_ms:
+            if window:
                 snapshot = self.displayed_position(entity_id, now)
-            self._views[entity_id] = _RemoteView(kin, now, snapshot, policy)
+            self._views[entity_id] = _RemoteView(kin, now, snapshot, window)
             if now >= kin.at:
                 shown = snapshot
         if shown is None:
@@ -387,16 +390,21 @@ class PlayerManager:
 
     def displayed_position(self, entity_id: int, now: int) -> tuple | None:
         """Current dead-reckoned/converging display position, or None if no
-        update has been played out yet."""
+        update has been played out yet (see deadreckoning.displayed_at)."""
         view = self._views.get(entity_id)
         if view is None:
             return None
-        if now < view.corrected.at:
-            return view.corrected.pos    # skewed clock: no backwards extrapolation
-        if view.snapshot is None:
-            return predict(view.corrected, now)
-        return converge(view.snapshot, view.epoch_start, view.corrected,
-                        view.policy, now)
+        return displayed_at(view.corrected, view.snapshot, view.epoch_start,
+                            view.window, now)
+
+    def displayed_positions(self, now: int) -> dict:
+        """Every displayed_position at now in one pass, by entity id, for
+        the entities that have had an update played out."""
+        shown = {}
+        for entity_id, view in self._views.items():
+            shown[entity_id] = displayed_at(view.corrected, view.snapshot,
+                                            view.epoch_start, view.window, now)
+        return shown
 
     # -- transmission pipeline ---------------------------------------------
 

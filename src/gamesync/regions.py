@@ -6,12 +6,20 @@ to an entity (it moves with the entity). While an entity is inside any
 region its stream runs in strong mode: the dead-reckoning threshold and the
 local-lag value are scaled down. Entry is immediate; exit keeps strong mode
 for a short hysteresis window to avoid flapping at boundaries.
+
+Containment is written once, in `_inside`, over flat per-kind records: a
+rect as (min_x, min_y, max_x, max_y), a circle as (cx, cy, r) and an
+anchored circle as (anchor, r), each tagged with its kind. A RegionSet keeps
+the record of every region it holds, so testing a point against all of them
+is one loop with no per-region function call, and `contains` tests a single
+region through the same loop. Circles compare sqrt(dx*dx + dy*dy) with the
+radius, the formula of `deadreckoning.dist`, so a point on a boundary gets
+the same answer everywhere.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-
-from gamesync.deadreckoning import dist
+from math import sqrt
 
 EXIT_HYSTERESIS_MS = 250
 
@@ -58,6 +66,48 @@ class AnchoredCircle:
 
 Region = Rect | Circle | AnchoredCircle
 
+_RECT, _CIRCLE, _ANCHORED = range(3)
+
+
+def _record(region: Region) -> tuple:
+    """The region's kind tag and flat record."""
+    if isinstance(region, Rect):
+        return _RECT, (region.min_x, region.min_y, region.max_x, region.max_y)
+    if isinstance(region, Circle):
+        return _CIRCLE, (region.center[0], region.center[1], region.radius)
+    return _ANCHORED, (region.anchor_entity_id, region.radius)
+
+
+def _inside(records, point, entity_positions, skip_unknown: bool) -> bool:
+    """True if the point is inside any of the tagged records (inclusive).
+
+    An anchored circle centres on its anchor's position in
+    entity_positions. Without one it is skipped, or raises UnknownAnchor
+    unless skip_unknown is set."""
+    x, y = point
+    for kind, record in records:
+        if kind == _RECT:
+            min_x, min_y, max_x, max_y = record
+            if min_x <= x <= max_x and min_y <= y <= max_y:
+                return True
+            continue
+        if kind == _CIRCLE:
+            cx, cy, r = record
+        else:
+            anchor, r = record
+            center = (None if entity_positions is None
+                      else entity_positions.get(anchor))
+            if center is None:
+                if skip_unknown:
+                    continue
+                raise UnknownAnchor(f"no known position for entity {anchor}")
+            cx, cy = center
+        dx = cx - x
+        dy = cy - y
+        if sqrt(dx * dx + dy * dy) <= r:
+            return True
+    return False
+
 
 def contains(region: Region, point: tuple[float, float],
              entity_positions: dict | None = None) -> bool:
@@ -66,15 +116,7 @@ def contains(region: Region, point: tuple[float, float],
     AnchoredCircle centers on the anchor entity's latest known position from
     entity_positions; raises UnknownAnchor if it has none.
     """
-    x, y = point
-    if isinstance(region, Rect):
-        return region.min_x <= x <= region.max_x and region.min_y <= y <= region.max_y
-    if isinstance(region, Circle):
-        return dist(x, y, region.center[0], region.center[1]) <= region.radius
-    anchor = None if entity_positions is None else entity_positions.get(region.anchor_entity_id)
-    if anchor is None:
-        raise UnknownAnchor(f"no known position for entity {region.anchor_entity_id}")
-    return dist(x, y, anchor[0], anchor[1]) <= region.radius
+    return _inside((_record(region),), point, entity_positions, False)
 
 
 class RegionSet:
@@ -82,12 +124,14 @@ class RegionSet:
 
     def __init__(self):
         self._regions: dict[int, Region] = {}
+        self._records: list[tuple] = []   # _record of each, in id order
         self._next_id = 0
 
     def add(self, region: Region) -> int:
         region_id = self._next_id
         self._next_id += 1
         self._regions[region_id] = region
+        self._records.append(_record(region))
         return region_id
 
     def __len__(self):
@@ -105,13 +149,7 @@ class RegionSet:
         Anchored regions whose anchor has no known position yet cannot
         contain anything and are skipped.
         """
-        for region in self._regions.values():
-            try:
-                if contains(region, point, entity_positions):
-                    return True
-            except UnknownAnchor:
-                continue
-        return False
+        return _inside(self._records, point, entity_positions, True)
 
 
 class ConsistencyMode(Enum):
@@ -129,12 +167,16 @@ class ModeTracker:
     def __init__(self, regions: RegionSet,
                  exit_hysteresis_ms: int = EXIT_HYSTERESIS_MS):
         self.regions = regions
+        # The set's record list itself (add appends to it), walked here
+        # directly so that evaluating a mode costs one call into the
+        # geometry, not two.
+        self._records = regions._records
         self.exit_hysteresis_ms = exit_hysteresis_ms
         self._last_inside: dict[int, int] = {}
 
     def mode_for(self, entity_id: int, pos: tuple[float, float],
                  entity_positions: dict | None, now: int) -> ConsistencyMode:
-        if self.regions.any_contains(pos, entity_positions):
+        if _inside(self._records, pos, entity_positions, True):
             self._last_inside[entity_id] = now
             return ConsistencyMode.STRONG
         last = self._last_inside.get(entity_id)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from gamesync.deadreckoning import EntityKinematics, dist
 from gamesync.metrics import (DELIVERY_HEADER, DELIVERY_ROW, EVENT_HEADER,
                               EVENT_ROW, TICK_ENTITY, TICK_HEADER, TICK_ROW,
-                              TICK_TRUTH, TICK_VIEWER, CsvWriter, RunningStats,
-                              format_summary, percentile)
+                              TICK_SHARED, TICK_SHOWN, TICK_TRUTH, TICK_VIEWER,
+                              CsvWriter, RunningStats, format_summary,
+                              percentile)
 from gamesync.netsim import InvariantViolation, NetworkSim
 from gamesync.overlay import PeerCapabilities
 from gamesync.player import (GameCallbacks, PlayerManager,
@@ -47,10 +48,9 @@ class _Bot(GameCallbacks):
         self.event_playouts: dict[tuple, int] = {}   # first playout per event
 
     def query_local_state(self, entity_id):
-        spec = self.entities[entity_id]
         t = self._now_fn()
-        return EntityKinematics(spec.motion.position(t),
-                                spec.motion.velocity(t), t)
+        pos, vel = self.entities[entity_id].motion.state(t)
+        return EntityKinematics(pos, vel, t)
 
     def apply_event(self, msg):
         key = (msg.sender_id, msg.entity_id, msg.seq)
@@ -148,14 +148,13 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
 
         # One sampling plan per entity, resolved before the first tick: its
         # truth function, its owner and the owner's manager, and every other
-        # client with its bound displayed_position.
+        # client, its viewers.
         plans = []
         fire_cursor = {}
         for client_spec in clients:
             owner = client_spec.client_id
             for spec in client_spec.entities:
-                viewers = [(viewer, pms[viewer].displayed_position)
-                           for viewer in client_ids if viewer != owner]
+                viewers = [viewer for viewer in client_ids if viewer != owner]
                 plans.append((spec.entity_id, spec.motion.position, owner,
                               pms[owner], viewers))
                 fire_cursor[(owner, spec.entity_id)] = 0
@@ -206,39 +205,78 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
             return do_tick
 
         write_ticks = tick_writer.write
-        add_divergence = divergence.add
+        viewer_pms = [(cid, pms[cid]) for cid in client_ids]
 
         def sample(now):
-            """Add every (entity, viewer) divergence in row order, and write
-            the tick's rows in one batch before checking the invariants. The
-            columns an entity's viewers share are formatted once, and
-            nothing is formatted without a tick file."""
+            """Add every (entity, viewer) divergence to the run's statistics
+            in row order, and write the tick's rows in one batch before
+            checking the invariants.
+
+            Each viewer's displays come from one displayed_positions pass.
+            The columns an entity's viewers share are formatted once. So are
+            the shown columns of a point that several of them show (viewers
+            past their blend that hold the same update), and its divergence
+            is computed once: the first viewer of a point renders its row
+            whole, and a later one renders the point's shown part once and
+            reuses it. Only points with both coordinates nonzero are shared,
+            because 0.0 == -0.0 but their reprs differ. An entity with one
+            viewer shares nothing and keeps no table of points. Nothing is
+            formatted without a tick file."""
             if now + tick_ms <= duration_ms:
                 sim.schedule_call(now + tick_ms, sample)
+            shown_by = {}
+            for cid, pm in viewer_pms:
+                shown_by[cid] = pm.displayed_positions(now)
             lines = []
+            count, total = divergence.count, divergence.total
+            maximum = divergence.maximum
             for entity_id, position, owner, owner_pm, viewers in plans:
                 tx, ty = position(now)
                 mode = owner_pm.mode_of(entity_id).value
+                routes = owner_pm.routes
+                points = {} if len(viewers) > 1 else None
                 entity_part = None
-                for viewer, displayed_position in viewers:
-                    shown = displayed_position(entity_id, now)
+                for viewer in viewers:
+                    shown = shown_by[viewer].get(entity_id)
                     if shown is None:
                         continue
                     sx, sy = shown
-                    div = dist(tx, ty, sx, sy)
-                    add_divergence(div)
-                    route = owner_pm.route_to(viewer)
-                    route = -1 if route is None else route
+                    point = None
+                    if points is not None and sx and sy:
+                        point = points.get(shown)
+                        if point is None:
+                            div = dist(tx, ty, sx, sy)
+                            points[shown] = [div, None]
+                        else:
+                            div = point[0]
+                    else:
+                        div = dist(tx, ty, sx, sy)
+                    count += 1
+                    total += div
+                    if maximum is None or div > maximum:
+                        maximum = div
+                    decision = routes.get(viewer)
+                    route = -1 if decision is None else decision.chosen_link
                     if write_ticks is not None:
                         if entity_part is None:
                             entity_part = TICK_ENTITY % (now, entity_id, owner)
                             truth_part = TICK_TRUTH % (tx, ty)
-                        lines.append(TICK_VIEWER % (entity_part, viewer,
-                                                    truth_part, sx, sy, div,
-                                                    mode, route))
+                        if point is None:
+                            lines.append(TICK_VIEWER % (
+                                entity_part, viewer, truth_part, sx, sy, div,
+                                mode, route))
+                        else:
+                            part = point[1]
+                            if part is None:
+                                part = point[1] = TICK_SHOWN % (sx, sy, div,
+                                                                mode)
+                            lines.append(TICK_SHARED % (
+                                entity_part, viewer, truth_part, part, route))
                     if keep_rows:
                         tick_rows.append((now, entity_id, owner, viewer, tx,
                                           ty, sx, sy, div, mode, route))
+            divergence.count, divergence.total = count, total
+            divergence.maximum = maximum
             if lines:
                 write_ticks("".join(lines))
             _check_invariants(now)

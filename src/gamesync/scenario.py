@@ -85,13 +85,17 @@ class ConstantVelocity:
         self.pos0 = (float(pos[0]), float(pos[1]))
         self.vel = (float(vel[0]), float(vel[1]))
 
-    def position(self, t: int) -> tuple[float, float]:
+    def state(self, t: int) -> tuple:
+        """(position, velocity) at t."""
         dt = t / 1000.0
-        return (self.pos0[0] + self.vel[0] * dt,
-                self.pos0[1] + self.vel[1] * dt)
+        return ((self.pos0[0] + self.vel[0] * dt,
+                 self.pos0[1] + self.vel[1] * dt), self.vel)
+
+    def position(self, t: int) -> tuple[float, float]:
+        return self.state(t)[0]
 
     def velocity(self, t: int) -> tuple[float, float]:
-        return self.vel
+        return self.state(t)[1]
 
 
 class WaypointPath:
@@ -115,9 +119,19 @@ class WaypointPath:
             length = math.hypot(b[0] - a[0], b[1] - a[1])
             if length == 0.0:
                 raise ValidationError("motion.points contains a zero-length segment")
+            scale = self.speed / length
+            if not all(map(math.isfinite, (b[0] - a[0], b[1] - a[1],
+                                           (b[0] - a[0]) * scale,
+                                           (b[1] - a[1]) * scale))):
+                raise ValidationError(
+                    "motion.points: a segment or its velocity exceeds the "
+                    "float range")
             self._segments.append((a, b, length))
             self._cum.append(self._cum[-1] + length)
         self.total = self._cum[-1]
+        if not math.isfinite(self.total):
+            raise ValidationError("motion.points: the path length exceeds "
+                                  "the float range")
 
     def _locate(self, t: int):
         s = self.speed * (t / 1000.0)
@@ -132,20 +146,21 @@ class WaypointPath:
                 return a, b, length, u
         return None
 
-    def position(self, t: int) -> tuple[float, float]:
+    def state(self, t: int) -> tuple:
+        """(position, velocity) at t, from one segment lookup."""
         loc = self._locate(t)
         if loc is None:
-            return self.points[-1]
-        a, b, _, u = loc
-        return (a[0] + (b[0] - a[0]) * u, a[1] + (b[1] - a[1]) * u)
+            return self.points[-1], (0.0, 0.0)
+        a, b, length, u = loc
+        scale = self.speed / length
+        return ((a[0] + (b[0] - a[0]) * u, a[1] + (b[1] - a[1]) * u),
+                ((b[0] - a[0]) * scale, (b[1] - a[1]) * scale))
+
+    def position(self, t: int) -> tuple[float, float]:
+        return self.state(t)[0]
 
     def velocity(self, t: int) -> tuple[float, float]:
-        loc = self._locate(t)
-        if loc is None:
-            return (0.0, 0.0)
-        a, b, length, _ = loc
-        scale = self.speed / length
-        return ((b[0] - a[0]) * scale, (b[1] - a[1]) * scale)
+        return self.state(t)[1]
 
 
 MotionScript = ConstantVelocity | WaypointPath
@@ -199,6 +214,10 @@ def _field_names(cls) -> set:
     return {f.name for f in fields(cls)}
 
 
+U32_MAX = (1 << 32) - 1   # client and entity ids travel as uint32
+U64_MAX = (1 << 64) - 1   # timestamps travel as uint64
+
+
 def _is_number(obj) -> bool:
     """An int, or a finite float (Python's json reads NaN and Infinity)."""
     if isinstance(obj, float):
@@ -206,21 +225,54 @@ def _is_number(obj) -> bool:
     return isinstance(obj, int) and not isinstance(obj, bool)
 
 
-def _number(obj, path, minimum=None, integer=False):
+def _number(obj, path, minimum=None, integer=False, maximum=None):
     if not _is_number(obj):
         raise ValidationError(f"{path}: expected a finite number")
     if integer and not isinstance(obj, int):
         raise ValidationError(f"{path}: expected an integer")
     if minimum is not None and obj < minimum:
         raise ValidationError(f"{path}: must be >= {minimum}")
+    if maximum is not None and obj > maximum:
+        raise ValidationError(f"{path}: must be <= {maximum}")
     return obj
+
+
+def _float(obj, path):
+    """A JSON number as a float; an integer beyond the double range is a
+    ValidationError, not an OverflowError."""
+    try:
+        return float(obj)
+    except OverflowError:
+        raise ValidationError(f"{path}: {obj} exceeds the float range") from None
+
+
+def _real(obj, path, minimum=None):
+    return _float(_number(obj, path, minimum), path)
 
 
 def _point(obj, path):
     if (not isinstance(obj, list) or len(obj) != 2
             or not all(map(_is_number, obj))):
         raise ValidationError(f"{path}: expected [x, y]")
-    return (float(obj[0]), float(obj[1]))
+    return (_float(obj[0], path), _float(obj[1], path))
+
+
+def _check_motion_range(motion, duration_ms, path):
+    """Position and velocity must stay finite up to duration_ms, or the
+    run would send a frame it cannot encode. A constant velocity moves
+    linearly, and a waypoint path checks its segments and their velocities
+    when it is built, so what is left to check is the state at
+    duration_ms: the farthest position, and the arc length a looped path
+    has covered by then."""
+    try:
+        (x, y), (vx, vy) = motion.state(duration_ms)
+        finite = all(map(math.isfinite, (x, y, vx, vy)))
+    except ValueError:   # fmod of an arc length beyond the float range
+        finite = False
+    if not finite:
+        raise ValidationError(
+            f"{path}: position or velocity leaves the float range before "
+            f"duration_ms")
 
 
 def _bool(obj, path):
@@ -253,7 +305,7 @@ def _parse_motion(obj, path) -> MotionScript:
         _require_keys(obj, path, {"kind", "points", "speed"}, {"loop"})
         pts = [_point(p, f"{path}.points[{i}]")
                for i, p in enumerate(_list(obj["points"], f"{path}.points"))]
-        return WaypointPath(pts, _number(obj["speed"], f"{path}.speed"),
+        return WaypointPath(pts, _real(obj["speed"], f"{path}.speed"),
                             _bool(obj.get("loop", False), f"{path}.loop"))
     raise ValidationError(f"{path}.kind: unknown motion kind {kind!r}")
 
@@ -262,7 +314,9 @@ _EVENT_KINDS = {"fire": EventKind.FIRE, "spawn": EventKind.SPAWN,
                 "despawn": EventKind.DESPAWN}
 
 
-def _parse_events(items, path):
+def _parse_events(items, path, duration_ms):
+    """The entity's events at or before duration_ms, in time order; later
+    ones never fire, and a series is never expanded past the run's end."""
     events = []
     for i, obj in enumerate(_list(items, path)):
         p = f"{path}[{i}]"
@@ -273,13 +327,17 @@ def _parse_events(items, path):
             raise ValidationError(f"{p}.kind: unknown event kind {obj['kind']!r}")
         if "at" in obj:
             _require_keys(obj, p, {"kind", "at"}, set())
-            events.append((_number(obj["at"], f"{p}.at", 0, True), kind))
+            at = _number(obj["at"], f"{p}.at", 0, True)
+            if at <= duration_ms:
+                events.append((at, kind))
         else:
             _require_keys(obj, p, {"kind", "first", "every", "count"}, set())
             first = _number(obj["first"], f"{p}.first", 0, True)
             every = _number(obj["every"], f"{p}.every", 1, True)
             count = _number(obj["count"], f"{p}.count", 1, True)
-            events.extend((first + k * every, kind) for k in range(count))
+            if first <= duration_ms:
+                count = min(count, (duration_ms - first) // every + 1)
+                events.extend((first + k * every, kind) for k in range(count))
     events.sort()
     return events
 
@@ -297,12 +355,12 @@ def _parse_region(obj, path) -> Region:
         if kind == "circle":
             _require_keys(obj, path, {"kind", "center", "radius"}, set())
             return Circle(_point(obj["center"], f"{path}.center"),
-                          _number(obj["radius"], f"{path}.radius"))
+                          _real(obj["radius"], f"{path}.radius"))
         if kind == "anchored_circle":
             _require_keys(obj, path, {"kind", "anchor_entity", "radius"}, set())
             return AnchoredCircle(
                 _number(obj["anchor_entity"], f"{path}.anchor_entity", 0, True),
-                _number(obj["radius"], f"{path}.radius"))
+                _real(obj["radius"], f"{path}.radius"))
     except ValidationError:
         raise
     except Exception as exc:
@@ -313,8 +371,8 @@ def _parse_region(obj, path) -> Region:
 def _parse_class_policy(obj, path, base: ClassPolicy) -> ClassPolicy:
     _require_keys(obj, path, set(), _field_names(ClassPolicy))
     return ClassPolicy(
-        threshold_m=_number(obj.get("threshold_m", base.threshold_m),
-                            f"{path}.threshold_m", 1e-9),
+        threshold_m=_real(obj.get("threshold_m", base.threshold_m),
+                          f"{path}.threshold_m", 1e-9),
         convergence_ms=_number(obj.get("convergence_ms", base.convergence_ms),
                                f"{path}.convergence_ms", 0, True),
         lag_ms=_number(obj.get("lag_ms", base.lag_ms), f"{path}.lag_ms", 0, True))
@@ -339,7 +397,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         path = f"$.clients[{i}]"
         _require_keys(obj, path, {"id", "entities"},
                       {"direct_address_known", "clock_offset_ms"})
-        cid = _number(obj["id"], f"{path}.id", 0, True)
+        cid = _number(obj["id"], f"{path}.id", 0, True, U32_MAX)
         if cid in client_ids:
             raise ValidationError(f"{path}.id: duplicate client id {cid}")
         client_ids.add(cid)
@@ -347,22 +405,27 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         for j, ent in enumerate(_list(obj["entities"], f"{path}.entities")):
             epath = f"{path}.entities[{j}]"
             _require_keys(ent, epath, {"id", "motion"}, {"class", "events"})
-            eid = _number(ent["id"], f"{epath}.id", 0, True)
+            eid = _number(ent["id"], f"{epath}.id", 0, True, U32_MAX)
             if eid in entity_ids:
                 raise ValidationError(f"{epath}.id: duplicate entity id {eid}")
             entity_ids.add(eid)
+            motion = _parse_motion(ent["motion"], f"{epath}.motion")
+            _check_motion_range(motion, duration, f"{epath}.motion")
             entities.append(EntitySpec(
                 entity_id=eid,
                 class_id=_string(ent.get("class", DEFAULT_CLASS),
                                  f"{epath}.class"),
-                motion=_parse_motion(ent["motion"], f"{epath}.motion"),
-                events=_parse_events(ent.get("events", []), f"{epath}.events")))
+                motion=motion,
+                events=_parse_events(ent.get("events", []), f"{epath}.events",
+                                     duration)))
+        # A client's clock reads at most duration_ms + its offset.
         clients.append(ClientSpec(
             client_id=cid, entities=entities,
             direct_address_known=_bool(obj.get("direct_address_known", True),
                                        f"{path}.direct_address_known"),
             clock_offset_ms=_number(obj.get("clock_offset_ms", 0),
-                                    f"{path}.clock_offset_ms", None, True)))
+                                    f"{path}.clock_offset_ms", None, True,
+                                    U64_MAX - duration)))
 
     links = []
     link_ids = set()
@@ -397,7 +460,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                 base_delay_ms=_number(obj["base_delay_ms"],
                                       f"{path}.base_delay_ms", 0, True),
                 jitter_ms=_number(obj.get("jitter_ms", 0), f"{path}.jitter_ms", 0, True),
-                loss_prob=_number(obj.get("loss_prob", 0.0), f"{path}.loss_prob", 0),
+                loss_prob=_real(obj.get("loss_prob", 0.0), f"{path}.loss_prob", 0),
                 kind=_LINK_KINDS[kind],
                 available=_bool(obj.get("available", True), f"{path}.available")))
         except ValueError as exc:
@@ -444,8 +507,10 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                for name, obj in classes_obj.items()}
 
     def setting(key, minimum, integer=False):
-        return _number(pol.get(key, getattr(base, key)), f"$.policies.{key}",
-                       minimum, integer)
+        value = pol.get(key, getattr(base, key))
+        if integer:
+            return _number(value, f"$.policies.{key}", minimum, True)
+        return _real(value, f"$.policies.{key}", minimum)
 
     radius = pol.get("critical_proximity_radius_m")
     if radius is not None:

@@ -1,13 +1,21 @@
 import copy
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from gamesync.clock import LatencyEstimator
 from gamesync.runner import run
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO_ROOT / "scenarios"
+
+# HYPOTHESIS_PROFILE=ci (set by the CI workflow) runs every property test
+# with a fixed example sequence, so a failure reproduces on the next run,
+# and with more examples than the default 100.
+settings.register_profile("ci", derandomize=True, max_examples=300)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

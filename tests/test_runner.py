@@ -325,3 +325,76 @@ def test_tracing_does_not_change_outputs(tmp_path):
     assert outputs[0] == outputs[1]
     assert summaries[0] == summaries[1]
     assert (tmp_path / "trace").stat().st_size > 0
+
+
+def _shown_points(self, now):
+    """Displays that make viewers of one entity share points. On every
+    other tick odd viewers show x = -0.0 and even ones x = 0.0: equal
+    points whose rows render apart. On the others viewer 4 shows y = 0.0,
+    viewer 3 one point for every entity, and the rest share one nonzero
+    point per entity. Nothing is shown
+    before the first update could arrive."""
+    if now < 100:
+        return {}
+    viewer = self.config.client_id
+    shown = {}
+    for entity in range(5):
+        if entity == viewer:
+            continue
+        if now % 100 == 0:
+            shown[entity] = (-0.0 if viewer % 2 else 0.0, 2.5)
+        elif viewer == 4:
+            shown[entity] = (1.5, 0.0)
+        elif viewer == 3:
+            shown[entity] = (7.5, 7.5)      # the same point for every entity
+        else:
+            shown[entity] = (1.25 + entity, now / 1000.0)
+    return shown
+
+
+def test_rows_of_a_shared_point_equal_rows_formatted_one_by_one(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(PlayerManager, "displayed_positions", _shown_points)
+    out = tmp_path / "tick.csv"
+    res = run_doc(small_mesh_doc(), out=out, keep_rows=True)
+    lines = out.read_text().splitlines(keepends=True)
+    assert lines[0] == TICK_HEADER + "\n"
+    assert lines[1:] == [TICK_ROW % row for row in res.tick_rows]
+    assert len(lines) > 1
+    signs = {(row[1], row[3]): repr(row[6])
+             for row in res.tick_rows if row[0] == 200}
+    assert signs[(0, 1)] == signs[(0, 3)] == "-0.0"
+    assert signs[(0, 2)] == signs[(0, 4)] == "0.0"
+    # the statistics sum the divergences in row order
+    total = 0.0
+    for row in res.tick_rows:
+        total += row[8]
+    assert res.summary["mean_divergence_m"] == total / len(res.tick_rows)
+    assert res.summary["max_divergence_m"] == max(r[8] for r in res.tick_rows)
+
+
+class _CountingTemplate(str):
+    """A %-template that counts its uses."""
+
+    def __new__(cls, template, uses):
+        obj = super().__new__(cls, template)
+        obj.uses = uses
+        return obj
+
+    def __mod__(self, values):
+        self.uses.append(str(self))
+        return str.__mod__(self, values)
+
+
+def test_sampling_formats_nothing_without_a_tick_file(tmp_path, monkeypatch):
+    uses = []
+    for name in ("TICK_ENTITY", "TICK_TRUTH", "TICK_VIEWER", "TICK_SHOWN",
+                 "TICK_SHARED"):
+        monkeypatch.setattr(runner, name,
+                            _CountingTemplate(getattr(runner, name), uses))
+    run_doc(small_mesh_doc())
+    assert uses == []
+    run_doc(small_mesh_doc(), out=tmp_path / "tick.csv")
+    assert set(uses) == {runner.TICK_ENTITY, runner.TICK_TRUTH,
+                         runner.TICK_VIEWER, runner.TICK_SHOWN,
+                         runner.TICK_SHARED}

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from conftest import minimal_doc
+import gamesync.cli as cli
+from conftest import minimal_doc, two_client_doc
 from gamesync.overlay import LinkKind
 from gamesync.regions import Rect
 from gamesync.scenario import (ConstantVelocity, ParseError, ValidationError,
@@ -158,6 +159,80 @@ def test_malformed_document_raises_validation_error(scenarios_dir, path,
         parse_scenario(doc)
 
 
+# Numbers the parser accepted and the run could not hold: (base document,
+# edits as (path, value), the field the error must name). A float beyond
+# the double range, an id beyond the uint32 wire field, a clock that passes
+# the uint64 timestamp before duration_ms, and a constant velocity whose
+# position leaves the double range before duration_ms.
+OUT_OF_RANGE = [
+    ("carrace", [(("clients", 0, "entities", 0, "motion", "points", 0),
+                  [10**400, 0])], r"motion\.points\[0\]"),
+    ("carrace", [(("clients", 0, "entities", 0, "motion", "speed"), 10**400)],
+     r"motion\.speed"),
+    ("carrace", [(("clients", 0, "clock_offset_ms"), 10**30)],
+     r"clients\[0\]\.clock_offset_ms"),
+    ("carrace", [(("clients", 0, "id"), 2**33),
+                 (("links", 0, "endpoints"), [2**33, 1])],
+     r"clients\[0\]\.id"),
+    ("carrace", [(("clients", 0, "entities", 0, "id"), 2**33)],
+     r"entities\[0\]\.id"),
+    ("two_client", [(("clients", 0, "entities", 0, "motion", "vel"),
+                     [1e308, 0])], r"clients\[0\]\.entities\[0\]\.motion"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, edits, named", OUT_OF_RANGE,
+    ids=["clients.0.entities.0.motion.points.0=[10**400,0]",
+         "clients.0.entities.0.motion.speed=10**400",
+         "clients.0.clock_offset_ms=10**30",
+         "clients.0.id=2**33",
+         "clients.0.entities.0.id=2**33",
+         "two_client:clients.0.entities.0.motion.vel=[1e308,0]"])
+def test_out_of_range_number_raises_validation_error(scenarios_dir, tmp_path,
+                                                     capsys, base, edits,
+                                                     named):
+    if base == "carrace":
+        doc = json.loads((scenarios_dir / "carrace.json").read_text())
+    else:
+        doc = two_client_doc()
+    for path, value in edits:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    with pytest.raises(ValidationError, match=named):
+        parse_scenario(doc)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    assert cli.main(["run", str(scenario)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_numbers_at_the_edge_of_range_are_accepted(scenarios_dir):
+    doc = json.loads((scenarios_dir / "carrace.json").read_text())
+    doc["clients"][0]["id"] = 2**32 - 1
+    doc["links"][0]["endpoints"] = [2**32 - 1, 1]
+    doc["clients"][1]["entities"][0]["id"] = 2**32 - 1
+    doc["clients"][1]["clock_offset_ms"] = 2**64 - 1 - doc["duration_ms"]
+    config = parse_scenario(doc)
+    assert config.clients[0].client_id == 2**32 - 1
+
+
+def test_event_series_is_cut_at_the_run_end():
+    """Events after duration_ms never fire, so they are not kept, and a
+    long series is not expanded past the run's end."""
+    doc = minimal_doc()   # duration_ms 1000
+    doc["clients"][0]["entities"][0]["events"] = [
+        {"kind": "fire", "first": 100, "every": 50, "count": 10**5},
+        {"kind": "fire", "first": 1001, "every": 1, "count": 10**5},
+        {"kind": "fire", "at": 1000},
+        {"kind": "fire", "at": 1001}]
+    config = parse_scenario(doc)
+    times = [t for t, _ in config.clients[0].entities[0].events]
+    assert times == sorted([*range(100, 1001, 50), 1000])
+
+
 def test_shipped_carrace_scenario(scenarios_dir):
     config = load_scenario(scenarios_dir / "carrace.json")
     assert len(config.clients) == 2
@@ -216,6 +291,21 @@ def test_waypoint_loop_wraps():
     lap_ms = int(40 / 10.0 * 1000)
     assert motion.position(0) == motion.position(lap_ms)
     assert motion.position(500) == motion.position(lap_ms + 500)
+
+
+def test_motion_state_is_position_and_velocity_from_one_lookup():
+    motion = WaypointPath([(0, 0), (10, 0), (10, 10)], speed=10.0)
+    lookups = []
+    locate = motion._locate
+    motion._locate = lambda t: lookups.append(t) or locate(t)
+    for t in (0, 500, 1000, 1500, 5000):
+        assert motion.state(t) == (motion.position(t), motion.velocity(t))
+    assert lookups.count(500) == 3
+    lookups.clear()
+    motion.state(700)
+    assert lookups == [700]
+    cv = ConstantVelocity((1.0, 2.0), (10.0, -4.0))
+    assert cv.state(500) == ((6.0, 0.0), (10.0, -4.0))
 
 
 def test_waypoint_validation():
