@@ -31,10 +31,6 @@ class VirtualClock:
         self._last = t
         return t
 
-    @property
-    def now(self) -> int:
-        return self._last
-
 
 class DelaySample(NamedTuple):
     peer_id: Hashable
@@ -80,7 +76,6 @@ class LatencyEstimator:
 
     alpha: float = DEFAULT_ALPHA
     _estimates: dict = field(default_factory=dict)
-    _counts: dict = field(default_factory=dict)
 
     def observe(self, sample: DelaySample) -> float:
         if sample.delay_ms < 0:
@@ -95,15 +90,10 @@ class LatencyEstimator:
             # arithmetic, where the expanded form can overshoot by an ulp.
             est = prior + (sample.delay_ms - prior) * self.alpha
         self._estimates[key] = est
-        self._counts[key] = self._counts.get(key, 0) + 1
         return est
 
     def estimate(self, peer_id: Hashable) -> float | None:
         return self._estimates.get(peer_id)
 
-    def sample_count(self, peer_id: Hashable) -> int:
-        return self._counts.get(peer_id, 0)
-
     def reset(self) -> None:
         self._estimates.clear()
-        self._counts.clear()

@@ -36,13 +36,6 @@ class LagPolicy:
             if lag < 0:
                 raise NegativeLag(f"lag for {class_id!r} is negative")
 
-    def set_local_lag_value(self, class_id: str, lag_ms: int) -> "LagPolicy":
-        """Set the lag for a class; affects subsequent enqueues only."""
-        if lag_ms < 0:
-            raise NegativeLag(f"lag {lag_ms} for {class_id!r}")
-        self.base_lag_ms[class_id] = lag_ms
-        return self
-
     def lag_for(self, class_id: str) -> int:
         return self.base_lag_ms.get(class_id, self.default_lag_ms)
 

@@ -225,11 +225,6 @@ class NetworkSim:
     def pending_deliveries(self) -> int:
         return sum(1 for event in self._heap if event[1] == _DELIVER)
 
-    def peek_time(self) -> int:
-        if not self._heap:
-            raise EmptyQueue("no scheduled events")
-        return self._heap[0][0]
-
     def step(self) -> SimEvent:
         """Deliver the next event, advancing the clock to its time."""
         if not self._heap:

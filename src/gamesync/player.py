@@ -5,9 +5,10 @@ Reception runs decode -> delay estimation -> critical area tracking ->
 playout buffering -> rollback ordering -> prediction/convergence -> game
 callbacks. A data frame's consistency mode is evaluated once, after the
 frame's position is recorded: that one mode scales the playout deadline and
-becomes the entity's noted mode. Every state update, fresh or replayed by a
-rollback, reaches the game through one apply path as the displayed position
-at the playout time. The stages carry no instrumentation of their own;
+becomes the entity's noted mode. Rollback ordering covers events only: a
+state update, on time or late, reaches the game once, through one apply
+path, as the displayed position at the playout time, and never regresses
+the entity's view. The stages carry no instrumentation of their own;
 `processing_ns` times each received frame as a whole.
 
 Transmission runs per tick: dead-reckoning gate -> timestamping -> critical
@@ -58,8 +59,9 @@ class ConfigInvalid(Exception):
 
 class GameCallbacks:
     """Game-facing contract. Override what the game needs; the undo hook
-    receives every message a rollback directive reverts (the game keeps its
-    own inverse records).
+    receives every event a rollback directive reverts (the game keeps its
+    own inverse records). Rollback covers events only: state updates are
+    never undone or replayed.
 
     The messages and kinematics handed over are immutable NamedTuples:
     equality is field-wise, as for tuples, and a game may keep them as
@@ -67,14 +69,16 @@ class GameCallbacks:
 
     def apply_remote_state(self, entity_id: int, kin: EntityKinematics) -> None:
         """kin is the entity's displayed position at the playout time, its
-        wire velocity, and that time; fresh updates and rollback replays
-        alike."""
+        wire velocity, and that time. Each update is applied once, late or
+        not; a late one never regresses the view, so the game gets the
+        position already displayed."""
 
     def apply_event(self, msg: EventMessage) -> None:
         pass
 
-    def undo_event(self, msg) -> None:
-        pass
+    def undo_event(self, msg: EventMessage) -> None:
+        """Revert an applied event, newest first; the rollback then applies
+        the late event and re-applies the undone ones."""
 
     def query_local_state(self, entity_id: int) -> EntityKinematics:
         raise NotImplementedError
@@ -115,7 +119,6 @@ class PolicySet:
 @dataclass
 class Toggles:
     overlay: bool = False
-    rollback_scope: str = "all"          # "all" | "events"
     sender_side_lag: bool = True
     receiver_side_lag: bool = True
     critical_tightening: bool = True
@@ -147,6 +150,8 @@ class PmCounters:
     data_received: int = 0
     decode_errors: int = 0
     late_messages: int = 0
+    # rollbacks, duplicates and beyond_window count events: states never
+    # enter the rollback log
     rollbacks: int = 0
     duplicates: int = 0
     beyond_window: int = 0
@@ -160,23 +165,6 @@ class _RemoteView:
     epoch_start: int
     snapshot: tuple | None    # displayed pos when the epoch began; None snaps
     window: int     # the entity's convergence window when the epoch began
-
-
-class _DirectiveAdapter:
-    """Routes replayed state updates through the fresh ones' apply path."""
-
-    def __init__(self, pm: "PlayerManager", now: int):
-        self._pm = pm
-        self._now = now
-
-    def undo_event(self, msg):
-        self._pm.callbacks.undo_event(msg)
-
-    def apply_event(self, msg):
-        self._pm.callbacks.apply_event(msg)
-
-    def apply_remote_state(self, entity_id, kin):
-        self._pm._apply_state(entity_id, kin, self._now)
 
 
 class PlayerManager:
@@ -332,38 +320,34 @@ class PlayerManager:
         return mode
 
     def _playout(self, msg, now: int) -> None:
-        """Rollback ordering, then prediction, then the game."""
-        in_scope = (self.config.toggles.rollback_scope == "all"
-                    or isinstance(msg, EventMessage))
-        if in_scope:
-            outcome = self.log.on_deliver(msg, now)
-            if isinstance(outcome, rb.DropDuplicate):
-                self.counters.duplicates += 1
-                return
-            if isinstance(outcome, rb.DropBeyondWindow):
-                self.counters.beyond_window += 1
-                return
-            if isinstance(outcome, rb.RollbackDirective):
-                self.counters.rollbacks += 1
-                rb.apply_directive(_DirectiveAdapter(self, now), outcome)
-                self.log.commit(outcome)
-                return
+        """A state update goes straight to prediction and the game; an
+        event goes through rollback ordering first."""
         if isinstance(msg, StateUpdate):
             self._apply_state(msg.entity_id,
                               EntityKinematics(msg.pos, msg.vel, msg.timestamp),
                               now)
-        else:
+            return
+        outcome = self.log.on_deliver(msg, now)
+        if isinstance(outcome, rb.Apply):
             self.callbacks.apply_event(msg)
+        elif isinstance(outcome, rb.RollbackDirective):
+            self.counters.rollbacks += 1
+            rb.apply_directive(self.callbacks, outcome)
+            self.log.commit(outcome)
+        elif isinstance(outcome, rb.DropDuplicate):
+            self.counters.duplicates += 1
+        else:   # DropBeyondWindow
+            self.counters.beyond_window += 1
 
     def _apply_state(self, entity_id: int, kin: EntityKinematics,
                      now: int) -> None:
         """Fold wire kinematics into the entity's view, then hand the game
-        the displayed position at now. Fresh and replayed updates both come
-        through here.
+        the displayed position at now. Every state update comes through
+        here once, on time or late.
 
         An update starts a blend epoch unless it is older than the view's
         (it never regresses the view) or is the one the view holds (a
-        rollback replaying it leaves the blend running). An epoch blends
+        duplicate frame leaves the blend running). An epoch blends
         from a snapshot, the position displayed when it starts, and shows
         that snapshot at its start, so the game gets it. A zero convergence
         window snaps and keeps no snapshot. The position is evaluated for
@@ -642,7 +626,3 @@ class PlayerManager:
 
     def mode_of(self, entity_id: int) -> ConsistencyMode:
         return self._entity_modes.get(entity_id, NORMAL)
-
-    def route_to(self, peer: int) -> int | None:
-        decision = self.routes.get(peer)
-        return None if decision is None else decision.chosen_link

@@ -123,25 +123,14 @@ class RegionSet:
     """Registered regions with stable, unique integer ids."""
 
     def __init__(self):
-        self._regions: dict[int, Region] = {}
         self._records: list[tuple] = []   # _record of each, in id order
-        self._next_id = 0
 
     def add(self, region: Region) -> int:
-        region_id = self._next_id
-        self._next_id += 1
-        self._regions[region_id] = region
         self._records.append(_record(region))
-        return region_id
+        return len(self._records) - 1
 
     def __len__(self):
-        return len(self._regions)
-
-    def __iter__(self):
-        return iter(self._regions.items())
-
-    def get(self, region_id: int) -> Region:
-        return self._regions[region_id]
+        return len(self._records)
 
     def any_contains(self, point, entity_positions=None) -> bool:
         """True if the point is inside any region.

@@ -1,10 +1,12 @@
-"""Temporal-order maintenance with rollback directives.
+"""Temporal-order maintenance of events with rollback directives.
 
-The delivery log records every applied message in timestamp order. When a
-message arrives late (older than something already applied), the log emits a
-directive: undo every applied message newer than the late one (newest
-first), then replay the late message followed by the undone ones (oldest
-first). The game owns state snapshotting; this module only sequences the
+Timewarp re-executes operations; a state update is a last-writer-wins
+snapshot that needs no re-execution, so only events enter the log. The
+delivery log records every applied event in timestamp order. When an event
+arrives late (older than something already applied), the log emits a
+directive: undo every applied event newer than the late one (newest
+first), then apply the late event followed by the undone ones (oldest
+first). The game owns its inverse records; this module only sequences the
 undo/apply calls.
 
 Cross-sender timestamp ties order by (timestamp, sender_id, seq).
@@ -12,9 +14,6 @@ Cross-sender timestamp ties order by (timestamp, sender_id, seq).
 
 import bisect
 from dataclasses import dataclass
-
-from gamesync.deadreckoning import EntityKinematics
-from gamesync.pdu import StateUpdate
 
 DEFAULT_HISTORY_WINDOW_MS = 2000
 
@@ -143,12 +142,7 @@ def apply_directive(callbacks, directive: RollbackDirective) -> int:
             callbacks.undo_event(msg)
             calls += 1
         for msg in directive.replay:
-            if isinstance(msg, StateUpdate):
-                callbacks.apply_remote_state(
-                    msg.entity_id,
-                    EntityKinematics(msg.pos, msg.vel, msg.timestamp))
-            else:
-                callbacks.apply_event(msg)
+            callbacks.apply_event(msg)
             calls += 1
     except Exception as exc:
         raise CallbackFailure(f"game callback failed: {exc}") from exc

@@ -7,6 +7,9 @@ keys anywhere in the document are rejected, and so is a value of the wrong
 type: every failure is a ValidationError naming the field. The "policies"
 and "toggles" objects parse into the Medium's own PolicySet and Toggles
 (gamesync.player), and a missing key takes the default those types define.
+One key is retired: "toggles.rollback_scope" is still accepted, as "all" or
+"events" and nothing else, but it maps to no field and has no effect,
+because rollback covers events only.
 
 Top-level document:
 
@@ -51,7 +54,6 @@ Top-level document:
       },
       "toggles": {
         "overlay": false,
-        "rollback_scope": "all",          # "all" | "events"
         "sender_side_lag": true,
         "receiver_side_lag": true,
         "critical_tightening": true
@@ -87,15 +89,12 @@ class ConstantVelocity:
 
     def state(self, t: int) -> tuple:
         """(position, velocity) at t."""
-        dt = t / 1000.0
-        return ((self.pos0[0] + self.vel[0] * dt,
-                 self.pos0[1] + self.vel[1] * dt), self.vel)
+        return self.position(t), self.vel
 
     def position(self, t: int) -> tuple[float, float]:
-        return self.state(t)[0]
-
-    def velocity(self, t: int) -> tuple[float, float]:
-        return self.state(t)[1]
+        dt = t / 1000.0
+        return (self.pos0[0] + self.vel[0] * dt,
+                self.pos0[1] + self.vel[1] * dt)
 
 
 class WaypointPath:
@@ -157,10 +156,12 @@ class WaypointPath:
                 ((b[0] - a[0]) * scale, (b[1] - a[1]) * scale))
 
     def position(self, t: int) -> tuple[float, float]:
-        return self.state(t)[0]
-
-    def velocity(self, t: int) -> tuple[float, float]:
-        return self.state(t)[1]
+        """The position alone, with state's arithmetic and lookup."""
+        loc = self._locate(t)
+        if loc is None:
+            return self.points[-1]
+        a, b, _, u = loc
+        return (a[0] + (b[0] - a[0]) * u, a[1] + (b[1] - a[1]) * u)
 
 
 MotionScript = ConstantVelocity | WaypointPath
@@ -380,6 +381,10 @@ def _parse_class_policy(obj, path, base: ClassPolicy) -> ClassPolicy:
 
 _LINK_KINDS = {"relay": LinkKind.RELAY, "direct": LinkKind.DIRECT}
 
+# Accepted for documents written before rollback covered events only; it
+# sets nothing.
+RETIRED_SCOPE = "rollback_scope"
+
 
 def parse_scenario(doc: dict) -> ScenarioConfig:
     """Validate a decoded JSON document into a ScenarioConfig."""
@@ -531,16 +536,17 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             raise ValidationError(f"$.policies.{key}: must be in (0, 1]")
 
     tog = doc.get("toggles", {})
-    _require_keys(tog, "$.toggles", set(), _field_names(Toggles))
+    _require_keys(tog, "$.toggles", set(),
+                  _field_names(Toggles) | {RETIRED_SCOPE})
+    if tog.get(RETIRED_SCOPE, "all") not in ("all", "events"):
+        raise ValidationError(
+            f"$.toggles.{RETIRED_SCOPE}: must be 'all' or 'events'")
     base = Toggles()
-    scope = tog.get("rollback_scope", base.rollback_scope)
-    if scope not in ("all", "events"):
-        raise ValidationError("$.toggles.rollback_scope: must be 'all' or 'events'")
 
     def switch(key):
         return _bool(tog.get(key, getattr(base, key)), f"$.toggles.{key}")
 
-    toggles = Toggles(overlay=switch("overlay"), rollback_scope=scope,
+    toggles = Toggles(overlay=switch("overlay"),
                       sender_side_lag=switch("sender_side_lag"),
                       receiver_side_lag=switch("receiver_side_lag"),
                       critical_tightening=switch("critical_tightening"))

@@ -79,9 +79,6 @@ class _MirrorGame:
         assert self.sequence and self.sequence[-1] is msg
         self.sequence.pop()
 
-    def apply_remote_state(self, entity_id, kin):
-        raise AssertionError("events only in this harness")
-
 
 def _deliver_stream(msgs, arrival_order):
     log = DeliveryLog(history_window_ms=10**9)

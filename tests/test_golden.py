@@ -1,14 +1,16 @@
-"""Golden outputs: the shipped scenarios, and one small generated mesh, must
-keep producing byte-identical tick, event and delivery CSVs and traces. A
-refactor that changes any byte (a different float rounding, event order or
-RNG draw) fails here; a change meant to alter behaviour updates these
-digests and says why."""
+"""Golden outputs: the shipped scenarios, one small generated mesh, and the
+benchmark's generated workloads at seed 1 must keep producing
+byte-identical tick, event and delivery CSVs and traces. A refactor that
+changes any byte (a different float rounding, event order or RNG draw)
+fails here; a change meant to alter behaviour updates these digests and
+says why."""
 
 import hashlib
+import importlib.util
 
 import pytest
 
-from conftest import SCENARIOS
+from conftest import REPO_ROOT, SCENARIOS
 from gamesync.runner import run
 from gamesync.scenario import load_scenario, parse_scenario
 
@@ -31,7 +33,29 @@ GOLDEN = {
         "deliveries": "4f9bda7347e7e132aa6a307a70ae38255383e358b4498ae48921c456422b7bde",
         "trace": "e3cb4dc613b266ebbb007fe1317de2905e76dc4e44a1d35732b463157a760303",
     },
+    "mesh16_lossy": {
+        "tick": "84567c983b62f52d7cfea83874f3c709aec6e29c202b979fe86cd905dd7d0000",
+        "events": "7ed5c67c067481147dd80937580ad6baf43d23e95afdd25fabe4a49bb6398cf3",
+        "deliveries": "cacff6c57dc8e793a61d634e3322e35c0cd57eccd0121da4613f975af0b792c5",
+        "trace": "f4bb2b6ae43e560a364630bbba9f450a450cb6a19271104e6392f41191104c8c",
+    },
+    "skirmish_events": {
+        "tick": "daa4c8254336af5a69f29f35770ca180e9c8eee2137c9a60834c3be09d193f7c",
+        "events": "b037d2955a59bfd866694830950988cb3e86d5a4c6aa74931f6abe05b4add822",
+        "deliveries": "75444dee388f558f5d0c2ecb2ffd4857261449d0cc3b5496e8933b151eb1dabd",
+        "trace": "7ea1f12c736c4f9a99312ae562249c684370c2226f539a7429cb303ba70ce2a9",
+    },
 }
+
+
+def benchmark_document(workload, seed):
+    """The benchmark's generated document (perfbench/generate.py, loaded by
+    path: perfbench is not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_generate", REPO_ROOT / "perfbench" / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate.document(workload, seed, REPO_ROOT)
 
 
 def small_mesh_doc():
@@ -79,7 +103,7 @@ def small_mesh_doc():
     }
 
 
-def _digests(config, tmp_path):
+def digests(config, tmp_path):
     paths = {kind: tmp_path / kind
              for kind in ("tick", "events", "deliveries", "trace")}
     run(config, out=paths["tick"], events_out=paths["events"],
@@ -91,9 +115,15 @@ def _digests(config, tmp_path):
 @pytest.mark.parametrize("scenario", ["carrace", "tankshots"])
 def test_shipped_scenario_outputs_are_byte_identical(scenario, tmp_path):
     config = load_scenario(SCENARIOS / f"{scenario}.json")
-    assert _digests(config, tmp_path) == GOLDEN[scenario]
+    assert digests(config, tmp_path) == GOLDEN[scenario]
 
 
 def test_small_mesh_outputs_are_byte_identical(tmp_path):
     config = parse_scenario(small_mesh_doc())
-    assert _digests(config, tmp_path) == GOLDEN["small_mesh"]
+    assert digests(config, tmp_path) == GOLDEN["small_mesh"]
+
+
+@pytest.mark.parametrize("workload", ["mesh16_lossy", "skirmish_events"])
+def test_benchmark_workload_outputs_are_byte_identical(workload, tmp_path):
+    config = parse_scenario(benchmark_document(workload, 1))
+    assert digests(config, tmp_path) == GOLDEN[workload]

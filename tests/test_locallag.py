@@ -16,10 +16,9 @@ def msg(ts, seq=1, sender=0, entity=0):
     return StateUpdate(sender, entity, seq, ts, (0.0, 0.0), (0.0, 0.0), False)
 
 
-def test_set_local_lag_value_500():
+def test_class_lag_500():
     # 500 ms is one of the two experiment settings
-    policy = LagPolicy()
-    policy.set_local_lag_value("car", 500)
+    policy = LagPolicy(base_lag_ms={"car": 500})
     buf = PlayoutBuffer(policy)
     entry = buf.enqueue(msg(100), "car", NORMAL, 100)
     assert entry.due == 600 and not entry.late
@@ -32,7 +31,7 @@ def test_playout_entries_are_immutable():
 
 
 def test_zero_lag_is_passthrough():
-    policy = LagPolicy().set_local_lag_value("car", 0)
+    policy = LagPolicy(base_lag_ms={"car": 0})
     buf = PlayoutBuffer(policy)
     entry = buf.enqueue(msg(100), "car", NORMAL, 100)
     assert entry.due == 100
@@ -40,14 +39,12 @@ def test_zero_lag_is_passthrough():
 
 def test_lag_1000_due_arithmetic():
     # the second experiment setting
-    policy = LagPolicy().set_local_lag_value("car", 1000)
+    policy = LagPolicy(base_lag_ms={"car": 1000})
     buf = PlayoutBuffer(policy)
     assert buf.enqueue(msg(2000), "car", NORMAL, 2000).due == 3000
 
 
 def test_negative_lag_rejected():
-    with pytest.raises(NegativeLag):
-        LagPolicy().set_local_lag_value("car", -1)
     with pytest.raises(NegativeLag):
         LagPolicy(base_lag_ms={"car": -5})
 
@@ -114,7 +111,7 @@ def test_release_full_sort_oracle_100_seeded_entries():
         ts = rng.randrange(0, 500)
         m = StateUpdate(rng.randrange(3), 0, i, ts, (0.0, 0.0), (0.0, 0.0), False)
         lag = rng.randrange(0, 300)
-        policy.set_local_lag_value("c", lag)
+        policy.base_lag_ms["c"] = lag
         entries.append(buf.enqueue(m, "c", NORMAL, 0))
     assert len(buf) == 100
 
@@ -159,7 +156,7 @@ def test_lag_change_preserves_buffered_due_times():
     policy = LagPolicy(base_lag_ms={"c": 500})
     buf = PlayoutBuffer(policy)
     entry = buf.enqueue(msg(100), "c", NORMAL, 100)
-    policy.set_local_lag_value("c", 0)
+    policy.base_lag_ms["c"] = 0
     new_entry = buf.enqueue(msg(200, seq=2), "c", NORMAL, 200)
     assert entry.due == 600          # unchanged
     assert new_entry.due == 200      # new lag applies to new enqueues

@@ -173,8 +173,6 @@ def test_unknown_link_and_unavailable():
 def test_empty_queue():
     with pytest.raises(EmptyQueue):
         NetworkSim(1).step()
-    with pytest.raises(EmptyQueue):
-        NetworkSim(1).peek_time()
 
 
 def _run_traced(seed):

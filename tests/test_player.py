@@ -237,7 +237,7 @@ def test_unknown_direct_address_disables_direct_links():
     pm = PlayerManager(config, Spy(), lambda link, data: None)
     pm.start_session([PeerCapabilities(1, direct_address_known=False)], 0)
     assert pm.links_by_id[1].available is False
-    assert pm.route_to(1) == 0
+    assert pm.routes[1].chosen_link == 0
 
 
 def test_three_client_session_builds_per_peer_state():
@@ -313,9 +313,9 @@ def relay_and_direct_pm():
 
 def test_failover_entry_marked_in_switch_log():
     pm, _ = relay_and_direct_pm()
-    assert pm.route_to(1) == 0
+    assert pm.routes[1].chosen_link == 0
     pm.on_link_change(0, False, 700)
-    assert pm.route_to(1) == 1
+    assert pm.routes[1].chosen_link == 1
     assert pm.switch_log == [(700, 1, 0, 1, True)]
 
 
@@ -364,7 +364,7 @@ def test_sender_side_lag_disabled_plays_out_immediately():
 
 
 def test_rollback_scope_events_leaves_states_alone():
-    pm, spy, _ = make_pm(receiver_side_lag=False, rollback_scope="events")
+    pm, spy, _ = make_pm(receiver_side_lag=False)
     pm.start_session([PeerCapabilities(0)], 0)
     pm.on_network_message(encode(state(200, seq=1)), 205, 0)
     pm.on_network_message(encode(state(100, seq=2)), 206, 0)
@@ -375,18 +375,32 @@ def test_rollback_scope_events_leaves_states_alone():
     assert pm.displayed_position(7, 300) == (1.1, 1.0)
 
 
-def test_rolled_back_state_reaches_game_as_displayed_position_now():
+def test_late_state_reaches_game_once_as_displayed_position_now():
     pm, spy, _ = make_pm(receiver_side_lag=False)
     pm.start_session([PeerCapabilities(0)], 0)
     pm.on_network_message(encode(state(200, seq=1)), 205, 0)
     pm.on_network_message(encode(state(100, seq=2)), 206, 0)
+    assert pm.counters.rollbacks == 0
+    assert spy.undone == []
+    assert len(spy.states) == 2
+    entity_id, kin = spy.states[1]
+    assert (entity_id, kin.at) == (7, 206)
+    assert kin.pos == pm.displayed_position(7, 206)
+
+
+def test_late_event_undoes_only_newer_events_and_replays_no_state():
+    pm, spy, _ = make_pm(receiver_side_lag=False)
+    pm.start_session([PeerCapabilities(0)], 0)
+    arrivals = [state(100, seq=1), event(110, seq=2), state(120, seq=3),
+                event(130, seq=4), state(140, seq=5), event(150, seq=6)]
+    for msg in arrivals:
+        pm.on_network_message(encode(msg), msg.timestamp + 5, 0)
+    states_before = list(spy.states)
+    pm.on_network_message(encode(event(125, seq=7)), 160, 0)
     assert pm.counters.rollbacks == 1
-    replays = spy.states[1:]
-    assert len(replays) == 2
-    for entity_id, kin in replays:
-        assert entity_id == 7
-        assert kin.at == 206
-        assert kin.pos == pm.displayed_position(7, 206)
+    assert [m.timestamp for m in spy.undone] == [150, 130]
+    assert [m.timestamp for m in spy.events] == [110, 130, 150, 125, 130, 150]
+    assert spy.states == states_before
 
 
 def blending_pm(**overrides):
@@ -411,10 +425,10 @@ def test_each_applied_update_evaluates_the_display_once():
     pm.displayed_position = counting
     pm.on_network_message(encode(state(100, seq=1)), 105, 0)    # first
     pm.on_network_message(encode(state(200, seq=2, pos=(3.0, 1.0))), 205, 0)
-    pm.on_network_message(encode(state(150, seq=3)), 210, 0)    # replays 150, 200
-    assert pm.counters.rollbacks == 1
-    assert len(spy.states) == 4
-    assert calls == [105, 205, 210, 210]
+    pm.on_network_message(encode(state(150, seq=3)), 210, 0)    # late
+    assert pm.counters.rollbacks == 0
+    assert len(spy.states) == 3
+    assert calls == [105, 205, 210]
 
 
 def test_zero_window_evaluates_the_display_once_per_epoch():
@@ -438,15 +452,16 @@ def test_zero_window_evaluates_the_display_once_per_epoch():
     assert spy.states[-1][1].pos == (5.0 + 0.005, 1.0)
 
 
-def test_replaying_the_held_update_keeps_its_blend():
+def test_late_older_update_keeps_the_held_blend():
     pm, spy = blending_pm()
     pm.on_network_message(encode(state(100, seq=1, pos=(0.0, 0.0))), 100, 0)
     pm.on_network_message(encode(state(200, seq=2, pos=(4.0, 0.0))), 200, 0)
     held = pm._views[7]
     assert (held.epoch_start, held.snapshot) == (200, (0.1, 0.0))
-    # the late ts-150 update replays 150, then the held ts-200 update
+    # the late ts-150 update is older than the held ts-200 one
     pm.on_network_message(encode(state(150, seq=3, pos=(9.0, 0.0))), 300, 0)
-    assert pm.counters.rollbacks == 1
+    assert pm.counters.rollbacks == 0
+    assert len(spy.states) == 3
     view = pm._views[7]
     assert view.corrected == held.corrected
     assert (view.epoch_start, view.snapshot) == (200, (0.1, 0.0))
@@ -465,7 +480,7 @@ def applied(pm, spy, msg, now):
 
 
 def test_game_gets_the_displayed_position_in_every_apply_case():
-    pm, spy = blending_pm(rollback_scope="events")
+    pm, spy = blending_pm()
     first = state(100, seq=1, pos=(0.0, 0.0), vel=(10.0, 0.0))
     assert applied(pm, spy, first, 150) == (0.5, 0.0)
     # a blend starts from the position shown when the update arrives

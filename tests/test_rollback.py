@@ -39,9 +39,6 @@ class SpyGame:
             "undo must arrive newest-first"
         self.sequence.pop()
 
-    def apply_remote_state(self, entity_id, kin):
-        self.trace.append(("state", kin.at))
-
 
 def deliver(log, game, msg, now=None):
     now = msg.timestamp if now is None else now

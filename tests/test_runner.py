@@ -228,14 +228,26 @@ def test_no_lates_when_lag_covers_max_delay():
     assert res.summary["late_fraction"] == 0.0
 
 
-def test_jitter_produces_lates_and_rollbacks_with_zero_lag():
+def jittered_zero_lag_doc():
     doc = two_client_doc(seed=3)
     doc["links"][0]["jitter_ms"] = 200
     doc["links"][0]["base_delay_ms"] = 210
     doc["policies"]["default"]["lag_ms"] = 0
     doc["policies"]["heartbeat_ms"] = 50
-    res = run_doc(doc)
+    return doc
+
+
+def test_jitter_produces_late_states_but_no_rollbacks_with_zero_lag():
+    res = run_doc(jittered_zero_lag_doc())
     assert res.summary["late_messages"] > 0
+    assert res.summary["rollbacks"] == 0
+
+
+def test_jitter_produces_event_rollbacks_with_zero_lag():
+    doc = jittered_zero_lag_doc()
+    doc["clients"][1]["entities"][0]["events"] = [
+        {"kind": "fire", "first": 100, "every": 50, "count": 90}]
+    res = run_doc(doc)
     assert res.summary["rollbacks"] > 0
 
 

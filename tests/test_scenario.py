@@ -7,6 +7,7 @@ import pytest
 import gamesync.cli as cli
 from conftest import minimal_doc, two_client_doc
 from gamesync.overlay import LinkKind
+from gamesync.player import Toggles
 from gamesync.regions import Rect
 from gamesync.scenario import (ConstantVelocity, ParseError, ValidationError,
                                WaypointPath, load_scenario, parse_scenario)
@@ -22,7 +23,7 @@ def test_minimal_config_loads_with_defaults():
     assert config.policies.critical_threshold_scale == 0.25
     assert config.policies.critical_lag_scale == 0.5
     assert config.toggles.overlay is False
-    assert config.toggles.rollback_scope == "all"
+    assert config.toggles == Toggles()
     assert config.clients[0].entities[0].class_id == "default"
 
 
@@ -109,6 +110,12 @@ def test_jitter_distribution_keyword():
 
 
 def test_rollback_scope_validated():
+    """The retired key is accepted with either value, sets nothing, and
+    still rejects any other value."""
+    toggles = [parse_scenario(dict(minimal_doc(), toggles=tog)).toggles
+               for tog in ({}, {"rollback_scope": "all"},
+                           {"rollback_scope": "events"})]
+    assert toggles[0] == toggles[1] == toggles[2]
     doc = minimal_doc()
     doc["toggles"] = {"rollback_scope": "sometimes"}
     with pytest.raises(ValidationError, match="rollback_scope"):
@@ -269,20 +276,20 @@ def test_constant_velocity_closed_form():
     motion = ConstantVelocity((1.0, 2.0), (10.0, -4.0))
     assert motion.position(0) == (1.0, 2.0)
     assert motion.position(500) == (6.0, 0.0)
-    assert motion.velocity(12345) == (10.0, -4.0)
+    assert motion.state(12345)[1] == (10.0, -4.0)
 
 
 def test_waypoint_path_geometry():
     motion = WaypointPath([(0, 0), (10, 0), (10, 10)], speed=10.0)
     assert motion.position(0) == (0.0, 0.0)
     assert motion.position(500) == (5.0, 0.0)
-    assert motion.velocity(500) == (10.0, 0.0)
+    assert motion.state(500)[1] == (10.0, 0.0)
     assert motion.position(1000) == (10.0, 0.0)   # corner
-    assert motion.velocity(1000) == (0.0, 10.0)   # outgoing leg
+    assert motion.state(1000)[1] == (0.0, 10.0)   # outgoing leg
     assert motion.position(1500) == (10.0, 5.0)
     # path exhausted: parked at the last point
     assert motion.position(5000) == (10.0, 10.0)
-    assert motion.velocity(5000) == (0.0, 0.0)
+    assert motion.state(5000)[1] == (0.0, 0.0)
 
 
 def test_waypoint_loop_wraps():
@@ -299,11 +306,12 @@ def test_motion_state_is_position_and_velocity_from_one_lookup():
     locate = motion._locate
     motion._locate = lambda t: lookups.append(t) or locate(t)
     for t in (0, 500, 1000, 1500, 5000):
-        assert motion.state(t) == (motion.position(t), motion.velocity(t))
-    assert lookups.count(500) == 3
+        assert motion.state(t)[0] == motion.position(t)
+    assert lookups.count(500) == 2
     lookups.clear()
     motion.state(700)
-    assert lookups == [700]
+    motion.position(900)
+    assert lookups == [700, 900]
     cv = ConstantVelocity((1.0, 2.0), (10.0, -4.0))
     assert cv.state(500) == ((6.0, 0.0), (10.0, -4.0))
 
