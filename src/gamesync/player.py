@@ -12,7 +12,11 @@ the entity's view. The stages carry no instrumentation of their own;
 `processing_ns` times each received frame as a whole.
 
 Transmission runs per tick: dead-reckoning gate -> timestamping -> critical
-flag -> route selection -> encode -> network. Each player manager is
+flag -> encode -> route selection -> network. A route leaves a down link in
+one place, on_link_change, at the link change and whatever the route dwell.
+A frame waits in its peer's queue only while no link to the peer is up:
+queued frames expire per tick after QUEUE_LIMIT_MS, and the rest are sent,
+in order, when a link to the peer comes up. Each player manager is
 single-threaded; distinct managers share no mutable state and talk only
 through the network layer.
 
@@ -39,9 +43,9 @@ from gamesync.deadreckoning import (DEFAULT_HEARTBEAT_MS, DeadReckoningPolicy,
                                     should_send)
 from gamesync.locallag import (DEFAULT_CLASS, DEFAULT_CRITICAL_SCALE,
                                LagPolicy, PlayoutBuffer)
-from gamesync.overlay import (LinkKind, LinkSpec, NoAvailableLink,
-                              PeerCapabilities, RouteDecision, best_link,
-                              default_route, select_route)
+from gamesync.overlay import (LinkKind, LinkSpec, PeerCapabilities,
+                              RouteDecision, best_link, default_route,
+                              select_route)
 from gamesync.pdu import (DecodeError, EventMessage, PingMessage, PongMessage,
                           StateUpdate, decode, encode)
 from gamesync.regions import (EXIT_HYSTERESIS_MS, ConsistencyMode,
@@ -218,7 +222,9 @@ class PlayerManager:
     def start_session(self, peer_capabilities: list[PeerCapabilities],
                       now: int = 0) -> None:
         """Collect peer info, mark unreachable direct links, choose default
-        routes, zero sequence counters, and fire the initial ping round."""
+        routes, zero sequence counters, and fire the initial ping round. A
+        peer with no link up is routed over its lowest-id link, and frames
+        to it queue until a link comes up."""
         if self.config.policies.heartbeat_ms <= 0:
             raise ConfigInvalid("heartbeat_ms must be > 0")
         now = self.clock.read(now)
@@ -241,8 +247,10 @@ class PlayerManager:
             self.peer_links[peer] = links
             self._pending[peer] = deque()
             if links:
-                self.routes[peer] = RouteDecision(default_route(links, {}),
-                                                  last_switch_at=now)
+                chosen = links[0].link_id
+                if any(l.available for l in links):
+                    chosen = default_route(links, {})
+                self.routes[peer] = RouteDecision(chosen, last_switch_at=now)
             self._send_pings(peer, now)
 
     # -- reception pipeline ------------------------------------------------
@@ -394,7 +402,7 @@ class PlayerManager:
 
     def tick(self, now: int) -> None:
         """Release due playouts, evaluate the send gate per local entity,
-        refresh idle pings, and flush any queued frames."""
+        refresh idle pings, and expire queued frames."""
         now = self.clock.read(now)
         for entry in self.buffer.release_due(now):
             self._playout(entry.msg, now)
@@ -435,7 +443,9 @@ class PlayerManager:
             since_ping = now - self._last_ping.get(peer, -pol.idle_ping_ms)
             if idle >= pol.idle_ping_ms and since_ping >= pol.idle_ping_ms:
                 self._send_pings(peer, now)
-            self._flush_pending(peer, now)
+            pending = self._pending[peer]
+            if pending:
+                self._expire_queued(pending, now)
 
     def send_event(self, entity_id: int, kind, payload: bytes, now: int) -> EventMessage:
         """Send a game event to every peer; with sender-side lag the local
@@ -459,93 +469,63 @@ class PlayerManager:
         return msg
 
     def _transmit(self, peer: int, data: bytes, now: int) -> None:
+        """Send a frame to the peer on its route. A route sits on a down
+        link only while no link to the peer is up (on_link_change keeps it
+        so), and then the frame waits in the peer's queue. With overlay on,
+        the route is re-evaluated first, within the dwell."""
         decision = self.routes.get(peer)
         if decision is None:
             return
-        links = self.peer_links[peer]
+        if not self.links_by_id[decision.chosen_link].available:
+            self._pending[peer].append((data, now))
+            return
         if self.config.toggles.overlay:
-            try:
-                new = select_route(peer, links, self._link_estimates(peer),
-                                   self._critical_proximity(peer), decision,
-                                   now,
-                                   self.config.policies.route_hysteresis_ms)
-            except NoAvailableLink:
-                self._queue_frame(peer, data, now)
-                return
+            new = select_route(peer, self.peer_links[peer],
+                               self._link_estimates(peer),
+                               self._critical_proximity(peer), decision, now,
+                               self.config.policies.route_hysteresis_ms)
             if new.chosen_link != decision.chosen_link:
                 self.switch_log.append((now, peer, decision.chosen_link,
                                         new.chosen_link, False))
                 self.routes[peer] = new
                 decision = new
-        chosen = self.links_by_id[decision.chosen_link]
-        if not chosen.available:
-            # failover: hysteresis only limits quality-driven switching
-            decision = self._failover(peer, decision, now)
-            if decision is None:
-                self._queue_frame(peer, data, now)
-                return
-        self._flush_pending(peer, now)
         self._send_fn(decision.chosen_link, data)
 
     def on_link_change(self, link_id: int, available: bool, now: int) -> None:
-        """Network-layer notification; fails over same-tick when the change
-        downs a chosen link."""
+        """Network-layer notification, and the one place a route leaves a
+        down link. Only the link's peer is touched. If its route is on a
+        down link while another link to it is up, the route fails over at
+        once to the best link that is up, whatever the dwell. Whenever the
+        route ends on an up link, the peer's queued frames older than
+        QUEUE_LIMIT_MS are dropped and the rest are sent, in order."""
         now = self.clock.read(now)
         link = self.links_by_id.get(link_id)
         if link is None:
             return
         link.available = available
-        for peer in self.peers:
-            links = self.peer_links[peer]
-            if all(l.link_id != link_id for l in links):
-                continue
-            decision = self.routes.get(peer)
-            if decision is None:
-                continue
-            if available:
-                self._flush_pending(peer, now)
-                continue
-            if decision.chosen_link != link_id:
-                continue
-            self._failover(peer, decision, now)
-
-    def _failover(self, peer: int, decision: RouteDecision,
-                  now: int) -> RouteDecision | None:
-        """Immediate reroute to the best available link, bypassing
-        hysteresis. Returns None (route left as-is) when nothing is up."""
-        alive = [l for l in self.peer_links[peer] if l.available]
-        if not alive:
-            return None
-        best = best_link(alive, self._link_estimates(peer))
-        self.switch_log.append((now, peer, decision.chosen_link,
-                                best.link_id, True))
-        new = replace(decision, chosen_link=best.link_id, last_switch_at=now)
-        self.routes[peer] = new
-        return new
-
-    def _queue_frame(self, peer: int, data: bytes, now: int) -> None:
-        self._pending[peer].append((data, now))
-
-    def _flush_pending(self, peer: int, now: int) -> None:
-        pending = self._pending.get(peer)
-        if not pending:
-            return
-        while pending and now - pending[0][1] > QUEUE_LIMIT_MS:
-            pending.popleft()
-            self.counters.queue_drops += 1
-        if not pending:
-            return
+        peer = link.other_endpoint(self.config.client_id)
         decision = self.routes.get(peer)
         if decision is None:
             return
-        link = self.links_by_id[decision.chosen_link]
-        if not link.available:
-            decision = self._failover(peer, decision, now)
-            if decision is None:
+        if not self.links_by_id[decision.chosen_link].available:
+            alive = [l for l in self.peer_links[peer] if l.available]
+            if not alive:
                 return
+            best = best_link(alive, self._link_estimates(peer)).link_id
+            self.switch_log.append((now, peer, decision.chosen_link, best,
+                                    True))
+            decision = self.routes[peer] = replace(
+                decision, chosen_link=best, last_switch_at=now)
+        pending = self._pending[peer]
+        self._expire_queued(pending, now)
         while pending:
-            data, _ = pending.popleft()
-            self._send_fn(decision.chosen_link, data)
+            self._send_fn(decision.chosen_link, pending.popleft()[0])
+
+    def _expire_queued(self, pending: deque, now: int) -> None:
+        """Drop queued frames older than QUEUE_LIMIT_MS, oldest first."""
+        while pending and now - pending[0][1] > QUEUE_LIMIT_MS:
+            pending.popleft()
+            self.counters.queue_drops += 1
 
     # -- helpers -----------------------------------------------------------
 

@@ -82,3 +82,49 @@ def test_compare_schema_mismatch_exit_two(scenario_file, tmp_path, capsys):
     cli.main(["run", str(scenario_file), "--out", str(a),
               "--events", str(events)])
     assert cli.main(["compare", str(a), str(events)]) == 2
+
+
+def _only_link_down_doc(tmp_path, change):
+    doc = two_client_doc()
+    doc["duration_ms"] = 3000
+    change(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _summary(text):
+    return dict(line.split("=", 1) for line in text.splitlines())
+
+
+def test_link_down_at_start_comes_up_and_frames_flow(tmp_path, capsys):
+    def change(doc):
+        doc["links"][0]["available"] = False
+        doc["link_events"] = [{"at": 1000, "link": 0, "available": True}]
+    deliveries = tmp_path / "deliveries.csv"
+    code = cli.main(["run", str(_only_link_down_doc(tmp_path, change)),
+                     "--deliveries", str(deliveries)])
+    assert code == 0
+    rows = deliveries.read_text().splitlines()[1:]
+    assert rows
+    assert all(int(row.split(",")[0]) >= 1000 + 250 for row in rows)
+    assert int(_summary(capsys.readouterr().out)["messages_delivered"]) > 0
+
+
+def test_link_down_for_the_whole_run_queues_and_drops(tmp_path, capsys):
+    def change(doc):
+        doc["links"][0]["available"] = False
+    code = cli.main(["run", str(_only_link_down_doc(tmp_path, change))])
+    assert code == 0
+    summary = _summary(capsys.readouterr().out)
+    assert summary["messages_sent"] == "0"
+    assert int(summary["messages_dropped_queue"]) > 0
+
+
+def test_direct_link_with_unknown_address_queues_and_drops(tmp_path, capsys):
+    def change(doc):
+        doc["links"][0]["kind"] = "direct"
+        doc["clients"][1]["direct_address_known"] = False
+    code = cli.main(["run", str(_only_link_down_doc(tmp_path, change))])
+    assert code == 0
+    assert int(_summary(capsys.readouterr().out)["messages_dropped_queue"]) > 0

@@ -1,4 +1,5 @@
-"""Golden outputs: the shipped scenarios, one small generated mesh, and the
+"""Golden outputs: the shipped scenarios, one small generated mesh (also
+with frames queued while all links to a peer are down), and the
 benchmark's generated workloads at seed 1 must keep producing
 byte-identical tick, event and delivery CSVs and traces. A refactor that
 changes any byte (a different float rounding, event order or RNG draw)
@@ -32,6 +33,18 @@ GOLDEN = {
         "events": "7b4385c9edbdecdde1ce88b8f18e975b076f40868e0c52d56477d59c266f07df",
         "deliveries": "4f9bda7347e7e132aa6a307a70ae38255383e358b4498ae48921c456422b7bde",
         "trace": "e3cb4dc613b266ebbb007fe1317de2905e76dc4e44a1d35732b463157a760303",
+    },
+    "small_mesh_queue": {
+        "tick": "9256d17814c2903859a7304b7a4be16bcc906756a9bb72c494e1906055827fef",
+        "events": "d59e81b2d1cbeba8410590c7dcfdc079333451845f66b54a0760c81ad672d7f6",
+        "deliveries": "0eb8fa110f377aa821355a0520cb50df08785cbeba48e13f7074b2132ef3eb23",
+        "trace": "edb64922817b76114f219502b8c96a46cb4eede424f81cd68fa9b56ea44080f1",
+    },
+    "small_mesh_queue_no_overlay": {
+        "tick": "1d3fe58d5d35266df895fcedf4dec931868c95f3ab94982273c00fd7d4b428c7",
+        "events": "6d3f5bfd05bf7558d60f61aebb63262def96695e255fe82b5e8f527bd0e1e431",
+        "deliveries": "507fecf3e13e92b4abc8cb5300b8047a311ad6eff461eba4aade2102a5aa082d",
+        "trace": "21160dae825ff95836a413b51cf8059c6eed959c774ae1c88d727f4fbe13c674",
     },
     "mesh16_lossy": {
         "tick": "84567c983b62f52d7cfea83874f3c709aec6e29c202b979fe86cd905dd7d0000",
@@ -103,6 +116,26 @@ def small_mesh_doc():
     }
 
 
+def small_mesh_queue_doc(overlay):
+    """The small mesh with both links between clients 0 and 1 down for a
+    while, so frames between them queue, expire and are flushed when a link
+    comes back. With overlay on, links 0 and 1 go down at 300 ms and link 0
+    comes back at 2000 ms; with it off, link 0 goes down at 300 ms, link 1
+    at 400 ms, and link 1 comes back at 1900 ms. Each run drops two queued
+    frames."""
+    doc = small_mesh_doc()
+    if overlay:
+        doc["link_events"] = [{"at": 300, "link": 0, "available": False},
+                              {"at": 300, "link": 1, "available": False},
+                              {"at": 2000, "link": 0, "available": True}]
+    else:
+        doc["toggles"] = {"overlay": False}
+        doc["link_events"] = [{"at": 300, "link": 0, "available": False},
+                              {"at": 400, "link": 1, "available": False},
+                              {"at": 1900, "link": 1, "available": True}]
+    return doc
+
+
 def digests(config, tmp_path):
     paths = {kind: tmp_path / kind
              for kind in ("tick", "events", "deliveries", "trace")}
@@ -127,3 +160,11 @@ def test_small_mesh_outputs_are_byte_identical(tmp_path):
 def test_benchmark_workload_outputs_are_byte_identical(workload, tmp_path):
     config = parse_scenario(benchmark_document(workload, 1))
     assert digests(config, tmp_path) == GOLDEN[workload]
+
+
+@pytest.mark.parametrize("overlay, name", [
+    (True, "small_mesh_queue"), (False, "small_mesh_queue_no_overlay")])
+def test_small_mesh_queue_path_outputs_are_byte_identical(overlay, name,
+                                                          tmp_path):
+    config = parse_scenario(small_mesh_queue_doc(overlay))
+    assert digests(config, tmp_path) == GOLDEN[name]

@@ -6,6 +6,8 @@ captured transport; full-simulator integration lives in test_runner.py."""
 from dataclasses import fields
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gamesync import rollback as rb
 from gamesync.deadreckoning import EntityKinematics
@@ -340,6 +342,78 @@ def test_change_to_unchosen_link_keeps_route():
     pm.on_link_change(1, True, 60)
     assert pm.routes[1] is before
     assert pm.switch_log == []
+
+
+# 2-3 links to one peer, each a relay or a direct link, up or down at start
+_PEER_LINKS = st.lists(st.tuples(st.sampled_from(list(LinkKind)),
+                                 st.booleans()), min_size=2, max_size=3)
+# Each step advances the clock, then changes a link, hands frames to
+# _transmit and ticks, or hears the peer on a link with some delay (which
+# moves that link's estimate, and so route choice and failover targets).
+_ROUTE_STEPS = st.lists(st.tuples(st.integers(0, 700), st.one_of(
+    st.tuples(st.just("link"), st.integers(0, 2), st.booleans()),
+    st.tuples(st.just("send"), st.integers(0, 3)),
+    st.tuples(st.just("hear"), st.integers(0, 2), st.integers(0, 300)))),
+    max_size=30)
+
+
+@given(_PEER_LINKS, st.booleans(), _ROUTE_STEPS)
+def test_route_sits_on_a_down_link_only_while_no_link_is_up(rows, overlay,
+                                                            steps):
+    """After every step: if a link to the peer is up, the route is on an
+    up link and nothing is queued; every frame handed to _transmit was sent
+    once, on an up link and in order, or is still queued, or was counted as
+    a queue drop (dropped frames are older than queued ones); and every
+    failover happened at a link change."""
+    links = [LinkSpec(i, (0, 1), 250, kind=kind, available=up)
+             for i, (kind, up) in enumerate(rows)]
+    config = PlayerManagerConfig(
+        client_id=0, links=links,
+        policies=PolicySet(route_hysteresis_ms=500),
+        toggles=Toggles(overlay=overlay))
+    frames, sent = {}, []
+
+    def send(link_id, data):
+        if data in frames:
+            assert pm.links_by_id[link_id].available
+            sent.append(frames[data])
+
+    pm = PlayerManager(config, Spy(), send)
+    pm.start_session([PeerCapabilities(1)], 0)
+    now, changes, seq = 0, set(), 0
+
+    def check():
+        peer_links = pm.peer_links[1]
+        queued = [frames[data] for data, _ in pm._pending[1]]
+        if any(l.available for l in peer_links):
+            assert pm.links_by_id[pm.routes[1].chosen_link].available
+            assert queued == []
+        assert sent == sorted(set(sent))
+        assert queued == sorted(queued)
+        dropped = set(frames.values()) - set(sent) - set(queued)
+        assert not set(sent) & set(queued)
+        assert len(dropped) == pm.counters.queue_drops
+        assert not queued or not dropped or max(dropped) < min(queued)
+        assert all(at in changes for at, _, _, _, failover in pm.switch_log
+                   if failover)
+
+    check()
+    for dt, step in steps:
+        now += dt
+        if step[0] == "link":
+            pm.on_link_change(step[1] % len(links), step[2], now)
+            changes.add(now)
+        elif step[0] == "send":
+            for _ in range(step[1]):
+                data = b"frame %d" % len(frames)
+                frames[data] = len(frames)
+                pm._transmit(1, data, now)
+            pm.tick(now)
+        else:
+            seq += 1
+            heard = state(max(0, now - step[2]), seq=seq, sender=1, entity=9)
+            pm.on_network_message(encode(heard), now, step[1] % len(links))
+        check()
 
 
 def test_sender_side_lag_buffers_own_events():

@@ -410,3 +410,34 @@ def test_sampling_formats_nothing_without_a_tick_file(tmp_path, monkeypatch):
     assert set(uses) == {runner.TICK_ENTITY, runner.TICK_TRUTH,
                          runner.TICK_VIEWER, runner.TICK_SHOWN,
                          runner.TICK_SHARED}
+
+
+def dead_route_repair_doc(standing_entity):
+    """Two clients and two relay links: link 0 goes down at 1000 ms, link 1
+    at 2000 ms, and link 0 comes back at 3000 ms. Client 1 has no entity,
+    or one standing entity whose 4000 ms heartbeat sends nothing between
+    2000 and 3000 ms, so it has no frame queued when link 0 comes back."""
+    doc = two_client_doc()
+    doc["links"] = [{"id": 0, "endpoints": [0, 1], "base_delay_ms": 250},
+                    {"id": 1, "endpoints": [0, 1], "base_delay_ms": 250}]
+    doc["link_events"] = [{"at": 1000, "link": 0, "available": False},
+                          {"at": 2000, "link": 1, "available": False},
+                          {"at": 3000, "link": 0, "available": True}]
+    if standing_entity:
+        doc["policies"]["heartbeat_ms"] = 4000
+    else:
+        doc["clients"][1]["entities"] = []
+    return doc
+
+
+@pytest.mark.parametrize("standing_entity", [False, True])
+def test_link_coming_back_repairs_a_route_with_nothing_queued(standing_entity):
+    res = run_doc(dead_route_repair_doc(standing_entity), keep_rows=True)
+    pm = res.pms[1]
+    assert pm.switch_log == [(1000, 0, 0, 1, True), (3000, 0, 1, 0, True)]
+    assert pm.routes[0].chosen_link == 0
+    # both clients fail over at 1000 ms and are repaired at 3000 ms
+    assert res.summary["route_failovers"] == 4
+    routes = {row[10] for row in res.tick_rows
+              if row[2] == 1 and row[0] >= 3000}
+    assert routes == ({0} if standing_entity else set())
