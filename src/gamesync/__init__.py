@@ -8,12 +8,12 @@ harness reproduce the pipeline's behavior under configurable delay, jitter,
 and loss.
 """
 
-from gamesync.clock import (DelaySample, LatencyEstimator, VirtualClock,
+from gamesync.clock import (LatencyEstimator, VirtualClock,
                             delay_from_timestamp, rtt_probe)
 from gamesync.compare import compare
 from gamesync.deadreckoning import (DeadReckoningPolicy, EntityKinematics,
                                     converge, predict, should_send)
-from gamesync.locallag import LagPolicy, PlayoutBuffer, PlayoutEntry
+from gamesync.locallag import PlayoutBuffer, PlayoutEntry
 from gamesync.netsim import NetworkSim, SimRng
 from gamesync.overlay import LinkKind, LinkSpec, PeerCapabilities, RouteDecision
 from gamesync.pdu import (EventKind, EventMessage, PingMessage, PongMessage,
@@ -29,9 +29,9 @@ from gamesync.scenario import ScenarioConfig, load_scenario, parse_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchoredCircle", "Circle", "ConsistencyMode", "DelaySample",
-    "DeadReckoningPolicy", "DeliveryLog", "EntityKinematics", "EventKind",
-    "EventMessage", "GameCallbacks", "LagPolicy", "LatencyEstimator",
+    "AnchoredCircle", "Circle", "ConsistencyMode", "DeadReckoningPolicy",
+    "DeliveryLog", "EntityKinematics", "EventKind", "EventMessage",
+    "GameCallbacks", "LatencyEstimator",
     "LinkKind", "LinkSpec", "NetworkSim", "PeerCapabilities", "PingMessage",
     "PlayerManager", "PlayerManagerConfig", "PlayoutBuffer", "PlayoutEntry",
     "PongMessage", "Rect", "RegionSet", "RollbackDirective", "RouteDecision",

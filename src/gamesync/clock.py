@@ -2,8 +2,9 @@
 
 The simulator supplies a global virtual clock, so one-way delay normally
 comes straight from message timestamps. An RTT/2 probe is available as the
-fallback for unsynchronized clocks. Estimates are re-learned continuously:
-every received data message contributes a sample.
+fallback for unsynchronized clocks. Estimates are kept per link and
+re-learned continuously: every received data message and every pong
+contributes a sample to the link it arrived on.
 """
 
 from dataclasses import dataclass, field
@@ -30,12 +31,6 @@ class VirtualClock:
             return self._last
         self._last = t
         return t
-
-
-class DelaySample(NamedTuple):
-    peer_id: Hashable
-    delay_ms: int
-    at: int
 
 
 class DelayResult(NamedTuple):
@@ -67,33 +62,30 @@ def rtt_probe(ping, pong, receive_time: int) -> int:
 
 @dataclass
 class LatencyEstimator:
-    """Per-peer EWMA of one-way delay samples.
+    """Per-link EWMA of one-way delay samples.
 
-    The first sample initializes the estimate; afterwards
-    estimate <- (1 - alpha) * estimate + alpha * sample. Peers with no
-    samples report None, distinct from an estimate of 0.
+    The first sample on a link initializes its estimate; afterwards
+    estimate <- (1 - alpha) * estimate + alpha * sample. `estimates` maps
+    each link id with a sample to its estimate; a link with none is absent,
+    which is distinct from an estimate of 0.
     """
 
     alpha: float = DEFAULT_ALPHA
-    _estimates: dict = field(default_factory=dict)
+    estimates: dict = field(default_factory=dict)
 
-    def observe(self, sample: DelaySample) -> float:
-        if sample.delay_ms < 0:
+    def observe(self, link_id: Hashable, delay_ms: int) -> float:
+        if delay_ms < 0:
             raise ValueError("delay samples must be non-negative")
-        key = sample.peer_id
-        prior = self._estimates.get(key)
+        prior = self.estimates.get(link_id)
         if prior is None:
-            est = float(sample.delay_ms)
+            est = float(delay_ms)
         else:
             # Incremental form of (1 - alpha) * prior + alpha * sample: it
             # keeps the result inside [min, max] of the inputs even in float
             # arithmetic, where the expanded form can overshoot by an ulp.
-            est = prior + (sample.delay_ms - prior) * self.alpha
-        self._estimates[key] = est
+            est = prior + (delay_ms - prior) * self.alpha
+        self.estimates[link_id] = est
         return est
 
-    def estimate(self, peer_id: Hashable) -> float | None:
-        return self._estimates.get(peer_id)
-
     def reset(self) -> None:
-        self._estimates.clear()
+        self.estimates.clear()

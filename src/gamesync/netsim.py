@@ -1,6 +1,8 @@
 """Deterministic discrete-event network simulator.
 
 Links have a base delay, symmetric uniform jitter, and a loss probability.
+A link's delay lives on the simulator's copy of the link: set_link_delay
+changes it for every send from then on, and frames in flight keep theirs.
 All randomness flows through one seeded xorshift64* generator, so identical
 seeds give identical event traces on every platform. The simulator owns the
 global virtual clock; this is what makes the synchronized-clock assumption
@@ -26,8 +28,6 @@ The event carries the joined suffix to its DELIVER line. An untraced send
 never peeks.
 """
 
-import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple
@@ -120,8 +120,6 @@ class NetworkSim:
     def __init__(self, seed: int, trace=None):
         self.rng = SimRng(seed)
         self.links: dict[int, LinkSpec] = {}
-        # Only links with a scheduled delay change have an entry.
-        self._delay_changes: dict[int, list[tuple[int, int]]] = {}
         self._handlers: dict[int, Callable] = {}
         self._heap: list[SimEvent] = []
         self._index = 0
@@ -140,8 +138,9 @@ class NetworkSim:
         return self._now
 
     def add_link(self, spec: LinkSpec) -> None:
-        """Add a copy of `spec`: a link going down or up during the run
-        changes the simulator's copy, never the caller's."""
+        """Add a copy of `spec`: a link going down or up, or changing its
+        delay, during the run changes the simulator's copy, never the
+        caller's."""
         if spec.link_id in self.links:
             raise ValueError(f"duplicate link id {spec.link_id}")
         self.links[spec.link_id] = replace(spec)
@@ -151,21 +150,14 @@ class NetworkSim:
         """handler(payload, now, link_id) is invoked on delivery."""
         self._handlers[client_id] = handler
 
-    def set_link_delay(self, link_id: int, new_base_delay: int, at: int) -> None:
-        """Sends issued at or after `at` use the new delay; in-flight events
-        are unaffected."""
-        if link_id not in self.links:
+    def set_link_delay(self, link_id: int, new_base_delay: int) -> None:
+        """Sends issued from now on use the new delay; frames already in
+        flight keep theirs. A change due at a virtual time is made by a
+        call scheduled at that time (see schedule_call)."""
+        link = self.links.get(link_id)
+        if link is None:
             raise UnknownLink(f"link {link_id}")
-        changes = self._delay_changes.setdefault(link_id, [])
-        changes.append((at, new_base_delay))
-        changes.sort()
-
-    def effective_delay(self, link_id: int, at: int) -> int:
-        """The last change at or before `at` in sorted order (so among
-        changes at one time the last wins), else the link's base delay."""
-        changes = self._delay_changes.get(link_id, ())
-        i = bisect_right(changes, (at, math.inf))
-        return changes[i - 1][1] if i else self.links[link_id].base_delay_ms
+        link.base_delay_ms = new_base_delay
 
     def schedule_call(self, at: int, fn: Callable[[int], None]) -> None:
         """Run fn(now) at virtual time `at` (control events, ticks...),
@@ -205,10 +197,7 @@ class NetworkSim:
             if trace is not None:
                 trace.write(f"{now}\tDROP{suffix}")
             return False
-        if link_id in self._delay_changes:
-            delay = self.effective_delay(link_id, now)
-        else:
-            delay = link.base_delay_ms
+        delay = link.base_delay_ms
         if link.jitter_ms > 0:
             delay += self.rng.next_int_symmetric(link.jitter_ms)
         self._index += 1

@@ -4,11 +4,11 @@ transmission pipelines.
 Reception runs decode -> delay estimation -> critical area tracking ->
 playout buffering -> rollback ordering -> prediction/convergence -> game
 callbacks. A data frame's consistency mode is evaluated once, after the
-frame's position is recorded: that one mode scales the playout deadline and
-becomes the entity's noted mode. Rollback ordering covers events only: a
-state update, on time or late, reaches the game once, through one apply
-path, as the displayed position at the playout time, and never regresses
-the entity's view. The stages carry no instrumentation of their own;
+frame's position is recorded: that one mode scales the frame's lag, which
+comes from its entity's class policy, and becomes the entity's noted mode.
+Rollback ordering covers events only: a state update, on time or late,
+reaches the game once, through one apply path, as the displayed position
+at the playout time, and never regresses the entity's view. The stages carry no instrumentation of their own;
 `processing_ns` times each received frame as a whole.
 
 Transmission runs per tick: dead-reckoning gate -> timestamping -> critical
@@ -33,16 +33,15 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from gamesync import rollback as rb
-from gamesync.clock import (DEFAULT_ALPHA, DelaySample, LatencyEstimator,
-                            VirtualClock, delay_from_timestamp, rtt_probe)
+from gamesync.clock import (DEFAULT_ALPHA, LatencyEstimator, VirtualClock,
+                            delay_from_timestamp, rtt_probe)
 # converge is no longer called here: displayed_at is the display rule it
 # delegates to. The name stays importable from this module, where
 # perfbench's traced runs wrap it.
 from gamesync.deadreckoning import (DEFAULT_HEARTBEAT_MS, DeadReckoningPolicy,
                                     EntityKinematics, converge, displayed_at,
                                     should_send)
-from gamesync.locallag import (DEFAULT_CLASS, DEFAULT_CRITICAL_SCALE,
-                               LagPolicy, PlayoutBuffer)
+from gamesync.locallag import DEFAULT_CLASS, PlayoutBuffer
 from gamesync.overlay import (LinkKind, LinkSpec, PeerCapabilities,
                               RouteDecision, best_link, default_route,
                               select_route)
@@ -108,16 +107,13 @@ class PolicySet:
     default: ClassPolicy = field(default_factory=ClassPolicy)
     classes: dict = field(default_factory=dict)   # class id -> ClassPolicy
     critical_threshold_scale: float = 0.25
-    critical_lag_scale: float = DEFAULT_CRITICAL_SCALE
+    critical_lag_scale: float = 0.5
     heartbeat_ms: int = DEFAULT_HEARTBEAT_MS
     ewma_alpha: float = DEFAULT_ALPHA
     exit_hysteresis_ms: int = EXIT_HYSTERESIS_MS
     route_hysteresis_ms: int = 500
     idle_ping_ms: int = 1000
     critical_proximity_radius_m: float | None = None
-
-    def for_class(self, class_id: str) -> ClassPolicy:
-        return self.classes.get(class_id, self.default)
 
 
 @dataclass
@@ -133,8 +129,8 @@ class PlayerManagerConfig:
     """One client's view of a run: its own id, links, entities and clock
     offset, the run-wide entity and region tables, and the policies and
     toggles every client of the run shares. The manager takes the EWMA
-    alpha, the lag table and the exit hysteresis once, at construction, and
-    reads every other setting live."""
+    alpha and the exit hysteresis once, at construction, and reads every
+    other setting, each class's lag included, live."""
     client_id: int
     links: list = field(default_factory=list)
     local_entities: tuple = ()
@@ -179,12 +175,11 @@ class PlayerManager:
         self.callbacks = callbacks
         self._send_fn = send_fn
         pol = config.policies
+        if not 0 < pol.critical_lag_scale <= 1:
+            raise ConfigInvalid("critical_lag_scale must be in (0, 1]")
         self.clock = VirtualClock(config.clock_offset_ms)
         self.estimator = LatencyEstimator(pol.ewma_alpha)
-        self.buffer = PlayoutBuffer(LagPolicy(
-            base_lag_ms={name: cp.lag_ms for name, cp in pol.classes.items()},
-            critical_scale=pol.critical_lag_scale,
-            default_lag_ms=pol.default.lag_ms))
+        self.buffer = PlayoutBuffer()
         self.log = rb.DeliveryLog()
         self.modes = ModeTracker(config.regions, pol.exit_hysteresis_ms)
         self.counters = PmCounters()
@@ -202,6 +197,9 @@ class PlayerManager:
         self.peer_links: dict[int, list[LinkSpec]] = {}
         self.routes: dict[int, RouteDecision] = {}
         self._pending: dict[int, deque] = {}
+        # direct links to peers whose address is unknown: down for the
+        # whole session, whatever the link events say
+        self._unreachable: set[int] = set()
         self._peer_critical: dict[int, bool] = {}
         self._peer_entities: dict[int, tuple] = {}   # peer -> its entities
         self._views: dict[int, _RemoteView] = {}
@@ -221,10 +219,10 @@ class PlayerManager:
 
     def start_session(self, peer_capabilities: list[PeerCapabilities],
                       now: int = 0) -> None:
-        """Collect peer info, mark unreachable direct links, choose default
-        routes, zero sequence counters, and fire the initial ping round. A
-        peer with no link up is routed over its lowest-id link, and frames
-        to it queue until a link comes up."""
+        """Collect peer info, mark unreachable direct links down for the
+        session, choose default routes, zero sequence counters, and fire the
+        initial ping round. A peer with no link up is routed over its
+        lowest-id link, and frames to it queue until a link comes up."""
         if self.config.policies.heartbeat_ms <= 0:
             raise ConfigInvalid("heartbeat_ms must be > 0")
         now = self.clock.read(now)
@@ -243,6 +241,7 @@ class PlayerManager:
                 for l in links:
                     if l.kind is LinkKind.DIRECT:
                         l.available = False
+                        self._unreachable.add(l.link_id)
             links.sort(key=lambda l: l.link_id)
             self.peer_links[peer] = links
             self._pending[peer] = deque()
@@ -303,8 +302,8 @@ class PlayerManager:
         mode = self._frame_mode(msg, now)
         entry = None
         if self.config.toggles.receiver_side_lag:
-            entry = self.buffer.enqueue(msg, self._class_of(msg.entity_id),
-                                        mode, now)
+            entry = self.buffer.enqueue(msg, self._lag(msg.entity_id, mode),
+                                        now)
         if entry is None:
             self._playout(msg, now)
         elif entry.late:
@@ -461,7 +460,7 @@ class PlayerManager:
             self._transmit(peer, data, now)
         mode = self._entity_modes.get(entity_id, NORMAL)
         if self.config.toggles.sender_side_lag:
-            entry = self.buffer.enqueue(msg, self._class_of(entity_id), mode, now)
+            entry = self.buffer.enqueue(msg, self._lag(entity_id, mode), now)
             if entry.late:
                 self._playout(msg, now)
         else:
@@ -481,7 +480,7 @@ class PlayerManager:
             return
         if self.config.toggles.overlay:
             new = select_route(peer, self.peer_links[peer],
-                               self._link_estimates(peer),
+                               self.estimator.estimates,
                                self._critical_proximity(peer), decision, now,
                                self.config.policies.route_hysteresis_ms)
             if new.chosen_link != decision.chosen_link:
@@ -493,14 +492,15 @@ class PlayerManager:
 
     def on_link_change(self, link_id: int, available: bool, now: int) -> None:
         """Network-layer notification, and the one place a route leaves a
-        down link. Only the link's peer is touched. If its route is on a
+        down link. Only the link's peer is touched; a direct link to a peer
+        whose address is unknown stays down. If its route is on a
         down link while another link to it is up, the route fails over at
         once to the best link that is up, whatever the dwell. Whenever the
         route ends on an up link, the peer's queued frames older than
         QUEUE_LIMIT_MS are dropped and the rest are sent, in order."""
         now = self.clock.read(now)
         link = self.links_by_id.get(link_id)
-        if link is None:
+        if link is None or link_id in self._unreachable:
             return
         link.available = available
         peer = link.other_endpoint(self.config.client_id)
@@ -511,7 +511,7 @@ class PlayerManager:
             alive = [l for l in self.peer_links[peer] if l.available]
             if not alive:
                 return
-            best = best_link(alive, self._link_estimates(peer)).link_id
+            best = best_link(alive, self.estimator.estimates).link_id
             self.switch_log.append((now, peer, decision.chosen_link, best,
                                     True))
             decision = self.routes[peer] = replace(
@@ -558,12 +558,8 @@ class PlayerManager:
                     return True
         return False
 
-    def _link_estimates(self, peer: int) -> dict:
-        return {l.link_id: self.estimator.estimate((peer, l.link_id))
-                for l in self.peer_links[peer]}
-
     def _observe(self, peer: int, link_id: int, delay: int, now: int) -> None:
-        self.estimator.observe(DelaySample((peer, link_id), delay, now))
+        self.estimator.observe(link_id, delay)
         self._last_activity[peer] = now
 
     def _send_pings(self, peer: int, now: int) -> None:
@@ -597,7 +593,16 @@ class PlayerManager:
         return self.config.entity_class.get(entity_id, DEFAULT_CLASS)
 
     def _dr_policy(self, entity_id: int) -> ClassPolicy:
-        return self.config.policies.for_class(self._class_of(entity_id))
+        pol = self.config.policies
+        return pol.classes.get(self._class_of(entity_id), pol.default)
+
+    def _lag(self, entity_id: int, mode: ConsistencyMode) -> int:
+        """The entity's class lag, scaled down in strong mode and rounded
+        half up."""
+        lag = self._dr_policy(entity_id).lag_ms
+        if mode is STRONG:
+            return int(lag * self.config.policies.critical_lag_scale + 0.5)
+        return lag
 
     def _note_mode(self, entity_id: int, mode: ConsistencyMode) -> None:
         if self._entity_modes.get(entity_id) != mode:

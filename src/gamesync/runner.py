@@ -170,10 +170,13 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
 
         sim.schedule_call(0, session_start)
 
+        # Each link event is a call at its time, so a delay change applies
+        # to every send from that call on; the parser keeps same-time
+        # changes to one link in document order, and the last one holds.
         for at, link_id, what, value in config.link_events:
             def apply_change(now, link_id=link_id, what=what, value=value):
                 if what == "base_delay_ms":
-                    sim.set_link_delay(link_id, value, now)
+                    sim.set_link_delay(link_id, value)
                 else:
                     sim.links[link_id].available = value
                     for pm in pms.values():

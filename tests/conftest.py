@@ -60,14 +60,14 @@ def two_client_doc(**overrides):
 
 
 def run_observing_estimates(config, client_id):
-    """Run a scenario and return every (DelaySample, estimate) pair that
-    client_id's latency estimator observed, in order."""
+    """Run a scenario and return every ((link_id, delay_ms), estimate) pair
+    that client_id's latency estimator observed, in order."""
     seen = []
     observe = LatencyEstimator.observe
 
-    def recording(estimator, sample):
-        estimate = observe(estimator, sample)
-        seen.append((estimator, sample, estimate))
+    def recording(estimator, link_id, delay_ms):
+        estimate = observe(estimator, link_id, delay_ms)
+        seen.append((estimator, (link_id, delay_ms), estimate))
         return estimate
 
     LatencyEstimator.observe = recording

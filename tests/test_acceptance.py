@@ -304,8 +304,8 @@ def test_criterion_8_latency_reestimation():
     doc["link_events"] = [{"at": 5000, "link": 0, "base_delay_ms": 300}]
     doc["policies"]["heartbeat_ms"] = 50
     observed = run_observing_estimates(parse_scenario(doc), 1)
-    samples = [est for s, est in observed
-               if s.peer_id[0] == 0 and s.delay_ms == 300]
+    samples = [est for (link, delay), est in observed
+               if link == 0 and delay == 300]
     estimate_25 = samples[24] if len(samples) >= 25 else None
     within = [i for i, est in enumerate(samples[:25])
               if abs(est - 300.0) <= 15.0]

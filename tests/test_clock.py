@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gamesync.clock import (DelaySample, LatencyEstimator, NonceMismatch,
-                            VirtualClock, delay_from_timestamp, rtt_probe)
+from gamesync.clock import (LatencyEstimator, NonceMismatch, VirtualClock,
+                            delay_from_timestamp, rtt_probe)
 from gamesync.pdu import PingMessage, PongMessage
 
 
@@ -26,48 +26,46 @@ def test_delay_clamped_with_anomaly_flag():
 
 def test_delay_records_are_immutable():
     with pytest.raises(AttributeError):
-        DelaySample("p", 10, 0).delay_ms = 11
-    with pytest.raises(AttributeError):
         delay_from_timestamp(100, 150).delay_ms = 0
 
 
 def test_estimator_first_sample_initializes():
     est = LatencyEstimator()
-    assert est.estimate("p") is None
-    est.observe(DelaySample("p", 200, 0))
-    assert est.estimate("p") == 200.0
+    assert 0 not in est.estimates
+    est.observe(0, 200)
+    assert est.estimates[0] == 200.0
 
 
 def test_estimator_hand_computed_step():
     # 0.875 * 200 + 0.125 * 280 = 175 + 35 = 210
     est = LatencyEstimator(alpha=0.125)
-    est.observe(DelaySample("p", 200, 0))
-    assert est.observe(DelaySample("p", 280, 1)) == 210.0
+    est.observe(0, 200)
+    assert est.observe(0, 280) == 210.0
 
 
 def test_estimator_step_change_convergence():
     # independent loop oracle for the closed-form residual
     # (1 - alpha)^n: after a 100 -> 300 step, within 5% of 300 by sample 25
     est = LatencyEstimator(alpha=0.125)
-    est.observe(DelaySample("p", 100, 0))
+    est.observe(0, 100)
     for i in range(20):
-        est.observe(DelaySample("p", 100, i))
-    assert est.estimate("p") == 100.0
+        est.observe(0, 100)
+    assert est.estimates[0] == 100.0
     oracle = 100.0
     for n in range(1, 26):
-        est.observe(DelaySample("p", 300, n))
+        est.observe(0, 300)
         oracle = 0.875 * oracle + 0.125 * 300.0
-    assert est.estimate("p") == pytest.approx(oracle)
-    assert abs(est.estimate("p") - 300.0) <= 0.05 * 300.0
+    assert est.estimates[0] == pytest.approx(oracle)
+    assert abs(est.estimates[0] - 300.0) <= 0.05 * 300.0
     closed_form = 300.0 - 200.0 * (0.875 ** 25)
-    assert est.estimate("p") == pytest.approx(closed_form, rel=1e-12)
+    assert est.estimates[0] == pytest.approx(closed_form, rel=1e-12)
 
 
 def test_constant_samples_stay_exact():
     est = LatencyEstimator(alpha=0.125)
     for i in range(50):
-        est.observe(DelaySample("p", 42, i))
-        assert est.estimate("p") == 42.0
+        est.observe(0, 42)
+        assert est.estimates[0] == 42.0
 
 
 @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=200),
@@ -75,22 +73,23 @@ def test_constant_samples_stay_exact():
 def test_estimate_within_sample_range(samples, alpha):
     est = LatencyEstimator(alpha=alpha)
     for i, s in enumerate(samples):
-        est.observe(DelaySample("p", s, i))
-        assert min(samples[:i + 1]) <= est.estimate("p") <= max(samples[:i + 1])
+        est.observe(0, s)
+        assert min(samples[:i + 1]) <= est.estimates[0] <= max(samples[:i + 1])
 
 
 def test_estimator_is_per_peer():
+    """Keyed by link id: each of a manager's links has one peer."""
     est = LatencyEstimator()
-    est.observe(DelaySample("a", 100, 0))
-    assert est.estimate("b") is None
-    est.observe(DelaySample("b", 900, 0))
-    assert est.estimate("a") == 100.0
-    assert est.estimate("b") == 900.0
+    est.observe(0, 100)
+    assert 1 not in est.estimates
+    est.observe(1, 900)
+    assert est.estimates[0] == 100.0
+    assert est.estimates[1] == 900.0
 
 
 def test_negative_sample_rejected():
     with pytest.raises(ValueError):
-        LatencyEstimator().observe(DelaySample("p", -1, 0))
+        LatencyEstimator().observe(0, -1)
 
 
 def test_rtt_probe_halving():

@@ -119,37 +119,61 @@ def test_global_order_is_schedule_sort_oracle():
     assert len(deliveries) + sim.counters.dropped == 20
 
 
-def test_set_link_delay_boundary():
-    sim = make_sim(base=100)
-    sim.set_link_delay(0, 300, at=5000)
+def _arrivals(sim, *calls):
+    """Schedule (at, fn) calls, run the simulator dry, and return the
+    arrival times at client 1 in delivery order."""
     arrivals = []
     sim.register_handler(1, lambda data, now, link: arrivals.append(now))
-    sim.schedule_call(4999, lambda now: sim.send(0, 0, payload()))
-    sim.schedule_call(5000, lambda now: sim.send(0, 0, payload()))
+    for at, fn in calls:
+        sim.schedule_call(at, fn)
     while sim.pending:
         sim.step()
+    return arrivals
+
+
+def test_set_link_delay_boundary():
+    """A change made by a call at 5000 applies to a send in the same ms
+    (scheduled after it), not to one a ms earlier."""
+    sim = make_sim(base=100)
+    arrivals = _arrivals(
+        sim,
+        (4999, lambda now: sim.send(0, 0, payload())),
+        (5000, lambda now: sim.set_link_delay(0, 300)),
+        (5000, lambda now: sim.send(0, 0, payload())))
     assert arrivals == [4999 + 100, 5000 + 300]
 
 
 def test_set_link_delay_idempotent():
     sim = make_sim(base=100)
-    sim.set_link_delay(0, 300, at=5000)
-    sim.set_link_delay(0, 300, at=5000)
-    assert sim.effective_delay(0, 6000) == 300
-    assert sim.effective_delay(0, 4000) == 100
+
+    def change(now):
+        sim.set_link_delay(0, 300)
+    arrivals = _arrivals(
+        sim,
+        (4000, lambda now: sim.send(0, 0, payload())),
+        (5000, change), (5000, change),
+        (6000, lambda now: sim.send(0, 0, payload())))
+    assert arrivals == [4000 + 100, 6000 + 300]
+    assert sim.links[0].base_delay_ms == 300
 
 
 def test_delay_change_ties_and_send_time_boundary():
+    """Of two changes at one time the one called last holds, and a send in
+    the ms of a change sees it."""
     sim = make_sim(base=100)
-    sim.set_link_delay(0, 150, at=3000)
-    sim.set_link_delay(0, 300, at=5000)
-    sim.set_link_delay(0, 200, at=5000)
-    # changes at one time apply in sorted order, so the last (300) wins
-    assert sim.effective_delay(0, 2999) == 100
-    assert sim.effective_delay(0, 3000) == 150
-    assert sim.effective_delay(0, 4999) == 150
-    assert sim.effective_delay(0, 5000) == 300   # a change at the send time applies
-    assert sim.effective_delay(0, 10**9) == 300
+
+    def send(now):
+        sim.send(0, 0, payload())
+    arrivals = _arrivals(
+        sim,
+        (2999, send),
+        (3000, lambda now: sim.set_link_delay(0, 150)),
+        (3000, send), (4999, send),
+        (5000, lambda now: sim.set_link_delay(0, 300)),
+        (5000, lambda now: sim.set_link_delay(0, 200)),
+        (5000, send), (10**6, send))
+    assert arrivals == [2999 + 100, 3000 + 150, 4999 + 150, 5000 + 200,
+                        10**6 + 200]
 
 
 def test_minimum_one_ms_delivery():
@@ -167,7 +191,7 @@ def test_unknown_link_and_unavailable():
     with pytest.raises(LinkUnavailable):
         sim.send(0, 0, payload())
     with pytest.raises(UnknownLink):
-        sim.set_link_delay(99, 10, 0)
+        sim.set_link_delay(99, 10)
 
 
 def test_empty_queue():
@@ -306,19 +330,17 @@ def test_trace_lines_follow_each_frames_own_link_and_payload():
 
 
 def test_delay_change_on_a_link_that_has_carried_sends():
-    """A link without delay changes reads its base delay directly; one
-    that gains a change mid-run uses it from the next send on."""
+    """A link that has carried sends uses a new delay from the next send
+    on, within the same call too; frames in flight keep theirs."""
     sim = make_sim(base=100)
-    arrivals = []
-    sim.register_handler(1, lambda data, now, link: arrivals.append(now))
 
     def send_change_send(now):
         sim.send(0, 0, payload())
-        sim.set_link_delay(0, 30, at=now)
+        sim.set_link_delay(0, 30)
         sim.send(0, 0, payload())
-    sim.schedule_call(10, lambda now: sim.send(0, 0, payload()))
-    sim.schedule_call(20, send_change_send)
-    sim.schedule_call(40, lambda now: sim.send(0, 0, payload()))
-    while sim.pending:
-        sim.step()
+    arrivals = _arrivals(
+        sim,
+        (10, lambda now: sim.send(0, 0, payload())),
+        (20, send_change_send),
+        (40, lambda now: sim.send(0, 0, payload())))
     assert arrivals == [20 + 30, 40 + 30, 10 + 100, 20 + 100]

@@ -14,8 +14,9 @@ from gamesync.deadreckoning import EntityKinematics
 from gamesync.overlay import LinkKind, LinkSpec, PeerCapabilities
 from gamesync.pdu import (EventKind, EventMessage, PongMessage, StateUpdate,
                           decode, encode)
-from gamesync.player import (ClassPolicy, GameCallbacks, PlayerManager,
-                             PlayerManagerConfig, PolicySet, Toggles)
+from gamesync.player import (ClassPolicy, ConfigInvalid, GameCallbacks,
+                             PlayerManager, PlayerManagerConfig, PolicySet,
+                             Toggles)
 from gamesync.regions import ConsistencyMode, Rect, RegionSet
 
 
@@ -141,6 +142,61 @@ def test_late_tagged_message_goes_straight_to_rollback():
     assert len(spy.states) == 1                   # played out immediately
 
 
+def played_out_at(pm, spy, start, stop):
+    """Tick from start to stop in 1 ms steps and return the first time a
+    state update reaches the game, or None."""
+    for now in range(start, stop):
+        pm.tick(now)
+        if spy.states:
+            return now
+    return None
+
+
+def test_enqueue_strong_mode_halves_lag():
+    """A critical update is strong: its 500 ms class lag is scaled by the
+    critical lag scale to 250, so it plays out at 350, not 600."""
+    pm, spy, _ = make_pm(lag=500, critical_lag_scale=0.5)
+    pm.start_session([PeerCapabilities(0)], 0)
+    pm.on_network_message(encode(state(100, critical=True)), 300, 0)
+    assert pm.counters.late_messages == 0 and spy.states == []
+    assert played_out_at(pm, spy, 300, 1000) == 350
+
+
+def test_strong_vs_normal_pipeline_stepping():
+    """Step both modes through the same delivery: strong playout is earlier
+    by exactly the scaled-down lag, rounded half up (333 * 0.5 -> 167)."""
+    for critical, lag, played_lag in ((False, 400, 400), (True, 400, 200),
+                                      (True, 333, 167)):
+        pm, spy, _ = make_pm(lag=lag, critical_lag_scale=0.5)
+        pm.start_session([PeerCapabilities(0)], 0)
+        pm.on_network_message(encode(state(1000, critical=critical)), 1050, 0)
+        assert played_out_at(pm, spy, 1050, 2000) == 1000 + played_lag
+
+
+def test_class_lag_is_read_live():
+    pm, spy, _ = make_pm(lag=500)
+    pm.start_session([PeerCapabilities(0)], 0)
+    pm.config.policies.default = ClassPolicy(threshold_m=0.5,
+                                             convergence_ms=0, lag_ms=100)
+    pm.on_network_message(encode(state(1000)), 1010, 0)
+    assert played_out_at(pm, spy, 1010, 2000) == 1100
+
+
+@pytest.mark.parametrize("scale", [0, 1.5])
+def test_critical_lag_scale_outside_unit_interval_is_rejected(scale):
+    with pytest.raises(ConfigInvalid, match="critical_lag_scale"):
+        make_pm(critical_lag_scale=scale)
+
+
+def test_frame_from_a_sender_other_than_the_links_peer_moves_its_estimate():
+    """Estimates are kept per link: a frame is credited to the link it
+    arrived on, whoever its sender id names."""
+    pm, spy, _ = make_pm(client_id=1, peer=0)
+    pm.start_session([PeerCapabilities(0)], 0)
+    pm.on_network_message(encode(state(100, sender=2)), 350, 0)
+    assert pm.estimator.estimates == {0: 250.0}
+
+
 def test_duplicate_dropped():
     pm, spy, _ = make_pm(receiver_side_lag=False)
     pm.start_session([PeerCapabilities(0)], 0)
@@ -228,7 +284,7 @@ def test_pong_seeds_link_estimator():
     assert len(pings) == 1
     pong = PongMessage(0, pings[0].nonce, 150, pings[0].timestamp)
     pm.on_network_message(encode(pong), 200, 0)
-    assert pm.estimator.estimate((0, 0)) == 100.0   # (200 - 0 + 1) // 2
+    assert pm.estimator.estimates[0] == 100.0   # (200 - 0 + 1) // 2
 
 
 def test_unknown_direct_address_disables_direct_links():
@@ -604,7 +660,7 @@ def test_ping_lost_on_the_wire_expires_after_history_window():
                for ping, _ in pm._outstanding_pings.values())
     pong = PongMessage(0, lost.nonce, 2060, lost.timestamp)
     pm.on_network_message(encode(pong), 2100, 0)
-    assert pm.estimator.estimate((0, 0)) is None
+    assert pm.estimator.estimates == {}
 
 
 def test_late_pong_inside_history_window_is_observed():
@@ -616,7 +672,7 @@ def test_late_pong_inside_history_window_is_observed():
     pong = PongMessage(0, ping.nonce, 1000, ping.timestamp)
     pm.on_network_message(encode(pong), 1990, 0)
     assert ping.nonce not in pm._outstanding_pings
-    assert pm.estimator.estimate((0, 0)) == 995.0   # (1990 - 0 + 1) // 2
+    assert pm.estimator.estimates[0] == 995.0   # (1990 - 0 + 1) // 2
 
 
 def test_idle_pings_when_no_traffic_flows():

@@ -272,8 +272,8 @@ def test_latency_restimation_after_step_change():
     doc["link_events"] = [{"at": 5000, "link": 0, "base_delay_ms": 300}]
     doc["policies"]["heartbeat_ms"] = 50
     observed = run_observing_estimates(parse_scenario(doc), 1)
-    trace = [est for s, est in observed
-             if s.peer_id[0] == 0 and s.delay_ms == 300]
+    trace = [est for (link, delay), est in observed
+             if link == 0 and delay == 300]
     assert len(trace) >= 25
     estimate_25 = trace[24]
     assert abs(estimate_25 - 300.0) <= 0.05 * 300.0
@@ -441,3 +441,53 @@ def test_link_coming_back_repairs_a_route_with_nothing_queued(standing_entity):
     routes = {row[10] for row in res.tick_rows
               if row[2] == 1 and row[0] >= 3000}
     assert routes == ({0} if standing_entity else set())
+
+
+def unknown_address_doc():
+    """Two clients, a relay (link 0) and a direct link (link 1); client 0
+    does not know client 1's direct address. Link 1 goes down at 500 ms,
+    link 0 at 1000 ms, and link 1 comes back at 1500 ms."""
+    doc = two_client_doc()
+    doc["duration_ms"] = 3000
+    doc["links"] = [{"id": 0, "endpoints": [0, 1], "base_delay_ms": 250},
+                    {"id": 1, "endpoints": [0, 1], "base_delay_ms": 40,
+                     "kind": "direct"}]
+    doc["clients"][1]["direct_address_known"] = False
+    doc["link_events"] = [{"at": 500, "link": 1, "available": False},
+                          {"at": 1000, "link": 0, "available": False},
+                          {"at": 1500, "link": 1, "available": True}]
+    return doc
+
+
+def test_link_event_never_brings_up_a_direct_link_to_an_unknown_address(
+        tmp_path):
+    trace = tmp_path / "trace.txt"
+    res = run_doc(unknown_address_doc(), trace_out=trace)
+    pm = res.pms[0]
+    assert pm.switch_log == []
+    assert pm.links_by_id[1].available is False
+    sends = [line.split("\t") for line in trace.read_text().splitlines()
+             if line.split("\t")[1] == "SEND"]
+    assert [s for s in sends if s[2] == "1" and s[3] == "0"] == []
+    assert any(s[2] == "0" and s[3] == "0" for s in sends)
+
+
+@pytest.mark.parametrize("first, second", [(300, 200), (200, 300)])
+def test_same_time_delay_changes_apply_in_document_order(first, second,
+                                                         tmp_path):
+    """Two base_delay_ms changes to one link at 1000 ms: the later one in
+    the document holds for every frame sent from 1000 ms on."""
+    doc = two_client_doc()
+    doc["duration_ms"] = 2000
+    doc["links"][0]["base_delay_ms"] = 100
+    doc["policies"]["heartbeat_ms"] = 50
+    doc["link_events"] = [{"at": 1000, "link": 0, "base_delay_ms": first},
+                          {"at": 1000, "link": 0, "base_delay_ms": second}]
+    deliveries = tmp_path / "deliveries.csv"
+    run_doc(doc, deliveries_out=deliveries)
+    sent_and_delay = [(int(row[0]) - int(row[5]), int(row[5])) for row in
+                      (line.split(",")
+                       for line in deliveries.read_text().splitlines()[1:])]
+    assert {delay for sent, delay in sent_and_delay if sent < 1000} == {100}
+    assert {delay for sent, delay in sent_and_delay
+            if sent >= 1000} == {second}

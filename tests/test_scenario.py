@@ -250,7 +250,7 @@ def test_shipped_carrace_scenario(scenarios_dir):
     assert config.links[0].kind is LinkKind.RELAY
     assert config.links[0].base_delay_ms == 250
     # 500 ms local lag: one of the two settings used in the experiments
-    assert config.policies.for_class("car").lag_ms == 500
+    assert config.policies.classes["car"].lag_ms == 500
 
 
 def test_shipped_tankshots_scenario(scenarios_dir):
@@ -259,7 +259,7 @@ def test_shipped_tankshots_scenario(scenarios_dir):
     fires = [e for c in config.clients for spec in c.entities
              for e in spec.events]
     assert len(fires) >= 200
-    assert config.policies.for_class("tank").lag_ms == 500
+    assert config.policies.classes["tank"].lag_ms == 500
 
 
 def test_fire_event_shorthand_expansion():
