@@ -9,6 +9,7 @@ immediate and exempt.
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 
 class NoAvailableLink(Exception):
@@ -84,9 +85,18 @@ def best_link(candidates, estimates):
     return best
 
 
-def _partition(links):
-    """One pass over a peer's links: the available ones, the available
-    relays, and whether an available direct link exists."""
+class LinkPartition(NamedTuple):
+    """A peer's links split in one pass: the available ones and the
+    available relays, each in the order given, and whether an available
+    direct link exists. A manager keeps one per peer and remakes it when a
+    link to the peer changes, so route choice never splits links itself."""
+    available: list
+    relays: list
+    direct_up: bool
+
+
+def partition(links) -> LinkPartition:
+    """Split a peer's links (every LinkSpec connecting us to it)."""
     available, relays, direct_up = [], [], False
     for link in links:
         if link.available:
@@ -95,34 +105,35 @@ def _partition(links):
                 relays.append(link)
             elif link.kind is LinkKind.DIRECT:
                 direct_up = True
-    return available, relays, direct_up
+    return LinkPartition(available, relays, direct_up)
 
 
-def default_route(links, estimates) -> int:
+def default_route(links: LinkPartition, estimates) -> int:
     """Initial choice: best relay link, or best available link if no relay."""
-    available, relays, _ = _partition(links)
-    if not available:
+    if not links.available:
         raise NoAvailableLink("no available link")
-    return best_link(relays or available, estimates).link_id
+    return best_link(links.relays or links.available, estimates).link_id
 
 
-def select_route(peer: int, links, latency_estimates: dict,
+def select_route(peer: int, links: LinkPartition, latency_estimates: dict,
                  critical_proximity: bool, decision: RouteDecision,
                  now: int, hysteresis_ms: int) -> RouteDecision:
     """Re-evaluate the route to a peer.
 
-    links: every LinkSpec connecting us to the peer. In critical proximity
-    with a direct option, picks the available link with the lowest estimated
-    delay; otherwise returns to the relay default. Never switches within
-    hysteresis_ms of the previous switch.
+    links: the partition of every LinkSpec connecting us to the peer. In
+    critical proximity with a direct option, picks the available link with
+    the lowest estimated delay; otherwise returns to the relay default.
+    Never switches within hysteresis_ms of the previous switch, so inside
+    it the decision comes back unchanged whatever the other arguments.
     """
-    available, relays, direct_up = _partition(links)
+    available = links.available
     if not available:
         raise NoAvailableLink(f"no available link to peer {peer}")
-    if critical_proximity and direct_up:
+    if critical_proximity and links.direct_up:
         desired = best_link(available, latency_estimates).link_id
     else:
-        desired = best_link(relays or available, latency_estimates).link_id
+        desired = best_link(links.relays or available,
+                            latency_estimates).link_id
     if desired == decision.chosen_link:
         return decision
     if now - decision.last_switch_at < hysteresis_ms:

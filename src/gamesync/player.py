@@ -12,13 +12,21 @@ at the playout time, and never regresses the entity's view. The stages carry no 
 `processing_ns` times each received frame as a whole.
 
 Transmission runs per tick: dead-reckoning gate -> timestamping -> critical
-flag -> encode -> route selection -> network. A route leaves a down link in
-one place, on_link_change, at the link change and whatever the route dwell.
-A frame waits in its peer's queue only while no link to the peer is up:
-queued frames expire per tick after QUEUE_LIMIT_MS, and the rest are sent,
-in order, when a link to the peer comes up. Each player manager is
-single-threaded; distinct managers share no mutable state and talk only
-through the network layer.
+flag -> encode -> fan-out. The fan-out sends a frame to every peer in one
+pass: route re-evaluation (overlay on, and only for a route past its dwell)
+-> network. Per-peer link bookkeeping happens at link changes, not per
+send: each peer's links are split into available links, available relays
+and whether a direct link is up at session start and whenever a link to
+the peer changes, and the half of critical proximity that no peer changes
+is taken once per frame. A route leaves a down link in one place,
+on_link_change, at the link change and whatever the route dwell. A frame
+waits in its peer's queue only while no link to the peer is up: queued
+frames expire per tick after QUEUE_LIMIT_MS, and the rest are sent, in
+order, when a link to the peer comes up. A tick looks at the peers one by
+one only when a ping may be due (the earliest time any peer went quiet is
+idle_ping_ms old) and only for peers with frames queued. Each player
+manager is single-threaded; distinct managers share no mutable state and
+talk only through the network layer.
 
 The Medium's settings are defined here once: a PolicySet (a ClassPolicy per
 object class, which is that class's dead-reckoning policy plus its local
@@ -28,6 +36,7 @@ and the run-wide entity and region tables; every client of a run shares one
 PolicySet and one Toggles, and the manager reads them live.
 """
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -42,9 +51,9 @@ from gamesync.deadreckoning import (DEFAULT_HEARTBEAT_MS, DeadReckoningPolicy,
                                     EntityKinematics, converge, displayed_at,
                                     should_send)
 from gamesync.locallag import DEFAULT_CLASS, PlayoutBuffer
-from gamesync.overlay import (LinkKind, LinkSpec, PeerCapabilities,
-                              RouteDecision, best_link, default_route,
-                              select_route)
+from gamesync.overlay import (LinkKind, LinkPartition, LinkSpec,
+                              PeerCapabilities, RouteDecision, best_link,
+                              default_route, partition, select_route)
 from gamesync.pdu import (DecodeError, EventMessage, PingMessage, PongMessage,
                           StateUpdate, decode, encode)
 from gamesync.regions import (EXIT_HYSTERESIS_MS, ConsistencyMode,
@@ -160,6 +169,16 @@ class PmCounters:
 
 
 @dataclass(slots=True)
+class _PeerState:
+    """What a send needs of a peer besides its route: its links split by
+    overlay.partition as of the last change to one, the entities it owns,
+    and whether its last state update was flagged critical."""
+    links: LinkPartition
+    entities: tuple
+    critical: bool = False
+
+
+@dataclass(slots=True)
 class _RemoteView:
     corrected: EntityKinematics
     epoch_start: int
@@ -196,12 +215,12 @@ class PlayerManager:
         self.peers: list[int] = []
         self.peer_links: dict[int, list[LinkSpec]] = {}
         self.routes: dict[int, RouteDecision] = {}
+        # peer -> its queued (frame, time) pairs, for peers with any queued
         self._pending: dict[int, deque] = {}
         # direct links to peers whose address is unknown: down for the
         # whole session, whatever the link events say
-        self._unreachable: set[int] = set()
-        self._peer_critical: dict[int, bool] = {}
-        self._peer_entities: dict[int, tuple] = {}   # peer -> its entities
+        self.unreachable: set[int] = set()
+        self._peer_state: dict[int, _PeerState] = {}
         self._views: dict[int, _RemoteView] = {}
         self._last_sent: dict[int, EntityKinematics] = {}
         self._seqs: dict[int, int] = {}
@@ -209,8 +228,18 @@ class PlayerManager:
         self._entity_modes: dict[int, ConsistencyMode] = {}
         self._outstanding_pings: dict[int, tuple] = {}
         self._ping_counter = 0
-        self._last_activity: dict[int, int] = {}
-        self._last_ping: dict[int, int] = {}
+        # Per peer, the later of its last data or pong and our last ping to
+        # it: a ping is due once this is idle_ping_ms old. _quiet_min is at
+        # most the earliest of them (they only grow), so no ping is due
+        # before _quiet_min + idle_ping_ms.
+        #
+        # A manager has 28 instance attributes. CPython stops sharing the
+        # instances' dict keys at 30, and attribute loads on every manager
+        # then get slower (see the attribute budget test in
+        # tests/test_runner.py), so new state replaces attributes rather
+        # than adding to them.
+        self._quiet_since: dict[int, int] = {}
+        self._quiet_min = math.inf
 
         # observability hooks (wired by the scenario runner)
         self.on_delivery_metric = None    # fn(now, sender, entity, seq, delay, critical)
@@ -228,10 +257,6 @@ class PlayerManager:
         now = self.clock.read(now)
         self.peers = sorted(c.peer_id for c in peer_capabilities)
         caps = {c.peer_id: c for c in peer_capabilities}
-        self._peer_entities = {
-            peer: tuple(e for e, owner in self.config.entity_owner.items()
-                        if owner == peer)
-            for peer in self.peers}
         self._seqs.clear()
         self.estimator.reset()
         for peer in self.peers:
@@ -241,16 +266,20 @@ class PlayerManager:
                 for l in links:
                     if l.kind is LinkKind.DIRECT:
                         l.available = False
-                        self._unreachable.add(l.link_id)
+                        self.unreachable.add(l.link_id)
             links.sort(key=lambda l: l.link_id)
             self.peer_links[peer] = links
-            self._pending[peer] = deque()
+            split = partition(links)
+            self._peer_state[peer] = _PeerState(split, tuple(
+                e for e, owner in self.config.entity_owner.items()
+                if owner == peer))
             if links:
                 chosen = links[0].link_id
-                if any(l.available for l in links):
-                    chosen = default_route(links, {})
+                if split.available:
+                    chosen = default_route(split, {})
                 self.routes[peer] = RouteDecision(chosen, last_switch_at=now)
             self._send_pings(peer, now)
+        self._quiet_min = min(self._quiet_since.values(), default=math.inf)
 
     # -- reception pipeline ------------------------------------------------
 
@@ -292,7 +321,9 @@ class PlayerManager:
             self.counters.clock_anomalies += 1
         self._observe(msg.sender_id, link_id, res.delay_ms, now)
         if isinstance(msg, StateUpdate):
-            self._peer_critical[msg.sender_id] = msg.critical
+            peer_state = self._peer_state.get(msg.sender_id)
+            if peer_state is not None:
+                peer_state.critical = msg.critical
             self._entity_positions[msg.entity_id] = msg.pos
         if self.on_delivery_metric is not None:
             critical = isinstance(msg, StateUpdate) and msg.critical
@@ -401,7 +432,7 @@ class PlayerManager:
 
     def tick(self, now: int) -> None:
         """Release due playouts, evaluate the send gate per local entity,
-        refresh idle pings, and expire queued frames."""
+        ping peers gone quiet, and expire queued frames."""
         now = self.clock.read(now)
         for entry in self.buffer.release_due(now):
             self._playout(entry.msg, now)
@@ -433,18 +464,20 @@ class PlayerManager:
             self.counters.sends += 1
             if self.config.regions.any_contains(kin.pos, self._entity_positions):
                 self.counters.sends_in_region += 1
-            for peer in self.peers:
-                self._transmit(peer, data, now)
+            self._fan_out(data, now)
             self._last_sent[entity_id] = EntityKinematics(kin.pos, kin.vel, now)
 
-        for peer in self.peers:
-            idle = now - self._last_activity.get(peer, 0)
-            since_ping = now - self._last_ping.get(peer, -pol.idle_ping_ms)
-            if idle >= pol.idle_ping_ms and since_ping >= pol.idle_ping_ms:
-                self._send_pings(peer, now)
-            pending = self._pending[peer]
-            if pending:
+        if now - self._quiet_min >= pol.idle_ping_ms:
+            quiet = self._quiet_since
+            for peer in self.peers:
+                if now - quiet[peer] >= pol.idle_ping_ms:
+                    self._send_pings(peer, now)
+            self._quiet_min = min(quiet.values(), default=math.inf)
+        if self._pending:
+            for peer, pending in list(self._pending.items()):
                 self._expire_queued(pending, now)
+                if not pending:
+                    del self._pending[peer]
 
     def send_event(self, entity_id: int, kind, payload: bytes, now: int) -> EventMessage:
         """Send a game event to every peer; with sender-side lag the local
@@ -456,8 +489,7 @@ class PlayerManager:
                            payload)
         data = encode(msg)
         self.counters.events_sent += 1
-        for peer in self.peers:
-            self._transmit(peer, data, now)
+        self._fan_out(data, now)
         mode = self._entity_modes.get(entity_id, NORMAL)
         if self.config.toggles.sender_side_lag:
             entry = self.buffer.enqueue(msg, self._lag(entity_id, mode), now)
@@ -467,59 +499,75 @@ class PlayerManager:
             self._playout(msg, now)
         return msg
 
-    def _transmit(self, peer: int, data: bytes, now: int) -> None:
-        """Send a frame to the peer on its route. A route sits on a down
-        link only while no link to the peer is up (on_link_change keeps it
-        so), and then the frame waits in the peer's queue. With overlay on,
-        the route is re-evaluated first, within the dwell."""
-        decision = self.routes.get(peer)
-        if decision is None:
-            return
-        if not self.links_by_id[decision.chosen_link].available:
-            self._pending[peer].append((data, now))
-            return
-        if self.config.toggles.overlay:
-            new = select_route(peer, self.peer_links[peer],
-                               self.estimator.estimates,
-                               self._critical_proximity(peer), decision, now,
-                               self.config.policies.route_hysteresis_ms)
-            if new.chosen_link != decision.chosen_link:
-                self.switch_log.append((now, peer, decision.chosen_link,
-                                        new.chosen_link, False))
-                self.routes[peer] = new
-                decision = new
-        self._send_fn(decision.chosen_link, data)
+    def _fan_out(self, data: bytes, now: int) -> None:
+        """Send a frame to every peer, in peer order, on the peer's route.
+        A route sits on a down link only while no link to the peer is up
+        (on_link_change keeps it so), and then the frame waits in the
+        peer's queue. With overlay on, a route past its dwell is
+        re-evaluated first; inside the dwell select_route would return it
+        unchanged, so it is not asked."""
+        links_by_id = self.links_by_id
+        routes = self.routes
+        send = self._send_fn
+        overlay = self.config.toggles.overlay
+        if overlay:
+            dwell = self.config.policies.route_hysteresis_ms
+            estimates = self.estimator.estimates
+            local = self._local_proximity()
+        for peer, peer_state in self._peer_state.items():
+            decision = routes.get(peer)
+            if decision is None:
+                continue
+            link_id = decision.chosen_link
+            if not links_by_id[link_id].available:
+                self._pending.setdefault(peer, deque()).append((data, now))
+                continue
+            if overlay and now - decision.last_switch_at >= dwell:
+                new = select_route(
+                    peer, peer_state.links, estimates,
+                    self._critical_proximity(peer_state, local), decision,
+                    now, dwell)
+                if new.chosen_link != link_id:
+                    self.switch_log.append((now, peer, link_id,
+                                            new.chosen_link, False))
+                    routes[peer] = new
+                    link_id = new.chosen_link
+            send(link_id, data)
 
     def on_link_change(self, link_id: int, available: bool, now: int) -> None:
         """Network-layer notification, and the one place a route leaves a
-        down link. Only the link's peer is touched; a direct link to a peer
-        whose address is unknown stays down. If its route is on a
-        down link while another link to it is up, the route fails over at
-        once to the best link that is up, whatever the dwell. Whenever the
-        route ends on an up link, the peer's queued frames older than
-        QUEUE_LIMIT_MS are dropped and the rest are sent, in order."""
+        down link. Only the link's peer is touched, and its link partition
+        is remade; a direct link to a peer whose address is unknown stays
+        down. If its route is on a down link while another link to it is
+        up, the route fails over at once to the best link that is up,
+        whatever the dwell. Whenever the route ends on an up link, the
+        peer's queued frames older than QUEUE_LIMIT_MS are dropped and the
+        rest are sent, in order."""
         now = self.clock.read(now)
         link = self.links_by_id.get(link_id)
-        if link is None or link_id in self._unreachable:
+        if link is None or link_id in self.unreachable:
             return
         link.available = available
         peer = link.other_endpoint(self.config.client_id)
         decision = self.routes.get(peer)
         if decision is None:
             return
+        split = partition(self.peer_links[peer])
+        self._peer_state[peer].links = split
         if not self.links_by_id[decision.chosen_link].available:
-            alive = [l for l in self.peer_links[peer] if l.available]
-            if not alive:
+            if not split.available:
                 return
-            best = best_link(alive, self.estimator.estimates).link_id
+            best = best_link(split.available,
+                             self.estimator.estimates).link_id
             self.switch_log.append((now, peer, decision.chosen_link, best,
                                     True))
             decision = self.routes[peer] = replace(
                 decision, chosen_link=best, last_switch_at=now)
-        pending = self._pending[peer]
-        self._expire_queued(pending, now)
-        while pending:
-            self._send_fn(decision.chosen_link, pending.popleft()[0])
+        pending = self._pending.pop(peer, None)
+        if pending:
+            self._expire_queued(pending, now)
+            while pending:
+                self._send_fn(decision.chosen_link, pending.popleft()[0])
 
     def _expire_queued(self, pending: deque, now: int) -> None:
         """Drop queued frames older than QUEUE_LIMIT_MS, oldest first."""
@@ -529,29 +577,37 @@ class PlayerManager:
 
     # -- helpers -----------------------------------------------------------
 
-    def _critical_proximity(self, peer: int) -> bool:
+    def _local_proximity(self) -> tuple | None:
+        """The half of critical proximity that no peer changes, taken once
+        per fan-out: whether a local entity is strong, the positions of the
+        local entities that have one, and the squared proximity radius
+        (None without a radius). None with critical tightening off."""
+        if not self.config.toggles.critical_tightening:
+            return None
+        local = self.config.local_entities
+        modes, positions = self._entity_modes, self._entity_positions
+        strong = any(modes.get(e) is STRONG for e in local)
+        mine = [pos for pos in map(positions.get, local) if pos is not None]
+        radius = self.config.policies.critical_proximity_radius_m
+        return strong, mine, None if radius is None else radius * radius
+
+    def _critical_proximity(self, peer_state: _PeerState, local) -> bool:
         """True when the peer flags its updates critical while a local
         entity is strong, or when one of the peer's entities is within the
-        proximity radius of a local one."""
-        if not self.config.toggles.critical_tightening:
+        proximity radius of a local one. local is _local_proximity()."""
+        if local is None:
             return False
-        if self._peer_critical.get(peer, False) and any(
-                self._entity_modes.get(e) is STRONG
-                for e in self.config.local_entities):
+        strong, mine, reach = local
+        if strong and peer_state.critical:
             return True
-        radius = self.config.policies.critical_proximity_radius_m
-        if radius is None:
+        if reach is None:
             return False
-        reach = radius * radius
         positions = self._entity_positions
-        for mine in self.config.local_entities:
-            my_pos = positions.get(mine)
-            if my_pos is None:
+        for other in peer_state.entities:
+            pos = positions.get(other)
+            if pos is None:
                 continue
-            for other in self._peer_entities[peer]:
-                pos = positions.get(other)
-                if pos is None:
-                    continue
+            for my_pos in mine:
                 dx = my_pos[0] - pos[0]
                 dy = my_pos[1] - pos[1]
                 if dx * dx + dy * dy <= reach:
@@ -560,7 +616,9 @@ class PlayerManager:
 
     def _observe(self, peer: int, link_id: int, delay: int, now: int) -> None:
         self.estimator.observe(link_id, delay)
-        self._last_activity[peer] = now
+        quiet = self._quiet_since
+        if peer in quiet:
+            quiet[peer] = now
 
     def _send_pings(self, peer: int, now: int) -> None:
         for link in self.peer_links.get(peer, ()):
@@ -571,7 +629,7 @@ class PlayerManager:
             ping = PingMessage(self.config.client_id, nonce, now)
             self._outstanding_pings[nonce] = (ping, link.link_id)
             self._send_fn(link.link_id, encode(ping))
-        self._last_ping[peer] = now
+        self._quiet_since[peer] = now
 
     def _expire_pings(self, now: int) -> None:
         """Forget probes older than the history window: their pongs were

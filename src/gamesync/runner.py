@@ -163,25 +163,43 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
                                               c.direct_address_known)
                 for c in clients}
 
+        # Links down in the simulator, and direct links a manager marked
+        # unreachable at session start: the only links a route can be dead
+        # on (see _check_invariants).
+        down_links = {l.link_id for l in config.links if not l.available}
+        unreachable = set()
+
         def session_start(now):
             for cid in client_ids:
                 peer_caps = [caps[p] for p in client_ids if p != cid]
                 pms[cid].start_session(peer_caps, now)
+                unreachable.update(pms[cid].unreachable)
+
+        # Each link event is a call at its time. Calls due at the same time
+        # run in the order they are scheduled, so every delay change is
+        # scheduled first: it applies to every send of its ms, session
+        # start's pings and the frames a same-time link change flushes
+        # included. The parser keeps same-time changes to one link in
+        # document order, and the last one holds.
+        for at, link_id, what, value in config.link_events:
+            def change_delay(now, link_id=link_id, value=value):
+                sim.set_link_delay(link_id, value)
+            if what == "base_delay_ms":
+                sim.schedule_call(at, change_delay)
 
         sim.schedule_call(0, session_start)
 
-        # Each link event is a call at its time, so a delay change applies
-        # to every send from that call on; the parser keeps same-time
-        # changes to one link in document order, and the last one holds.
         for at, link_id, what, value in config.link_events:
-            def apply_change(now, link_id=link_id, what=what, value=value):
-                if what == "base_delay_ms":
-                    sim.set_link_delay(link_id, value)
+            def apply_change(now, link_id=link_id, value=value):
+                sim.links[link_id].available = value
+                if value:
+                    down_links.discard(link_id)
                 else:
-                    sim.links[link_id].available = value
-                    for pm in pms.values():
-                        pm.on_link_change(link_id, value, now)
-            sim.schedule_call(at, apply_change)
+                    down_links.add(link_id)
+                for pm in pms.values():
+                    pm.on_link_change(link_id, value, now)
+            if what == "available":
+                sim.schedule_call(at, apply_change)
 
         divergence = RunningStats()
 
@@ -285,15 +303,27 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
             _check_invariants(now)
 
         def _check_invariants(now):
-            for cid in client_ids:
-                pm = pms[cid]
-                for peer, decision in pm.routes.items():
-                    link = pm.links_by_id[decision.chosen_link]
-                    if link.available:
-                        continue
-                    if any(l.available for l in pm.peer_links[peer]):
-                        raise InvariantViolation(
-                            f"client {cid} holds a dead route to {peer} at {now}")
+            """No route sits on a down link while another link to its peer
+            is up. A route can be dead only on a link that is down in its
+            manager's copy, which is down in the simulator or unreachable,
+            so only routes on those links are visited; the first dead one in
+            (client, peer) order is reported."""
+            dead = []
+            for link_id in down_links | unreachable:
+                for cid in sim.links[link_id].endpoints:
+                    pm = pms[cid]
+                    link = pm.links_by_id[link_id]
+                    peer = link.other_endpoint(cid)
+                    decision = pm.routes.get(peer)
+                    if (decision is not None
+                            and decision.chosen_link == link_id
+                            and not link.available
+                            and any(l.available for l in pm.peer_links[peer])):
+                        dead.append((cid, peer))
+            if dead:
+                cid, peer = min(dead)
+                raise InvariantViolation(
+                    f"client {cid} holds a dead route to {peer} at {now}")
 
         for cid in client_ids:
             sim.schedule_call(0, make_tick(cid))

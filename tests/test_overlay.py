@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gamesync.overlay import (LinkKind, LinkSpec, NoAvailableLink,
                               RouteDecision, best_link, default_route,
-                              select_route)
+                              partition, select_route)
 
 
 def relay(link_id=0, delay=250, available=True):
@@ -21,14 +21,14 @@ def direct(link_id=1, delay=40, available=True):
 
 
 def test_single_relay_only_option():
-    links = [relay()]
+    links = partition([relay()])
     decision = RouteDecision(default_route(links, {}))
     out = select_route(1, links, {0: 250.0}, False, decision, 1000, 500)
     assert out.chosen_link == 0
 
 
 def test_critical_proximity_picks_fast_direct():
-    links = [relay(), direct()]
+    links = partition([relay(), direct()])
     decision = RouteDecision(0, last_switch_at=0)
     out = select_route(1, links, {0: 250.0, 1: 40.0}, True, decision, 1000,
                        500)
@@ -37,7 +37,7 @@ def test_critical_proximity_picks_fast_direct():
 
 
 def test_without_proximity_relay_is_default():
-    links = [relay(), direct()]
+    links = partition([relay(), direct()])
     decision = RouteDecision(0, last_switch_at=0)
     out = select_route(1, links, {0: 250.0, 1: 40.0}, False, decision, 1000,
                        500)
@@ -47,7 +47,7 @@ def test_without_proximity_relay_is_default():
 def test_hysteresis_trace_per_ms():
     """Direct chosen at t=1000; proximity ends at t=1200; the switch back
     waits for the 500 ms dwell: still direct through 1499, relay at 1500."""
-    links = [relay(), direct()]
+    links = partition([relay(), direct()])
     decision = RouteDecision(0, last_switch_at=0)
     decision = select_route(1, links, {0: 250.0, 1: 40.0}, True, decision,
                             1000, 500)
@@ -63,13 +63,15 @@ def test_hysteresis_trace_per_ms():
 
 
 def test_no_available_link_raises():
-    links = [relay(available=False)]
+    links = partition([relay(available=False)])
     with pytest.raises(NoAvailableLink):
         select_route(1, links, {}, False, RouteDecision(0), 0, 500)
+    with pytest.raises(NoAvailableLink):
+        default_route(links, {})
 
 
 def test_deterministic_tie_break_by_link_id():
-    links = [direct(3, 40), direct(2, 40), relay(0, 250)]
+    links = partition([direct(3, 40), direct(2, 40), relay(0, 250)])
     decision = RouteDecision(0, last_switch_at=0)
     out = select_route(1, links, {0: 250.0, 2: 40.0, 3: 40.0}, True, decision,
                        5000, 500)
@@ -77,7 +79,7 @@ def test_deterministic_tie_break_by_link_id():
 
 
 def test_unknown_estimates_sort_last():
-    links = [relay(0, 250), direct(1, 40)]
+    links = partition([relay(0, 250), direct(1, 40)])
     decision = RouteDecision(0, last_switch_at=0)
     # direct has no estimate yet: keep the measured relay
     out = select_route(1, links, {0: 250.0}, True, decision, 5000, 500)
@@ -88,7 +90,8 @@ def test_chosen_link_always_available():
     links = [relay(0, 250, available=False), direct(1, 40)]
     decision = RouteDecision(1, last_switch_at=0)
     for t in range(0, 3000, 50):
-        decision = select_route(1, links, {1: 40.0}, False, decision, t, 500)
+        decision = select_route(1, partition(links), {1: 40.0}, False,
+                                decision, t, 500)
         assert next(l for l in links
                     if l.link_id == decision.chosen_link).available
 
@@ -157,13 +160,13 @@ def test_select_route_matches_the_list_version(rows, critical, chosen,
                                                last_switch, now, dwell):
     links, estimates = _build(rows)
     decision = RouteDecision(chosen, last_switch)
-    args = (1, links, estimates, critical, decision, now, dwell)
+    args = (estimates, critical, decision, now, dwell)
     try:
-        want = _list_select_route(*args)
+        want = _list_select_route(1, links, *args)
     except NoAvailableLink:
         with pytest.raises(NoAvailableLink):
-            select_route(*args)
+            select_route(1, partition(links), *args)
         return
-    got = select_route(*args)
+    got = select_route(1, partition(links), *args)
     assert got == want
     assert (got is decision) == (want is decision)

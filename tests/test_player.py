@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from gamesync import rollback as rb
 from gamesync.deadreckoning import EntityKinematics
-from gamesync.overlay import LinkKind, LinkSpec, PeerCapabilities
-from gamesync.pdu import (EventKind, EventMessage, PongMessage, StateUpdate,
-                          decode, encode)
+from gamesync.overlay import LinkKind, LinkSpec, PeerCapabilities, partition
+from gamesync.pdu import (EventKind, EventMessage, PingMessage, PongMessage,
+                          StateUpdate, decode, encode)
 from gamesync.player import (ClassPolicy, ConfigInvalid, GameCallbacks,
                              PlayerManager, PlayerManagerConfig, PolicySet,
                              Toggles)
@@ -324,13 +324,18 @@ def test_critical_proximity_holds_only_for_the_peer_within_the_radius():
     pm.start_session([PeerCapabilities(1), PeerCapabilities(2)], 0)
     spy.local[10] = EntityKinematics((0.0, 0.0), (0.0, 0.0), 100)
     pm.tick(100)
-    assert (pm._critical_proximity(1), pm._critical_proximity(2)) == (False, False)
+
+    def proximity(peer):
+        return pm._critical_proximity(pm._peer_state[peer],
+                                      pm._local_proximity())
+
+    assert (proximity(1), proximity(2)) == (False, False)
     pm.on_network_message(
         encode(state(100, sender=1, entity=11, pos=(3.0, 4.0))), 150, 0)
     pm.on_network_message(
         encode(state(100, sender=2, entity=12, pos=(5.0, 0.1))), 150, 1)
-    assert pm._critical_proximity(1) is True
-    assert pm._critical_proximity(2) is False
+    assert proximity(1) is True
+    assert proximity(2) is False
 
 
 def test_queue_then_drop_when_all_links_down():
@@ -351,7 +356,7 @@ def test_queue_then_drop_when_all_links_down():
     # restoring the link drops what aged out meanwhile and flushes the rest
     assert pm.counters.queue_drops == len(range(100, 450, 50))
     assert len(sent) == base_sent + len(range(450, 1450, 50))
-    assert len(pm._pending[1]) == 0
+    assert 1 not in pm._pending       # only peers with frames queued
 
 
 def relay_and_direct_pm():
@@ -404,7 +409,7 @@ def test_change_to_unchosen_link_keeps_route():
 _PEER_LINKS = st.lists(st.tuples(st.sampled_from(list(LinkKind)),
                                  st.booleans()), min_size=2, max_size=3)
 # Each step advances the clock, then changes a link, hands frames to
-# _transmit and ticks, or hears the peer on a link with some delay (which
+# _fan_out and ticks, or hears the peer on a link with some delay (which
 # moves that link's estimate, and so route choice and failover targets).
 _ROUTE_STEPS = st.lists(st.tuples(st.integers(0, 700), st.one_of(
     st.tuples(st.just("link"), st.integers(0, 2), st.booleans()),
@@ -417,10 +422,11 @@ _ROUTE_STEPS = st.lists(st.tuples(st.integers(0, 700), st.one_of(
 def test_route_sits_on_a_down_link_only_while_no_link_is_up(rows, overlay,
                                                             steps):
     """After every step: if a link to the peer is up, the route is on an
-    up link and nothing is queued; every frame handed to _transmit was sent
+    up link and nothing is queued; every frame handed to _fan_out was sent
     once, on an up link and in order, or is still queued, or was counted as
-    a queue drop (dropped frames are older than queued ones); and every
-    failover happened at a link change."""
+    a queue drop (dropped frames are older than queued ones); every
+    failover happened at a link change; and the peer's kept link partition
+    is that of its links."""
     links = [LinkSpec(i, (0, 1), 250, kind=kind, available=up)
              for i, (kind, up) in enumerate(rows)]
     config = PlayerManagerConfig(
@@ -440,7 +446,8 @@ def test_route_sits_on_a_down_link_only_while_no_link_is_up(rows, overlay,
 
     def check():
         peer_links = pm.peer_links[1]
-        queued = [frames[data] for data, _ in pm._pending[1]]
+        assert pm._peer_state[1].links == partition(peer_links)
+        queued = [frames[data] for data, _ in pm._pending.get(1, ())]
         if any(l.available for l in peer_links):
             assert pm.links_by_id[pm.routes[1].chosen_link].available
             assert queued == []
@@ -463,7 +470,7 @@ def test_route_sits_on_a_down_link_only_while_no_link_is_up(rows, overlay,
             for _ in range(step[1]):
                 data = b"frame %d" % len(frames)
                 frames[data] = len(frames)
-                pm._transmit(1, data, now)
+                pm._fan_out(data, now)
             pm.tick(now)
         else:
             seq += 1
@@ -696,6 +703,67 @@ def test_traffic_suppresses_idle_pings():
         pm.tick(t)
     pings = [d for _, d in sent if decode(d).__class__.__name__ == "PingMessage"]
     assert len(pings) == 1   # only the session-start probe
+
+
+# Each step advances the clock, then ticks, hears a data frame from a peer,
+# or answers that peer's latest unanswered ping with a pong.
+_PING_STEPS = st.lists(st.tuples(st.integers(0, 400),
+                                 st.sampled_from(["tick", "hear", "pong"]),
+                                 st.integers(0, 3)), max_size=40)
+
+
+@given(st.integers(2, 4), st.sampled_from([50, 100, 250]), _PING_STEPS)
+def test_idle_pings_follow_the_per_tick_rule(peers, idle_ping_ms, steps):
+    """Client 0 has one relay link to each of its peers. After every step
+    the pings sent are exactly those of a test of every peer on every tick:
+    a tick pings, in peer order, each peer for which now - max(last data or
+    accepted pong from it (0 if none), last ping to it) >= idle_ping_ms. A
+    pong is accepted unless a tick has since expired its ping (older than
+    the history window at that tick) or it was answered already."""
+    peer_ids = range(1, peers + 1)
+    config = PlayerManagerConfig(
+        client_id=0, links=[LinkSpec(p - 1, (0, p), 250) for p in peer_ids],
+        policies=PolicySet(idle_ping_ms=idle_ping_ms))
+    pings = []    # (time, peer, nonce) per ping sent
+
+    def send(link_id, data):
+        msg = decode(data)
+        if isinstance(msg, PingMessage):
+            pings.append((msg.timestamp, link_id + 1, msg.nonce))
+
+    pm = PlayerManager(config, Spy(), send)
+    window = pm.log.history_window_ms
+    pm.start_session([PeerCapabilities(p) for p in peer_ids], 0)
+    last_activity, last_ping = {}, {p: 0 for p in peer_ids}
+    want = [(0, p) for p in peer_ids]
+    answered, now, last_tick, seq = set(), 0, None, 0
+    for dt, action, which in steps:
+        now += dt
+        peer = 1 + which % peers
+        if action == "tick":
+            pm.tick(now)
+            last_tick = now
+            for p in peer_ids:
+                quiet = max(last_activity.get(p, 0), last_ping[p])
+                if now - quiet >= idle_ping_ms:
+                    last_ping[p] = now
+                    want.append((now, p))
+        elif action == "hear":
+            seq += 1
+            pm.on_network_message(encode(state(now, seq=seq, sender=peer,
+                                               entity=peer)), now, peer - 1)
+            last_activity[peer] = now
+        else:
+            open_pings = [(at, nonce) for at, p, nonce in pings
+                          if p == peer and nonce not in answered]
+            if open_pings:
+                at, nonce = open_pings[-1]
+                answered.add(nonce)
+                pong = PongMessage(peer, nonce, now, at)
+                pm.on_network_message(encode(pong), now, peer - 1)
+                if last_tick is None or at >= last_tick - window:
+                    last_activity[peer] = now
+        assert [(at, p) for at, p, _ in pings] == want
 
 
 def test_convergence_blends_toward_new_correction():

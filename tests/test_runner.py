@@ -7,9 +7,9 @@ import math
 import pytest
 
 from conftest import run_observing_estimates, two_client_doc
-from gamesync import runner
+from gamesync import player, runner
 from gamesync.metrics import TICK_HEADER, TICK_ROW
-from gamesync.netsim import NetworkSim
+from gamesync.netsim import InvariantViolation, NetworkSim
 from gamesync.player import PlayerManager
 from gamesync.runner import run
 from gamesync.scenario import parse_scenario
@@ -491,3 +491,96 @@ def test_same_time_delay_changes_apply_in_document_order(first, second,
     assert {delay for sent, delay in sent_and_delay if sent < 1000} == {100}
     assert {delay for sent, delay in sent_and_delay
             if sent >= 1000} == {second}
+
+
+def stuck_route_doc(unreachable):
+    """Two clients and two links. With unreachable, link 0 is direct and
+    client 1's direct address is unknown to client 0, and link 1 (a relay)
+    starts down and comes up at 1000 ms: client 0's route sits on link 0,
+    down only in its own copy, until link 1 comes up. Otherwise both are
+    relays and link 0 goes down at 1000 ms."""
+    doc = two_client_doc()
+    doc["duration_ms"] = 2000
+    doc["links"] = [{"id": 0, "endpoints": [0, 1], "base_delay_ms": 250},
+                    {"id": 1, "endpoints": [0, 1], "base_delay_ms": 250}]
+    if unreachable:
+        doc["links"][0]["kind"] = "direct"
+        doc["links"][1]["available"] = False
+        doc["clients"][1]["direct_address_known"] = False
+        doc["link_events"] = [{"at": 1000, "link": 1, "available": True}]
+    else:
+        doc["link_events"] = [{"at": 1000, "link": 0, "available": False}]
+    return doc
+
+
+@pytest.mark.parametrize("unreachable", [False, True])
+def test_route_left_on_a_down_link_fails_the_next_sample(unreachable,
+                                                         monkeypatch):
+    """Client 0's manager takes link changes into its copy but never moves
+    its route, so from 1000 ms its route to client 1 sits on link 0, down
+    in its copy, while link 1 is up. The sample at 1000 ms reports it, on a
+    link down in the simulator or on one only client 0 holds down."""
+    on_link_change = PlayerManager.on_link_change
+
+    def no_failover(self, link_id, available, now):
+        if self.config.client_id == 0:
+            if link_id not in self.unreachable:
+                self.links_by_id[link_id].available = available
+        else:
+            on_link_change(self, link_id, available, now)
+
+    monkeypatch.setattr(PlayerManager, "on_link_change", no_failover)
+    with pytest.raises(InvariantViolation,
+                       match="^client 0 holds a dead route to 1 at 1000$"):
+        run_doc(stuck_route_doc(unreachable))
+
+
+def test_delay_change_at_zero_reaches_the_session_start_pings(monkeypatch):
+    """Link 0 goes from 250 ms to 100 ms at 0 ms: the session-start pings
+    already take 100 ms each way, so the first RTT sample is 100 ms."""
+    doc = two_client_doc()
+    doc["link_events"] = [{"at": 0, "link": 0, "base_delay_ms": 100}]
+    probes = []
+    rtt_probe = player.rtt_probe
+
+    def recording(ping, pong, now):
+        probes.append(rtt_probe(ping, pong, now))
+        return probes[-1]
+
+    monkeypatch.setattr(player, "rtt_probe", recording)
+    run_doc(doc)
+    assert probes[0] == 100
+
+
+def test_delay_change_with_a_link_coming_up_reaches_the_flushed_frames(
+        tmp_path):
+    """Link 0 goes down at 500 ms and comes up at 1000 ms with a 100 ms
+    delay: the frames queued meanwhile are flushed at 1000 ms and arrive at
+    1100 ms, like the frames sent at 1000 ms."""
+    doc = two_client_doc()
+    doc["duration_ms"] = 2000
+    doc["policies"]["heartbeat_ms"] = 50
+    doc["link_events"] = [{"at": 500, "link": 0, "available": False},
+                          {"at": 1000, "link": 0, "available": True,
+                           "base_delay_ms": 100}]
+    deliveries = tmp_path / "deliveries.csv"
+    run_doc(doc, deliveries_out=deliveries)
+    rows = [(int(row[0]) - int(row[5]), int(row[0])) for row in
+            (line.split(",")
+             for line in deliveries.read_text().splitlines()[1:])]
+    flushed = [arrived for sent, arrived in rows if 500 <= sent < 1000]
+    assert flushed and set(flushed) == {1100}
+    assert {arrived - sent for sent, arrived in rows if sent >= 1000} == {100}
+
+
+def test_every_manager_keeps_its_attributes_in_the_shared_key_budget():
+    """CPython 3.11 lets the instances of a class share one key table for
+    their attribute dicts only while an instance has fewer than 30
+    attributes (a manager's dict is 296 bytes at 29, 1584 at 30). Past
+    that, attribute loads on every path of a run get slower: three unused
+    attributes added to a manager cost carrace's vsim_per_s 388.7 -> 359.5
+    and recv_us_p50 13.6 -> 15.3 us, worse in 4 of 4 alternating pairs of
+    perfbench runs on a 2-vCPU VM. New per-manager state must replace
+    attributes, not add to them."""
+    res = run_doc(small_mesh_doc())
+    assert all(len(vars(pm)) <= 29 for pm in res.pms.values())
