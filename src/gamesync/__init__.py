@@ -8,8 +8,7 @@ harness reproduce the pipeline's behavior under configurable delay, jitter,
 and loss.
 """
 
-from gamesync.clock import (LatencyEstimator, VirtualClock,
-                            delay_from_timestamp, rtt_probe)
+from gamesync.clock import LatencyEstimator, VirtualClock, rtt_probe
 from gamesync.compare import compare
 from gamesync.deadreckoning import (DeadReckoningPolicy, EntityKinematics,
                                     converge, predict, should_send)
@@ -36,7 +35,7 @@ __all__ = [
     "PlayerManager", "PlayerManagerConfig", "PlayoutBuffer", "PlayoutEntry",
     "PongMessage", "Rect", "RegionSet", "RollbackDirective", "RouteDecision",
     "RunResult", "ScenarioConfig", "SimRng", "StateUpdate", "VirtualClock",
-    "apply_directive", "compare", "converge", "decode", "delay_from_timestamp",
-    "encode", "load_scenario", "parse_scenario", "predict", "rtt_probe",
-    "run", "should_send", "__version__",
+    "apply_directive", "compare", "converge", "decode", "encode",
+    "load_scenario", "parse_scenario", "predict", "rtt_probe", "run",
+    "should_send", "__version__",
 ]

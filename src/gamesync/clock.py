@@ -1,14 +1,15 @@
-"""Virtual time, one-way delay computation, and smoothed latency estimation.
+"""Virtual time, the RTT/2 probe, and smoothed latency estimation.
 
 The simulator supplies a global virtual clock, so one-way delay normally
-comes straight from message timestamps. An RTT/2 probe is available as the
-fallback for unsynchronized clocks. Estimates are kept per link and
-re-learned continuously: every received data message and every pong
-contributes a sample to the link it arrived on.
+comes straight from message timestamps: the player manager's reception
+pass takes it as receive time minus timestamp, clamped to 0. An RTT/2
+probe is available as the fallback for unsynchronized clocks. Estimates
+are kept per link and re-learned continuously: every received data
+message and every pong contributes a sample to the link it arrived on.
 """
 
 from dataclasses import dataclass, field
-from typing import Hashable, NamedTuple
+from typing import Hashable
 
 DEFAULT_ALPHA = 0.125
 
@@ -31,23 +32,6 @@ class VirtualClock:
             return self._last
         self._last = t
         return t
-
-
-class DelayResult(NamedTuple):
-    delay_ms: int
-    clock_anomaly: bool
-
-
-def delay_from_timestamp(msg_timestamp: int, receive_time: int) -> DelayResult:
-    """One-way delay under synchronized clocks: receive - send, clamped >= 0.
-
-    A negative raw difference is clamped to 0 and flagged as a clock anomaly
-    rather than raised.
-    """
-    raw = receive_time - msg_timestamp
-    if raw < 0:
-        return DelayResult(0, True)
-    return DelayResult(raw, False)
 
 
 def rtt_probe(ping, pong, receive_time: int) -> int:

@@ -21,15 +21,28 @@ followed by the type-specific payload:
 Positions and velocities are IEEE-754 binary64 bit patterns. Frames are
 fixed-length per type; framing/fragmentation is the transport's problem.
 
+Each frame type has one precompiled struct covering its header and payload
+together, and both encode and decode use it; the struct reads the magic,
+version and type bytes as one uint32 prefix, so decode reads a frame with
+one unpack_from and no slice. A frame that fails more than one check is
+rejected for the first, in this order: magic, version, type, length,
+finite. A frame too short to hold the magic, version or type byte raises
+TruncatedFrame at that step; otherwise a wrong magic raises BadMagic, a
+wrong version BadVersion, an unknown type UnknownType, and a frame shorter
+than its type's length TruncatedFrame. Then a NaN or infinite position or
+velocity raises NonFiniteField, and an event's unknown kind UnknownType.
+
 The four message records are immutable, hashable NamedTuples, since one is
-built for every frame received. Equality is field-wise, as for tuples: a
-record equals any tuple holding the same values, so dispatch on a message's
-type with isinstance, never by comparison.
+built for every frame received; decode builds them with tuple.__new__, so
+a decoded record is exactly one of the four types. Equality is field-wise,
+as for tuples: a record equals any tuple holding the same values, so
+dispatch on a message's type (isinstance, or `type(msg) is` for a decoded
+one), never by comparison.
 """
 
-import math
 import struct
 from enum import IntEnum
+from math import isfinite
 from typing import NamedTuple
 
 MAGIC = b"\x4d\x53"
@@ -40,20 +53,20 @@ TYPE_EVENT = 0x02
 TYPE_PING = 0x03
 TYPE_PONG = 0x04
 
-_HEADER = struct.Struct("!2sBBIIIQ")
-_STATE_PAYLOAD = struct.Struct("!ddddB")
-_EVENT_PAYLOAD = struct.Struct("!B8s")
-_PING_PAYLOAD = struct.Struct("!I")
-_PONG_PAYLOAD = struct.Struct("!IQ")
+# One struct per frame type, header and payload together. The first field
+# is the frame's prefix (magic, version, type) as one uint32.
+_HEAD = "!IIIIQ"
+_STATE = struct.Struct(_HEAD + "ddddB")
+_EVENT = struct.Struct(_HEAD + "B8s")
+_PING = struct.Struct(_HEAD + "I")
+_PONG = struct.Struct(_HEAD + "IQ")
+_FRAMES = {TYPE_STATE: _STATE, TYPE_EVENT: _EVENT, TYPE_PING: _PING,
+           TYPE_PONG: _PONG}
+_PREFIX = int.from_bytes(MAGIC + bytes((VERSION, 0)), "big")
 
-HEADER_LEN = _HEADER.size
+HEADER_LEN = struct.calcsize(_HEAD)
 
-FRAME_LENGTHS = {
-    TYPE_STATE: HEADER_LEN + _STATE_PAYLOAD.size,
-    TYPE_EVENT: HEADER_LEN + _EVENT_PAYLOAD.size,
-    TYPE_PING: HEADER_LEN + _PING_PAYLOAD.size,
-    TYPE_PONG: HEADER_LEN + _PONG_PAYLOAD.size,
-}
+FRAME_LENGTHS = {mtype: frame.size for mtype, frame in _FRAMES.items()}
 
 _U32 = (1 << 32) - 1
 
@@ -130,9 +143,12 @@ class PongMessage(NamedTuple):
 Message = StateUpdate | EventMessage | PingMessage | PongMessage
 
 
+_new = tuple.__new__
+
+
 def _check_finite(msg, values):
     for v in values:
-        if not math.isfinite(v):
+        if not isfinite(v):
             raise NonFiniteField(f"non-finite value {v!r} in {type(msg).__name__}")
 
 
@@ -144,26 +160,23 @@ def encode(msg: Message) -> bytes:
     """
     if isinstance(msg, StateUpdate):
         _check_finite(msg, (*msg.pos, *msg.vel))
-        header = _HEADER.pack(MAGIC, VERSION, TYPE_STATE, msg.sender_id,
-                              msg.entity_id, msg.seq, msg.timestamp)
-        return header + _STATE_PAYLOAD.pack(msg.pos[0], msg.pos[1],
-                                            msg.vel[0], msg.vel[1],
-                                            1 if msg.critical else 0)
+        return _STATE.pack(_PREFIX | TYPE_STATE, msg.sender_id, msg.entity_id,
+                           msg.seq, msg.timestamp, msg.pos[0], msg.pos[1],
+                           msg.vel[0], msg.vel[1], 1 if msg.critical else 0)
     if isinstance(msg, EventMessage):
         if len(msg.payload) != 8:
             # struct "8s" would silently pad or truncate
             raise ValueError(f"event payload must be 8 bytes, got {len(msg.payload)}")
-        header = _HEADER.pack(MAGIC, VERSION, TYPE_EVENT, msg.sender_id,
-                              msg.entity_id, msg.seq, msg.timestamp)
-        return header + _EVENT_PAYLOAD.pack(int(msg.event_kind), msg.payload)
+        return _EVENT.pack(_PREFIX | TYPE_EVENT, msg.sender_id, msg.entity_id,
+                           msg.seq, msg.timestamp, int(msg.event_kind),
+                           msg.payload)
     if isinstance(msg, PingMessage):
-        header = _HEADER.pack(MAGIC, VERSION, TYPE_PING, msg.sender_id,
-                              0, msg.nonce & _U32, msg.timestamp)
-        return header + _PING_PAYLOAD.pack(msg.nonce >> 32)
+        return _PING.pack(_PREFIX | TYPE_PING, msg.sender_id, 0,
+                          msg.nonce & _U32, msg.timestamp, msg.nonce >> 32)
     if isinstance(msg, PongMessage):
-        header = _HEADER.pack(MAGIC, VERSION, TYPE_PONG, msg.sender_id,
-                              0, msg.nonce & _U32, msg.timestamp)
-        return header + _PONG_PAYLOAD.pack(msg.nonce >> 32, msg.echo_timestamp)
+        return _PONG.pack(_PREFIX | TYPE_PONG, msg.sender_id, 0,
+                          msg.nonce & _U32, msg.timestamp, msg.nonce >> 32,
+                          msg.echo_timestamp)
     raise TypeError(f"not a wire message: {type(msg).__name__}")
 
 
@@ -172,46 +185,63 @@ def decode(data: bytes) -> Message:
 
     Reads exactly the frame length for the declared type; trailing bytes are
     ignored. Raises BadMagic, BadVersion, UnknownType, TruncatedFrame or
-    NonFiniteField.
+    NonFiniteField, in the precedence the module docstring gives.
     """
-    if len(data) < 2:
-        raise TruncatedFrame(f"{len(data)} bytes, need 2 for magic")
-    if data[:2] != MAGIC:
-        raise BadMagic(f"magic {data[:2].hex()}")
-    if len(data) < 3:
-        raise TruncatedFrame("missing version byte")
-    if data[2] != VERSION:
-        raise BadVersion(f"version {data[2]:#04x}")
-    if len(data) < 4:
-        raise TruncatedFrame("missing type byte")
-    mtype = data[3]
-    frame_len = FRAME_LENGTHS.get(mtype)
-    if frame_len is None:
-        raise UnknownType(f"type {mtype:#04x}")
-    if len(data) < frame_len:
-        raise TruncatedFrame(f"{len(data)} bytes, type {mtype:#04x} needs {frame_len}")
-
-    _, _, _, sender_id, entity_id, seq, timestamp = _HEADER.unpack_from(data, 0)
-    body = data[HEADER_LEN:frame_len]
+    try:
+        mtype = data[3]
+        fields = _FRAMES[mtype].unpack_from(data)
+    except (IndexError, KeyError, struct.error):
+        raise _bad_frame(data) from None
+    if fields[0] != _PREFIX | mtype:
+        raise _bad_frame(data)
 
     if mtype == TYPE_STATE:
-        px, py, vx, vy, flags = _STATE_PAYLOAD.unpack(body)
-        for v in (px, py, vx, vy):
-            if not math.isfinite(v):
-                raise NonFiniteField(f"non-finite value {v!r} on the wire")
-        return StateUpdate(sender_id, entity_id, seq, timestamp,
-                           (px, py), (vx, vy), bool(flags & 1))
+        _, sender_id, entity_id, seq, timestamp, px, py, vx, vy, flags = fields
+        if not (isfinite(px) and isfinite(py) and isfinite(vx)
+                and isfinite(vy)):
+            _reject_non_finite((px, py, vx, vy))
+        return _new(StateUpdate, (sender_id, entity_id, seq, timestamp,
+                                  (px, py), (vx, vy), (flags & 1) == 1))
     if mtype == TYPE_EVENT:
-        kind, payload = _EVENT_PAYLOAD.unpack(body)
+        _, sender_id, entity_id, seq, timestamp, kind, payload = fields
         event_kind = _EVENT_KINDS.get(kind)
         if event_kind is None:
             raise UnknownType(f"event kind {kind:#04x}")
-        return EventMessage(sender_id, entity_id, seq, timestamp, event_kind, payload)
+        return _new(EventMessage, (sender_id, entity_id, seq, timestamp,
+                                   event_kind, payload))
     if mtype == TYPE_PING:
-        (nonce_high,) = _PING_PAYLOAD.unpack(body)
-        return PingMessage(sender_id, (nonce_high << 32) | seq, timestamp)
-    nonce_high, echo_timestamp = _PONG_PAYLOAD.unpack(body)
-    return PongMessage(sender_id, (nonce_high << 32) | seq, timestamp, echo_timestamp)
+        _, sender_id, _, seq, timestamp, nonce_high = fields
+        return _new(PingMessage, (sender_id, (nonce_high << 32) | seq,
+                                  timestamp))
+    _, sender_id, _, seq, timestamp, nonce_high, echo_timestamp = fields
+    return _new(PongMessage, (sender_id, (nonce_high << 32) | seq, timestamp,
+                              echo_timestamp))
+
+
+def _bad_frame(data) -> DecodeError:
+    """The error for a frame whose prefix or length is bad: the first of
+    magic, version, type and length that fails."""
+    if len(data) < 2:
+        return TruncatedFrame(f"{len(data)} bytes, need 2 for magic")
+    if data[:2] != MAGIC:
+        return BadMagic(f"magic {data[:2].hex()}")
+    if len(data) < 3:
+        return TruncatedFrame("missing version byte")
+    if data[2] != VERSION:
+        return BadVersion(f"version {data[2]:#04x}")
+    if len(data) < 4:
+        return TruncatedFrame("missing type byte")
+    mtype = data[3]
+    frame_len = FRAME_LENGTHS.get(mtype)
+    if frame_len is None:
+        return UnknownType(f"type {mtype:#04x}")
+    return TruncatedFrame(f"{len(data)} bytes, type {mtype:#04x} needs {frame_len}")
+
+
+def _reject_non_finite(values):
+    for v in values:
+        if not isfinite(v):
+            raise NonFiniteField(f"non-finite value {v!r} on the wire")
 
 
 _TYPE_NAMES = {TYPE_STATE: "STATE", TYPE_EVENT: "EVENT",

@@ -1,15 +1,24 @@
 """Per-client composite wiring every manager into the reception and
 transmission pipelines.
 
-Reception runs decode -> delay estimation -> critical area tracking ->
-playout buffering -> rollback ordering -> prediction/convergence -> game
-callbacks. A data frame's consistency mode is evaluated once, after the
-frame's position is recorded: that one mode scales the frame's lag, which
-comes from its entity's class policy, and becomes the entity's noted mode.
-Rollback ordering covers events only: a state update, on time or late,
-reaches the game once, through one apply path, as the displayed position
-at the playout time, and never regresses the entity's view. The stages carry no instrumentation of their own;
-`processing_ns` times each received frame as a whole.
+Reception is one flat pass per frame (_receive): decode -> delay
+estimation -> critical area tracking -> playout buffering -> rollback
+ordering -> prediction/convergence -> game callbacks. The frame decodes
+with one unpack, and the pass dispatches on the record's exact type. A
+data frame's one-way delay is its receive time minus its timestamp,
+clamped to 0 and counted as a clock anomaly when negative; _observe is the
+one place a sample updates the estimator and the peer's quiet time. The
+frame's consistency mode is evaluated once, after its position is
+recorded: that one mode scales the frame's lag, which comes from one
+lookup of its entity's class policy, read live, and becomes the entity's
+noted mode. Rollback ordering covers events only: a state update, on time
+or late, reaches the game once, through one apply path, as the displayed
+position at the playout time, and never regresses the entity's view. The
+stages carry no instrumentation of their own; `processing_ns` times each
+received frame as a whole. The pass reaches decode, encode and the
+estimator, playout buffer, mode tracker and delivery log methods by name
+at call time, never through a bound copy, so a wrapper set on one of those
+names (perfbench's traced runs set them) sees every call.
 
 Transmission runs per tick: dead-reckoning gate -> timestamping -> critical
 flag -> encode -> fan-out. The fan-out sends a frame to every peer in one
@@ -43,7 +52,7 @@ from dataclasses import dataclass, field, replace
 
 from gamesync import rollback as rb
 from gamesync.clock import (DEFAULT_ALPHA, LatencyEstimator, VirtualClock,
-                            delay_from_timestamp, rtt_probe)
+                            rtt_probe)
 # converge is no longer called here: displayed_at is the display rule it
 # delegates to. The name stays importable from this module, where
 # perfbench's traced runs wrap it.
@@ -291,21 +300,25 @@ class PlayerManager:
             self.processing_ns.append(time.perf_counter_ns() - t0)
 
     def _receive(self, data: bytes, now: int, link_id: int) -> None:
+        """One flat pass per frame (see the module docstring). A data
+        frame's mode is evaluated at the entity's recorded position (an
+        event's entity may have none: normal, not noted); a critical update
+        is strong whatever its region."""
         now = self.clock.read(now)
         try:
             msg = decode(data)
         except DecodeError:
             self.counters.decode_errors += 1
             return
-
-        if isinstance(msg, PingMessage):
+        kind = type(msg)
+        if kind is PingMessage:
             pong = PongMessage(self.config.client_id, msg.nonce, now,
                                msg.timestamp)
             link = self.links_by_id.get(link_id)
             if link is not None and link.available:
                 self._send_fn(link_id, encode(pong))
             return
-        if isinstance(msg, PongMessage):
+        if kind is PongMessage:
             entry = self._outstanding_pings.pop(msg.nonce, None)
             if entry is None:
                 return
@@ -315,47 +328,39 @@ class PlayerManager:
             return
 
         # data message (state update or event)
-        self.counters.data_received += 1
-        res = delay_from_timestamp(msg.timestamp, now)
-        if res.clock_anomaly:
-            self.counters.clock_anomalies += 1
-        self._observe(msg.sender_id, link_id, res.delay_ms, now)
-        if isinstance(msg, StateUpdate):
-            peer_state = self._peer_state.get(msg.sender_id)
+        sender, entity, seq, timestamp = msg[:4]
+        counters = self.counters
+        counters.data_received += 1
+        delay = now - timestamp
+        if delay < 0:
+            delay = 0
+            counters.clock_anomalies += 1
+        self._observe(sender, link_id, delay, now)
+        positions = self._entity_positions
+        critical = False
+        if kind is StateUpdate:
+            critical = msg.critical
+            peer_state = self._peer_state.get(sender)
             if peer_state is not None:
-                peer_state.critical = msg.critical
-            self._entity_positions[msg.entity_id] = msg.pos
+                peer_state.critical = critical
+            positions[entity] = msg.pos
         if self.on_delivery_metric is not None:
-            critical = isinstance(msg, StateUpdate) and msg.critical
-            self.on_delivery_metric(now, msg.sender_id, msg.entity_id,
-                                    msg.seq, res.delay_ms, critical)
+            self.on_delivery_metric(now, sender, entity, seq, delay, critical)
 
-        mode = self._frame_mode(msg, now)
-        entry = None
-        if self.config.toggles.receiver_side_lag:
-            entry = self.buffer.enqueue(msg, self._lag(msg.entity_id, mode),
-                                        now)
-        if entry is None:
-            self._playout(msg, now)
-        elif entry.late:
-            self.counters.late_messages += 1
-            self._playout(msg, now)
-
-    def _frame_mode(self, msg, now: int) -> ConsistencyMode:
-        """Evaluate a data frame's mode once, at the entity's recorded
-        position (an event's entity may have none: normal, not noted), and
-        note it. A critical update is strong whatever its region."""
-        if not self.config.toggles.critical_tightening:
-            return NORMAL
-        pos = self._entity_positions.get(msg.entity_id)
-        if pos is None:
-            return NORMAL
-        mode = self.modes.mode_for(msg.entity_id, pos,
-                                   self._entity_positions, now)
-        if isinstance(msg, StateUpdate) and msg.critical:
-            mode = STRONG
-        self._note_mode(msg.entity_id, mode)
-        return mode
+        toggles = self.config.toggles
+        mode = NORMAL
+        if toggles.critical_tightening:
+            pos = positions.get(entity)
+            if pos is not None:
+                mode = self.modes.mode_for(entity, pos, positions, now)
+                if critical:
+                    mode = STRONG
+                self._note_mode(entity, mode)
+        if toggles.receiver_side_lag:
+            if not self.buffer.enqueue(msg, self._lag(entity, mode), now).late:
+                return
+            counters.late_messages += 1
+        self._playout(msg, now)
 
     def _playout(self, msg, now: int) -> None:
         """A state update goes straight to prediction and the game; an
@@ -647,12 +652,12 @@ class PlayerManager:
                 return
             del pings[nonce]
 
-    def _class_of(self, entity_id: int) -> str:
-        return self.config.entity_class.get(entity_id, DEFAULT_CLASS)
-
     def _dr_policy(self, entity_id: int) -> ClassPolicy:
-        pol = self.config.policies
-        return pol.classes.get(self._class_of(entity_id), pol.default)
+        """The entity's class policy, read live: one lookup."""
+        config = self.config
+        return config.policies.classes.get(
+            config.entity_class.get(entity_id, DEFAULT_CLASS),
+            config.policies.default)
 
     def _lag(self, entity_id: int, mode: ConsistencyMode) -> int:
         """The entity's class lag, scaled down in strong mode and rounded

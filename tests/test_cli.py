@@ -6,6 +6,7 @@ import pytest
 
 import gamesync.cli as cli
 from conftest import two_client_doc
+from gamesync.metrics import DELIVERY_HEADER, TICK_HEADER
 from gamesync.netsim import InvariantViolation
 
 
@@ -82,6 +83,33 @@ def test_compare_schema_mismatch_exit_two(scenario_file, tmp_path, capsys):
     cli.main(["run", str(scenario_file), "--out", str(a),
               "--events", str(events)])
     assert cli.main(["compare", str(a), str(events)]) == 2
+
+
+TICK_OK = "0,1,0,1,0.0,0.0,0.0,0.0,0.0,normal,0"
+DELIVERY_OK = "1,2,3,4,5,6,0"
+
+
+@pytest.mark.parametrize("header, baseline_row, variant_row", [
+    (TICK_HEADER, TICK_OK, b"0,1,0,1,0.0,0.0"),                   # short
+    (DELIVERY_HEADER, DELIVERY_OK, b"1,2"),                       # short
+    (TICK_HEADER, TICK_OK, b"0,1,0,1,0.0,0.0,0.0,0.0,abc,normal,0"),
+    (DELIVERY_HEADER, DELIVERY_OK, b"1,2,3,4,5,six,0"),
+    (DELIVERY_HEADER, DELIVERY_OK, b"1,2,3,4,5,\xff\xfe,0"),      # not UTF-8
+], ids=["short-tick-row", "short-delivery-row", "non-numeric-float",
+        "non-numeric-int", "not-utf8"])
+def test_compare_malformed_csv_exit_two(tmp_path, capsys, header,
+                                        baseline_row, variant_row):
+    """A malformed row is an input error naming the file and its line,
+    not a traceback."""
+    baseline = tmp_path / "baseline.csv"
+    variant = tmp_path / "variant.csv"
+    baseline.write_text(f"{header}\n{baseline_row}\n{baseline_row}\n")
+    variant.write_bytes(f"{header}\n{baseline_row}\n".encode() + variant_row
+                        + b"\n")
+    assert cli.main(["compare", str(baseline), str(variant)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{variant}:3" in err
 
 
 def _only_link_down_doc(tmp_path, change):

@@ -1,32 +1,12 @@
-"""Delay computation and EWMA latency estimation."""
+"""Virtual clock, RTT/2 probe and EWMA latency estimation."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gamesync.clock import (LatencyEstimator, NonceMismatch, VirtualClock,
-                            delay_from_timestamp, rtt_probe)
+                            rtt_probe)
 from gamesync.pdu import PingMessage, PongMessage
-
-
-def test_delay_direct_subtraction():
-    res = delay_from_timestamp(1000, 1500)
-    assert res.delay_ms == 500 and not res.clock_anomaly
-
-
-def test_delay_zero():
-    res = delay_from_timestamp(1000, 1000)
-    assert res.delay_ms == 0 and not res.clock_anomaly
-
-
-def test_delay_clamped_with_anomaly_flag():
-    res = delay_from_timestamp(1000, 990)
-    assert res.delay_ms == 0 and res.clock_anomaly
-
-
-def test_delay_records_are_immutable():
-    with pytest.raises(AttributeError):
-        delay_from_timestamp(100, 150).delay_ms = 0
 
 
 def test_estimator_first_sample_initializes():

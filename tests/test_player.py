@@ -197,6 +197,38 @@ def test_frame_from_a_sender_other_than_the_links_peer_moves_its_estimate():
     assert pm.estimator.estimates == {0: 250.0}
 
 
+def delay_seen(sent_at, received_at):
+    """Hand one state frame stamped sent_at to a fresh manager at
+    received_at; return the manager and the delays its delivery hook got."""
+    pm, _, _ = make_pm()
+    pm.start_session([PeerCapabilities(0)], 0)
+    delays = []
+    pm.on_delivery_metric = lambda *row: delays.append(row[4])
+    pm.on_network_message(encode(state(sent_at)), received_at, 0)
+    return pm, delays
+
+
+def test_data_frame_delay_reaches_the_estimator():
+    pm, delays = delay_seen(1000, 1500)
+    assert pm.estimator.estimates == {0: 500.0}
+    assert delays == [500]
+    assert pm.counters.clock_anomalies == 0
+
+
+def test_equal_stamps_give_a_zero_delay_and_no_anomaly():
+    pm, delays = delay_seen(1000, 1000)
+    assert pm.estimator.estimates == {0: 0.0}
+    assert delays == [0]
+    assert pm.counters.clock_anomalies == 0
+
+
+def test_frame_stamped_ahead_gives_a_zero_sample_and_one_anomaly():
+    pm, delays = delay_seen(1000, 990)
+    assert pm.estimator.estimates == {0: 0.0}
+    assert delays == [0]
+    assert pm.counters.clock_anomalies == 1
+
+
 def test_duplicate_dropped():
     pm, spy, _ = make_pm(receiver_side_lag=False)
     pm.start_session([PeerCapabilities(0)], 0)
