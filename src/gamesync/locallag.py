@@ -28,11 +28,14 @@ class PlayoutBuffer:
     jitter-free run never releases in an order the log would repair."""
 
     def __init__(self):
-        self._heap: list = []
+        # (key, entry) pairs; a key starts with the entry's due time. Read
+        # only outside this class: a caller may look at the head to skip
+        # release_due when nothing is due.
+        self.heap: list = []
         self._counter = 0
 
     def __len__(self):
-        return len(self._heap)
+        return len(self.heap)
 
     def enqueue(self, msg, lag_ms: int, now: int) -> PlayoutEntry:
         due = msg.timestamp + lag_ms
@@ -41,12 +44,12 @@ class PlayoutBuffer:
         if not late:
             key = (due, msg.timestamp, msg.sender_id, msg.seq, self._counter)
             self._counter += 1
-            heapq.heappush(self._heap, (key, entry))
+            heapq.heappush(self.heap, (key, entry))
         return entry
 
     def release_due(self, now: int) -> list[PlayoutEntry]:
         """Pop every entry with due <= now, in deterministic release order."""
         released = []
-        while self._heap and self._heap[0][0][0] <= now:
-            released.append(heapq.heappop(self._heap)[1])
+        while self.heap and self.heap[0][0][0] <= now:
+            released.append(heapq.heappop(self.heap)[1])
         return released

@@ -9,7 +9,8 @@ global virtual clock; this is what makes the synchronized-clock assumption
 of the consistency layer hold exactly.
 
 Per send the generator is consumed in a fixed order: one 53-bit float draw
-for loss, then (only if the link has jitter > 0) one integer draw
+for loss (next_float's value, drawn even when the loss probability is 0),
+then (only if the link has jitter > 0) one integer draw
 (next_u64 % (2*jitter + 1)) - jitter for the delay offset. Delivery is
 clamped to at least now + 1 so causality is never instantaneous. FIFO is
 deliberately NOT enforced per link: jitter can reorder deliveries, which is
@@ -21,11 +22,12 @@ that sorts by (time, call-or-delivery, index), so a call scheduled while the
 run goes (a tick rescheduling itself) still runs before a delivery due at
 the same time that was sent earlier.
 
-A trace line's parts are rendered once: the `\t<link>\t<sender>\t<dest>`
-part per (link, sender), the `\t<type>\t<seq>\n` part per payload object
-(a fan-out hands one payload to every peer, and its header is peeked once).
-The event carries the joined suffix to its DELIVER line. An untraced send
-never peeks.
+A send resolves a (link, sender) pair once, the first time it is used:
+its link, the other endpoint and the `\t<link>\t<sender>\t<dest>` part of
+a trace line. The `\t<type>\t<seq>\n` part is rendered per payload object
+(a fan-out hands one payload to every peer, and its header is peeked once,
+with one unpack). The event carries the joined suffix to its DELIVER line.
+An untraced send never peeks.
 """
 
 from dataclasses import dataclass, replace
@@ -126,10 +128,13 @@ class NetworkSim:
         self._now = 0
         self.counters = SimCounters()
         self._trace = trace  # writable file-like or None
-        # Traced only: "\t<link>\t<sender>\t<dest>" per (link, sender), and
-        # the "\t<type>\t<seq>\n" part of the last payload sent. Holding the
-        # payload keeps its id from being reused, so `is` is a safe test.
-        self._endpoint_parts: dict[tuple[int, int], str] = {}
+        # Per (link, sender) pair sent on: the link, its other endpoint and
+        # the trace part "\t<link>\t<sender>\t<dest>". A link is never
+        # removed or replaced, so the entry holds for the whole run.
+        self._resolved: dict[tuple[int, int], tuple] = {}
+        # Traced only: the "\t<type>\t<seq>\n" part of the last payload
+        # sent. Holding the payload keeps its id from being reused, so `is`
+        # is a safe test.
         self._tag_payload: bytes | None = None
         self._tag = ""
 
@@ -171,13 +176,13 @@ class NetworkSim:
 
         Returns True if scheduled, False if the loss draw dropped it.
         """
-        link = self.links.get(link_id)
-        if link is None:
-            raise UnknownLink(f"link {link_id}")
+        end = self._resolved.get((link_id, sender))
+        if end is None:
+            end = self._resolve(link_id, sender)
+        link, dest, endpoints = end
         if not link.available:
             raise LinkUnavailable(f"link {link_id} is down")
         now = self._now
-        dest = link.other_endpoint(sender)
         self.counters.sent += 1
         trace = self._trace
         suffix = ""
@@ -186,13 +191,10 @@ class NetworkSim:
                 mtype, _, seq = peek(payload)
                 self._tag_payload = payload
                 self._tag = f"\t{mtype}\t{seq}\n"
-            endpoints = self._endpoint_parts.get((link_id, sender))
-            if endpoints is None:
-                endpoints = f"\t{link_id}\t{sender}\t{dest}"
-                self._endpoint_parts[(link_id, sender)] = endpoints
             suffix = endpoints + self._tag
             trace.write(f"{now}\tSEND{suffix}")
-        if self.rng.next_float() < link.loss_prob:
+        # the loss draw: next_float's value, from one next_u64 call
+        if (self.rng.next_u64() >> 11) * _INV_2_53 < link.loss_prob:
             self.counters.dropped += 1
             if trace is not None:
                 trace.write(f"{now}\tDROP{suffix}")
@@ -205,6 +207,21 @@ class NetworkSim:
             SimEvent, (now + delay if delay > 0 else now + 1, _DELIVER,
                        self._index, None, dest, link_id, payload, suffix)))
         return True
+
+    def _resolve(self, link_id: int, sender: int) -> tuple:
+        """Resolve and keep a (link, sender) pair's link, destination and
+        trace part. Raises UnknownLink for an unknown link, LinkUnavailable
+        for a down one, and ValueError for a sender not on the link, in
+        that order; nothing is kept then."""
+        link = self.links.get(link_id)
+        if link is None:
+            raise UnknownLink(f"link {link_id}")
+        if not link.available:
+            raise LinkUnavailable(f"link {link_id} is down")
+        dest = link.other_endpoint(sender)
+        end = self._resolved[link_id, sender] = (
+            link, dest, f"\t{link_id}\t{sender}\t{dest}")
+        return end
 
     @property
     def pending(self) -> int:

@@ -64,7 +64,9 @@ _FRAMES = {TYPE_STATE: _STATE, TYPE_EVENT: _EVENT, TYPE_PING: _PING,
            TYPE_PONG: _PONG}
 _PREFIX = int.from_bytes(MAGIC + bytes((VERSION, 0)), "big")
 
-HEADER_LEN = struct.calcsize(_HEAD)
+_HEADER = struct.Struct(_HEAD)
+_MAGIC_U16 = int.from_bytes(MAGIC, "big")
+HEADER_LEN = _HEADER.size
 
 FRAME_LENGTHS = {mtype: frame.size for mtype, frame in _FRAMES.items()}
 
@@ -146,12 +148,6 @@ Message = StateUpdate | EventMessage | PingMessage | PongMessage
 _new = tuple.__new__
 
 
-def _check_finite(msg, values):
-    for v in values:
-        if not isfinite(v):
-            raise NonFiniteField(f"non-finite value {v!r} in {type(msg).__name__}")
-
-
 def encode(msg: Message) -> bytes:
     """Serialize a message to its fixed-length frame.
 
@@ -159,10 +155,12 @@ def encode(msg: Message) -> bytes:
     NonFiniteField for NaN/infinite position or velocity components.
     """
     if isinstance(msg, StateUpdate):
-        _check_finite(msg, (*msg.pos, *msg.vel))
-        return _STATE.pack(_PREFIX | TYPE_STATE, msg.sender_id, msg.entity_id,
-                           msg.seq, msg.timestamp, msg.pos[0], msg.pos[1],
-                           msg.vel[0], msg.vel[1], 1 if msg.critical else 0)
+        sender_id, entity_id, seq, timestamp, (px, py), (vx, vy), critical = msg
+        if not (isfinite(px) and isfinite(py) and isfinite(vx)
+                and isfinite(vy)):
+            _reject_non_finite((px, py, vx, vy), f"in {type(msg).__name__}")
+        return _STATE.pack(_PREFIX | TYPE_STATE, sender_id, entity_id, seq,
+                           timestamp, px, py, vx, vy, 1 if critical else 0)
     if isinstance(msg, EventMessage):
         if len(msg.payload) != 8:
             # struct "8s" would silently pad or truncate
@@ -199,7 +197,7 @@ def decode(data: bytes) -> Message:
         _, sender_id, entity_id, seq, timestamp, px, py, vx, vy, flags = fields
         if not (isfinite(px) and isfinite(py) and isfinite(vx)
                 and isfinite(vy)):
-            _reject_non_finite((px, py, vx, vy))
+            _reject_non_finite((px, py, vx, vy), "on the wire")
         return _new(StateUpdate, (sender_id, entity_id, seq, timestamp,
                                   (px, py), (vx, vy), (flags & 1) == 1))
     if mtype == TYPE_EVENT:
@@ -238,10 +236,11 @@ def _bad_frame(data) -> DecodeError:
     return TruncatedFrame(f"{len(data)} bytes, type {mtype:#04x} needs {frame_len}")
 
 
-def _reject_non_finite(values):
+def _reject_non_finite(values, where: str):
+    """Raise NonFiniteField for the first NaN or infinite value."""
     for v in values:
         if not isfinite(v):
-            raise NonFiniteField(f"non-finite value {v!r} on the wire")
+            raise NonFiniteField(f"non-finite value {v!r} {where}")
 
 
 _TYPE_NAMES = {TYPE_STATE: "STATE", TYPE_EVENT: "EVENT",
@@ -249,13 +248,14 @@ _TYPE_NAMES = {TYPE_STATE: "STATE", TYPE_EVENT: "EVENT",
 
 
 def peek(data: bytes) -> tuple[str, int, int]:
-    """Cheap header peek for trace logging: (type name, sender, seq).
+    """Cheap header peek for trace logging: (type name, sender, seq), read
+    with one unpack of the header.
 
     Returns ("?", 0, 0) for anything too short or unrecognized.
     """
-    if len(data) < HEADER_LEN or data[:2] != MAGIC:
+    if len(data) < HEADER_LEN:
         return "?", 0, 0
-    name = _TYPE_NAMES.get(data[3], "?")
-    sender = int.from_bytes(data[4:8], "big")
-    seq = int.from_bytes(data[12:16], "big")
-    return name, sender, seq
+    prefix, sender, _, seq, _ = _HEADER.unpack_from(data)
+    if prefix >> 16 != _MAGIC_U16:
+        return "?", 0, 0
+    return _TYPE_NAMES.get(prefix & 0xFF, "?"), sender, seq

@@ -4,7 +4,9 @@ transmission pipelines.
 Reception is one flat pass per frame (_receive): decode -> delay
 estimation -> critical area tracking -> playout buffering -> rollback
 ordering -> prediction/convergence -> game callbacks. The frame decodes
-with one unpack, and the pass dispatches on the record's exact type. A
+with one unpack, and the pass dispatches on the record's exact type; a
+frame that does not decode, a NaN or infinite field included, counts in
+decode_errors and goes no further. A
 data frame's one-way delay is its receive time minus its timestamp,
 clamped to 0 and counted as a clock anomaly when negative; _observe is the
 one place a sample updates the estimator and the peer's quiet time. The
@@ -20,22 +22,32 @@ estimator, playout buffer, mode tracker and delivery log methods by name
 at call time, never through a bound copy, so a wrapper set on one of those
 names (perfbench's traced runs set them) sees every call.
 
-Transmission runs per tick: dead-reckoning gate -> timestamping -> critical
-flag -> encode -> fan-out. The fan-out sends a frame to every peer in one
-pass: route re-evaluation (overlay on, and only for a route past its dwell)
--> network. Per-peer link bookkeeping happens at link changes, not per
-send: each peer's links are split into available links, available relays
-and whether a direct link is up at session start and whenever a link to
-the peer changes, and the half of critical proximity that no peer changes
-is taken once per frame. A route leaves a down link in one place,
-on_link_change, at the link change and whatever the route dwell. A frame
-waits in its peer's queue only while no link to the peer is up: queued
-frames expire per tick after QUEUE_LIMIT_MS, and the rest are sent, in
-order, when a link to the peer comes up. A tick looks at the peers one by
-one only when a ping may be due (the earliest time any peer went quiet is
-idle_ping_ms old) and only for peers with frames queued. Each player
-manager is single-threaded; distinct managers share no mutable state and
-talk only through the network layer.
+Transmission is one flat pass per tick (tick): release due playouts ->
+forget expired probes -> local positions -> modes -> dead-reckoning gate ->
+timestamping -> critical flag -> encode -> fan-out. Playouts are released
+only when the buffer's head is due, and each released state update goes
+through the one apply path. Every local entity's position is recorded
+before any mode is evaluated, so an anchored region sees this tick's
+positions whatever the entities' order. Each local point is tested
+against the regions once: that one containment gives the entity's mode
+(the mode tracker takes the result, not the point) and, when the update is
+sent, the sends_in_region count. The tick reaches encode, should_send,
+displayed_position and mode_for by name at call time, as reception does.
+The fan-out sends a frame to every peer in one pass: route re-evaluation
+(overlay on, and only for a route past its dwell) -> network. Per-peer
+link bookkeeping happens at link changes, not per send: each peer's links
+are split into available links, available relays and whether a direct
+link is up at session start and whenever a link to the peer changes, and
+the half of critical proximity that no peer changes is taken once per
+frame. A route leaves a down link in one place, on_link_change, at the
+link change and whatever the route dwell. A frame waits in its peer's
+queue only while no link to the peer is up: queued frames expire per tick
+after QUEUE_LIMIT_MS, and the rest are sent, in order, when a link to the
+peer comes up. A tick looks at the peers one by one only when a ping may
+be due (the earliest time any peer went quiet is idle_ping_ms old) and
+only for peers with frames queued. Each player manager is single-threaded;
+distinct managers share no mutable state and talk only through the network
+layer.
 
 The Medium's settings are defined here once: a PolicySet (a ClassPolicy per
 object class, which is that class's dead-reckoning policy plus its local
@@ -63,13 +75,15 @@ from gamesync.locallag import DEFAULT_CLASS, PlayoutBuffer
 from gamesync.overlay import (LinkKind, LinkPartition, LinkSpec,
                               PeerCapabilities, RouteDecision, best_link,
                               default_route, partition, select_route)
-from gamesync.pdu import (DecodeError, EventMessage, PingMessage, PongMessage,
+from gamesync.pdu import (CodecError, EventMessage, PingMessage, PongMessage,
                           StateUpdate, decode, encode)
 from gamesync.regions import (EXIT_HYSTERESIS_MS, ConsistencyMode,
                               ModeTracker, RegionSet)
 
 NORMAL = ConsistencyMode.NORMAL
 STRONG = ConsistencyMode.STRONG
+
+_new = tuple.__new__    # builds a NamedTuple record without its __new__
 
 QUEUE_LIMIT_MS = 1000    # frames queued longer than this are dropped
 
@@ -209,7 +223,7 @@ class PlayerManager:
         self.estimator = LatencyEstimator(pol.ewma_alpha)
         self.buffer = PlayoutBuffer()
         self.log = rb.DeliveryLog()
-        self.modes = ModeTracker(config.regions, pol.exit_hysteresis_ms)
+        self.modes = ModeTracker(pol.exit_hysteresis_ms)
         self.counters = PmCounters()
         self.processing_ns: list[int] = []
         self.switch_log: list[tuple] = []   # (now, peer, old, new, failover)
@@ -307,7 +321,7 @@ class PlayerManager:
         now = self.clock.read(now)
         try:
             msg = decode(data)
-        except DecodeError:
+        except CodecError:   # a malformed frame, or a NaN or infinity in one
             self.counters.decode_errors += 1
             return
         kind = type(msg)
@@ -347,12 +361,14 @@ class PlayerManager:
         if self.on_delivery_metric is not None:
             self.on_delivery_metric(now, sender, entity, seq, delay, critical)
 
-        toggles = self.config.toggles
+        config = self.config
+        toggles = config.toggles
         mode = NORMAL
         if toggles.critical_tightening:
             pos = positions.get(entity)
             if pos is not None:
-                mode = self.modes.mode_for(entity, pos, positions, now)
+                mode = self.modes.mode_for(
+                    entity, config.regions.any_contains(pos, positions), now)
                 if critical:
                     mode = STRONG
                 self._note_mode(entity, mode)
@@ -364,11 +380,10 @@ class PlayerManager:
 
     def _playout(self, msg, now: int) -> None:
         """A state update goes straight to prediction and the game; an
-        event goes through rollback ordering first."""
-        if isinstance(msg, StateUpdate):
-            self._apply_state(msg.entity_id,
-                              EntityKinematics(msg.pos, msg.vel, msg.timestamp),
-                              now)
+        event goes through rollback ordering first. Dispatches on the
+        exact type: every message played out was decoded or built here."""
+        if type(msg) is StateUpdate:
+            self._apply_state(msg, now)
             return
         outcome = self.log.on_deliver(msg, now)
         if isinstance(outcome, rb.Apply):
@@ -382,11 +397,10 @@ class PlayerManager:
         else:   # DropBeyondWindow
             self.counters.beyond_window += 1
 
-    def _apply_state(self, entity_id: int, kin: EntityKinematics,
-                     now: int) -> None:
-        """Fold wire kinematics into the entity's view, then hand the game
-        the displayed position at now. Every state update comes through
-        here once, on time or late.
+    def _apply_state(self, msg: StateUpdate, now: int) -> None:
+        """Fold an update's wire kinematics into the entity's view, then
+        hand the game the displayed position at now. Every state update
+        comes through here once, on time or late.
 
         An update starts a blend epoch unless it is older than the view's
         (it never regresses the view) or is the one the view holds (a
@@ -397,6 +411,8 @@ class PlayerManager:
         the game on its own only where there is no snapshot to hand over
         (the first update, one that starts no epoch, a zero window) or the
         clock is behind the update (the wire position shows)."""
+        _, entity_id, _, timestamp, pos, vel, _ = msg
+        kin = _new(EntityKinematics, (pos, vel, timestamp))
         view = self._views.get(entity_id)
         shown = None
         if view is None:
@@ -413,7 +429,7 @@ class PlayerManager:
         if shown is None:
             shown = self.displayed_position(entity_id, now)
         self.callbacks.apply_remote_state(
-            entity_id, EntityKinematics(shown, kin.vel, now))
+            entity_id, _new(EntityKinematics, (shown, vel, now)))
 
     def displayed_position(self, entity_id: int, now: int) -> tuple | None:
         """Current dead-reckoned/converging display position, or None if no
@@ -436,41 +452,82 @@ class PlayerManager:
     # -- transmission pipeline ---------------------------------------------
 
     def tick(self, now: int) -> None:
-        """Release due playouts, evaluate the send gate per local entity,
-        ping peers gone quiet, and expire queued frames."""
+        """One flat pass (see the module docstring): release due playouts,
+        forget expired probes, record every local position, then evaluate
+        each local entity's mode, then gate and send each one's update,
+        ping peers gone quiet, and expire queued frames.
+
+        A probe is forgotten once it is older than the log's history
+        window: its pong was lost. The window therefore also bounds how
+        long a probe waits for its pong: a pong whose round trip exceeds
+        the window yields no RTT sample, and changing the window changes
+        RTT probing too."""
         now = self.clock.read(now)
-        for entry in self.buffer.release_due(now):
-            self._playout(entry.msg, now)
-        self._expire_pings(now)
+        buffer = self.buffer
+        heap = buffer.heap
+        if heap and heap[0][0][0] <= now:
+            for entry in buffer.release_due(now):
+                self._playout(entry.msg, now)
+        pings = self._outstanding_pings
+        if pings:   # in send order, so the stale ones lead
+            horizon = now - self.log.history_window_ms
+            while pings:
+                nonce = next(iter(pings))
+                if pings[nonce][0].timestamp >= horizon:
+                    break
+                del pings[nonce]
 
+        config = self.config
+        callbacks = self.callbacks
+        positions = self._entity_positions
         states = []
-        for entity_id in self.config.local_entities:
-            kin = self.callbacks.query_local_state(entity_id)
-            self._entity_positions[entity_id] = kin.pos
-            mode = NORMAL
-            if self.config.toggles.critical_tightening:
-                mode = self.modes.mode_for(entity_id, kin.pos,
-                                           self._entity_positions, now)
-            self._note_mode(entity_id, mode)
-            states.append((entity_id, kin, mode))
+        for entity_id in config.local_entities:
+            kin = callbacks.query_local_state(entity_id)
+            positions[entity_id] = kin.pos
+            states.append((entity_id, kin))
 
-        pol = self.config.policies
-        for entity_id, kin, mode in states:
-            policy = self._dr_policy(entity_id)
-            scale = pol.critical_threshold_scale if mode is STRONG else 1.0
-            if not should_send(kin, self._last_sent.get(entity_id), policy,
-                               now, pol.heartbeat_ms, scale):
+        # Every local position is recorded before any containment test, so
+        # an anchored region reads this tick's position of its anchor
+        # whatever the entities' order. The one test gives the mode and
+        # sends_in_region; with tightening off it is made only on a send.
+        regions = config.regions
+        noted = self._entity_modes
+        tighten = config.toggles.critical_tightening
+        gated = []
+        for entity_id, kin in states:
+            inside = None
+            mode = NORMAL
+            if tighten:
+                inside = regions.any_contains(kin.pos, positions)
+                mode = self.modes.mode_for(entity_id, inside, now)
+            if noted.get(entity_id) is not mode:
+                noted[entity_id] = mode
+                callbacks.notify_mode(entity_id, mode)
+            gated.append((entity_id, kin, mode is STRONG, inside))
+
+        pol = config.policies
+        last_sent = self._last_sent
+        seqs = self._seqs
+        counters = self.counters
+        for entity_id, kin, strong, inside in gated:
+            if not should_send(kin, last_sent.get(entity_id),
+                               self._dr_policy(entity_id), now,
+                               pol.heartbeat_ms,
+                               pol.critical_threshold_scale if strong else 1.0):
                 continue
-            seq = self._seqs.get(entity_id, 0) + 1
-            self._seqs[entity_id] = seq
-            msg = StateUpdate(self.config.client_id, entity_id, seq, now,
-                              kin.pos, kin.vel, mode is STRONG)
-            data = encode(msg)
-            self.counters.sends += 1
-            if self.config.regions.any_contains(kin.pos, self._entity_positions):
-                self.counters.sends_in_region += 1
+            seq = seqs.get(entity_id, 0) + 1
+            seqs[entity_id] = seq
+            pos = kin.pos
+            vel = kin.vel
+            data = encode(_new(StateUpdate, (config.client_id, entity_id, seq,
+                                             now, pos, vel, strong)))
+            counters.sends += 1
+            if inside is None:
+                inside = regions.any_contains(pos, positions)
+            if inside:
+                counters.sends_in_region += 1
             self._fan_out(data, now)
-            self._last_sent[entity_id] = EntityKinematics(kin.pos, kin.vel, now)
+            last_sent[entity_id] = _new(EntityKinematics, (pos, vel, now))
 
         if now - self._quiet_min >= pol.idle_ping_ms:
             quiet = self._quiet_since
@@ -635,22 +692,6 @@ class PlayerManager:
             self._outstanding_pings[nonce] = (ping, link.link_id)
             self._send_fn(link.link_id, encode(ping))
         self._quiet_since[peer] = now
-
-    def _expire_pings(self, now: int) -> None:
-        """Forget probes older than the history window: their pongs were
-        lost. The dict is in send order, so the stale ones lead it.
-
-        The log's history window therefore also bounds how long a probe
-        waits for its pong: a pong whose round trip exceeds the window
-        yields no RTT sample, and changing the window changes RTT probing
-        too."""
-        pings = self._outstanding_pings
-        horizon = now - self.log.history_window_ms
-        while pings:
-            nonce = next(iter(pings))
-            if pings[nonce][0].timestamp >= horizon:
-                return
-            del pings[nonce]
 
     def _dr_policy(self, entity_id: int) -> ClassPolicy:
         """The entity's class policy, read live: one lookup."""

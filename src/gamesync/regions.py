@@ -150,22 +150,19 @@ class ModeTracker:
     """Per-entity Normal/Strong mode with exit hysteresis.
 
     Strong while inside any region, and for exit_hysteresis_ms after last
-    being inside.
-    """
+    being inside. The caller tests the point against the regions
+    (RegionSet.any_contains) and hands the tracker the result, so a caller
+    that needs the containment for something else too tests it once."""
 
-    def __init__(self, regions: RegionSet,
-                 exit_hysteresis_ms: int = EXIT_HYSTERESIS_MS):
-        self.regions = regions
-        # The set's record list itself (add appends to it), walked here
-        # directly so that evaluating a mode costs one call into the
-        # geometry, not two.
-        self._records = regions._records
+    def __init__(self, exit_hysteresis_ms: int = EXIT_HYSTERESIS_MS):
         self.exit_hysteresis_ms = exit_hysteresis_ms
         self._last_inside: dict[int, int] = {}
 
-    def mode_for(self, entity_id: int, pos: tuple[float, float],
-                 entity_positions: dict | None, now: int) -> ConsistencyMode:
-        if _inside(self._records, pos, entity_positions, True):
+    def mode_for(self, entity_id: int, inside: bool,
+                 now: int) -> ConsistencyMode:
+        """The entity's mode at now, given whether its point is inside a
+        region at now."""
+        if inside:
             self._last_inside[entity_id] = now
             return ConsistencyMode.STRONG
         last = self._last_inside.get(entity_id)

@@ -1,10 +1,10 @@
 """Golden outputs: the shipped scenarios, one small generated mesh (also
 with frames queued while all links to a peer are down), and the
-benchmark's generated workloads at seed 1 must keep producing
-byte-identical tick, event and delivery CSVs and traces. A refactor that
-changes any byte (a different float rounding, event order or RNG draw)
-fails here; a change meant to alter behaviour updates these digests and
-says why."""
+benchmark's generated workloads at seed 1 and at its held-out seed 7919
+must keep producing byte-identical tick, event and delivery CSVs and
+traces. A refactor that changes any byte (a different float rounding,
+event order or RNG draw) fails here; a change meant to alter behaviour
+updates these digests and says why."""
 
 import hashlib
 import importlib.util
@@ -57,6 +57,19 @@ GOLDEN = {
         "events": "b037d2955a59bfd866694830950988cb3e86d5a4c6aa74931f6abe05b4add822",
         "deliveries": "75444dee388f558f5d0c2ecb2ffd4857261449d0cc3b5496e8933b151eb1dabd",
         "trace": "7ea1f12c736c4f9a99312ae562249c684370c2226f539a7429cb303ba70ce2a9",
+    },
+    # the benchmark's held-out seed
+    "mesh16_lossy_seed7919": {
+        "tick": "f7b21390e4506dcd3e18bc1366fdb40b71a6bd1c6e97f81c0aca08d0fae25edb",
+        "events": "7ed5c67c067481147dd80937580ad6baf43d23e95afdd25fabe4a49bb6398cf3",
+        "deliveries": "5894f5b133469e2246a5b2e9090909109398eddbbfa1fb6bf806cb00c00074a7",
+        "trace": "880321fb835375f544933cfeb0383dc1a259453571d817aa8c027891c0234df6",
+    },
+    "skirmish_events_seed7919": {
+        "tick": "50b48cae6e7b4da1b4387a1eb8574af9f89e90d6350e8c94a09a07661069c5b8",
+        "events": "49fad3db9ca60f9f8aa42736e37a0cef7f26aac0106d80de7f1d2f7b492a5f29",
+        "deliveries": "f4dda09271c28d3e2ea0e62a6a200b8b3219d05e75c67d0f775c6dd8248c97c9",
+        "trace": "3e80ecb73516565d610d73df08e714f5447fd7adc7d3e27f8cb26a5c45111f93",
     },
 }
 
@@ -160,6 +173,13 @@ def test_small_mesh_outputs_are_byte_identical(tmp_path):
 def test_benchmark_workload_outputs_are_byte_identical(workload, tmp_path):
     config = parse_scenario(benchmark_document(workload, 1))
     assert digests(config, tmp_path) == GOLDEN[workload]
+
+
+@pytest.mark.parametrize("workload", ["mesh16_lossy", "skirmish_events"])
+def test_benchmark_workload_outputs_at_held_out_seed_are_byte_identical(
+        workload, tmp_path):
+    config = parse_scenario(benchmark_document(workload, 7919))
+    assert digests(config, tmp_path) == GOLDEN[f"{workload}_seed7919"]
 
 
 @pytest.mark.parametrize("overlay, name", [

@@ -17,7 +17,7 @@ from gamesync.pdu import (EventKind, EventMessage, PingMessage, PongMessage,
 from gamesync.player import (ClassPolicy, ConfigInvalid, GameCallbacks,
                              PlayerManager, PlayerManagerConfig, PolicySet,
                              Toggles)
-from gamesync.regions import ConsistencyMode, Rect, RegionSet
+from gamesync.regions import AnchoredCircle, ConsistencyMode, Rect, RegionSet
 
 
 class Spy(GameCallbacks):
@@ -103,6 +103,24 @@ def test_corrupt_frame_counted_never_crashes():
     assert pm.counters.decode_errors == 2
     assert spy.states == [] and spy.events == []
     assert len(pm.processing_ns) == 2
+
+
+def test_non_finite_frame_counted_never_crashes():
+    """A NaN position or an infinite velocity on the wire is a bad frame:
+    counted once, nothing raised, and the next valid frame plays out."""
+    pm, spy, _ = make_pm(receiver_side_lag=False)
+    pm.start_session([PeerCapabilities(0)], 0)
+    frame = encode(state(100, seq=1))
+    nan_pos = frame[:24] + bytes.fromhex("7ff8000000000000") + frame[32:]
+    inf_vel = frame[:40] + bytes.fromhex("7ff0000000000000") + frame[48:]
+    pm.on_network_message(nan_pos, 100, 0)
+    assert pm.counters.decode_errors == 1
+    pm.on_network_message(inf_vel, 101, 0)
+    assert pm.counters.decode_errors == 2
+    assert spy.states == [] and pm.counters.data_received == 0
+    pm.on_network_message(encode(state(102, seq=2)), 102, 0)
+    assert [entity for entity, _ in spy.states] == [7]
+    assert pm.counters.decode_errors == 2
 
 
 def test_late_event_rollback_callback_trace():
@@ -279,6 +297,32 @@ def test_entering_region_notifies_strong_once_and_flags_sends():
     frames = [decode(d) for _, d in sent]
     updates = [m for m in frames if isinstance(m, StateUpdate)]
     assert [m.critical for m in updates] == [False, True, True]
+
+
+@pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+def test_local_modes_do_not_depend_on_entity_order(order):
+    """Entity 2 anchors a circle that takes in entity 1 at the second tick.
+    Every local position is recorded before any mode is evaluated, so
+    entity 1 is strong there whichever entity is listed first, and its
+    send counts as inside the region."""
+    pm, spy, sent = make_pm(client_id=0, peer=1, local_entities=order,
+                            regions=[AnchoredCircle(2, 5.0)], heartbeat_ms=50)
+    pm.start_session([PeerCapabilities(1)], 0)
+    spy.local[1] = EntityKinematics((0.0, 0.0), (0.0, 0.0), 0)
+    spy.local[2] = EntityKinematics((100.0, 0.0), (0.0, 0.0), 0)
+    pm.tick(0)
+    assert pm.mode_of(1) is ConsistencyMode.NORMAL
+    spy.local[2] = EntityKinematics((3.0, 0.0), (0.0, 0.0), 50)
+    pm.tick(50)
+    assert pm.mode_of(1) is ConsistencyMode.STRONG
+    assert [m for e, m in spy.modes if e == 1] == [ConsistencyMode.NORMAL,
+                                                 ConsistencyMode.STRONG]
+    updates = [m for m in map(decode, (d for _, d in sent))
+               if isinstance(m, StateUpdate) and m.entity_id == 1]
+    assert [m.critical for m in updates] == [False, True]
+    # entity 2 is always inside its own circle; entity 1 from tick 50
+    assert pm.counters.sends == 4
+    assert pm.counters.sends_in_region == 3
 
 
 def test_strong_mode_tightens_threshold():

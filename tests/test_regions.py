@@ -66,38 +66,44 @@ def test_any_contains_skips_unanchored():
     assert regions.any_contains((0.0, 0.0), {7: (1.0, 1.0)}) is True
 
 
+def mode_at(tracker, regions, entity, point, t):
+    """The tracker's mode for the entity at point, given the set's
+    containment of it."""
+    return tracker.mode_for(entity, regions.any_contains(point, {}), t)
+
+
 def test_mode_never_inside_is_normal():
     regions = RegionSet()
     regions.add(Rect(90, -10, 100, 10))
-    tracker = ModeTracker(regions)
-    assert tracker.mode_for(1, (0.0, 0.0), {}, 0) is ConsistencyMode.NORMAL
+    tracker = ModeTracker()
+    assert mode_at(tracker, regions, 1, (0.0, 0.0), 0) is ConsistencyMode.NORMAL
 
 
 def test_mode_inside_is_strong():
     regions = RegionSet()
     regions.add(Rect(90, -10, 100, 10))
-    tracker = ModeTracker(regions)
-    assert tracker.mode_for(1, (95.0, 0.0), {}, 0) is ConsistencyMode.STRONG
+    tracker = ModeTracker()
+    assert mode_at(tracker, regions, 1, (95.0, 0.0), 0) is ConsistencyMode.STRONG
 
 
 def test_exit_hysteresis_per_ms_trace():
     """Inside until t=1000: strong through 1250, normal from 1251."""
     regions = RegionSet()
     regions.add(Rect(0, 0, 10, 10))
-    tracker = ModeTracker(regions, exit_hysteresis_ms=250)
+    tracker = ModeTracker(exit_hysteresis_ms=250)
     for t in range(0, 1001):
-        assert tracker.mode_for(1, (5.0, 5.0), {}, t) is ConsistencyMode.STRONG
+        assert mode_at(tracker, regions, 1, (5.0, 5.0), t) is ConsistencyMode.STRONG
     for t in range(1001, 1251):
-        assert tracker.mode_for(1, (50.0, 50.0), {}, t) is ConsistencyMode.STRONG
-    assert tracker.mode_for(1, (50.0, 50.0), {}, 1251) is ConsistencyMode.NORMAL
+        assert mode_at(tracker, regions, 1, (50.0, 50.0), t) is ConsistencyMode.STRONG
+    assert mode_at(tracker, regions, 1, (50.0, 50.0), 1251) is ConsistencyMode.NORMAL
 
 
 def test_reentry_is_immediate():
     regions = RegionSet()
     regions.add(Rect(0, 0, 10, 10))
-    tracker = ModeTracker(regions)
-    assert tracker.mode_for(1, (50.0, 0.0), {}, 0) is ConsistencyMode.NORMAL
-    assert tracker.mode_for(1, (5.0, 5.0), {}, 1) is ConsistencyMode.STRONG
+    tracker = ModeTracker()
+    assert mode_at(tracker, regions, 1, (50.0, 0.0), 0) is ConsistencyMode.NORMAL
+    assert mode_at(tracker, regions, 1, (5.0, 5.0), 1) is ConsistencyMode.STRONG
 
 
 def test_membership_is_pure():
@@ -110,12 +116,12 @@ def test_membership_is_pure():
 def test_modes_tracked_per_entity():
     regions = RegionSet()
     regions.add(Rect(0, 0, 10, 10))
-    tracker = ModeTracker(regions, exit_hysteresis_ms=250)
-    assert tracker.mode_for(1, (5.0, 5.0), {}, 100) is ConsistencyMode.STRONG
-    assert tracker.mode_for(2, (50.0, 5.0), {}, 100) is ConsistencyMode.NORMAL
+    tracker = ModeTracker(exit_hysteresis_ms=250)
+    assert mode_at(tracker, regions, 1, (5.0, 5.0), 100) is ConsistencyMode.STRONG
+    assert mode_at(tracker, regions, 2, (50.0, 5.0), 100) is ConsistencyMode.NORMAL
     # entity 1's hysteresis does not leak onto entity 2
-    assert tracker.mode_for(2, (50.0, 5.0), {}, 200) is ConsistencyMode.NORMAL
-    assert tracker.mode_for(1, (50.0, 5.0), {}, 200) is ConsistencyMode.STRONG
+    assert mode_at(tracker, regions, 2, (50.0, 5.0), 200) is ConsistencyMode.NORMAL
+    assert mode_at(tracker, regions, 1, (50.0, 5.0), 200) is ConsistencyMode.STRONG
 
 
 # -- the flat records against the per-region geometry --------------------
