@@ -14,7 +14,7 @@ from gamesync.deadreckoning import (DeadReckoningPolicy, EntityKinematics,
                                     converge, predict, should_send)
 from gamesync.locallag import PlayoutBuffer, PlayoutEntry
 from gamesync.netsim import NetworkSim, SimRng
-from gamesync.overlay import LinkKind, LinkSpec, PeerCapabilities, RouteDecision
+from gamesync.overlay import LinkKind, LinkSpec, PeerCapabilities
 from gamesync.pdu import (EventKind, EventMessage, PingMessage, PongMessage,
                           StateUpdate, decode, encode)
 from gamesync.player import (GameCallbacks, PlayerManager,
@@ -33,8 +33,8 @@ __all__ = [
     "GameCallbacks", "LatencyEstimator",
     "LinkKind", "LinkSpec", "NetworkSim", "PeerCapabilities", "PingMessage",
     "PlayerManager", "PlayerManagerConfig", "PlayoutBuffer", "PlayoutEntry",
-    "PongMessage", "Rect", "RegionSet", "RollbackDirective", "RouteDecision",
-    "RunResult", "ScenarioConfig", "SimRng", "StateUpdate", "VirtualClock",
+    "PongMessage", "Rect", "RegionSet", "RollbackDirective", "RunResult",
+    "ScenarioConfig", "SimRng", "StateUpdate", "VirtualClock",
     "apply_directive", "compare", "converge", "decode", "encode",
     "load_scenario", "parse_scenario", "predict", "rtt_probe", "run",
     "should_send", "__version__",

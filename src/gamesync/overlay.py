@@ -2,12 +2,13 @@
 
 The relay path is the default. When both endpoints are in critical
 proximity and a direct link is available, the route switches to the
-available link with the lowest estimated delay. Quality-driven switches are
-rate-limited by a dwell-time hysteresis; failover after a link loss is
-immediate and exempt.
+available link with the lowest estimated delay. select_route only chooses
+the link; the caller applies the dwell. Quality-driven switches are
+rate-limited by a dwell-time hysteresis, so a manager asks only for a route
+past its dwell; failover after a link loss is immediate and exempt.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -53,12 +54,6 @@ class LinkSpec:
 class PeerCapabilities:
     peer_id: int
     direct_address_known: bool = True
-
-
-@dataclass(frozen=True)
-class RouteDecision:
-    chosen_link: int
-    last_switch_at: int = 0
 
 
 _INF = float("inf")
@@ -115,27 +110,18 @@ def default_route(links: LinkPartition, estimates) -> int:
     return best_link(links.relays or links.available, estimates).link_id
 
 
-def select_route(peer: int, links: LinkPartition, latency_estimates: dict,
-                 critical_proximity: bool, decision: RouteDecision,
-                 now: int, hysteresis_ms: int) -> RouteDecision:
-    """Re-evaluate the route to a peer.
+def select_route(links: LinkPartition, latency_estimates: dict,
+                 critical_proximity: bool) -> int:
+    """The link a route to a peer should be on.
 
     links: the partition of every LinkSpec connecting us to the peer. In
     critical proximity with a direct option, picks the available link with
     the lowest estimated delay; otherwise returns to the relay default.
-    Never switches within hysteresis_ms of the previous switch, so inside
-    it the decision comes back unchanged whatever the other arguments.
+    The dwell is the caller's: it asks only for a route past its dwell.
     """
     available = links.available
     if not available:
-        raise NoAvailableLink(f"no available link to peer {peer}")
+        raise NoAvailableLink("no available link")
     if critical_proximity and links.direct_up:
-        desired = best_link(available, latency_estimates).link_id
-    else:
-        desired = best_link(links.relays or available,
-                            latency_estimates).link_id
-    if desired == decision.chosen_link:
-        return decision
-    if now - decision.last_switch_at < hysteresis_ms:
-        return decision
-    return replace(decision, chosen_link=desired, last_switch_at=now)
+        return best_link(available, latency_estimates).link_id
+    return best_link(links.relays or available, latency_estimates).link_id

@@ -33,17 +33,20 @@ against the regions once: that one containment gives the entity's mode
 (the mode tracker takes the result, not the point) and, when the update is
 sent, the sends_in_region count. The tick reaches encode, should_send,
 displayed_position and mode_for by name at call time, as reception does.
-The fan-out sends a frame to every peer in one pass: route re-evaluation
-(overlay on, and only for a route past its dwell) -> network. Per-peer
-link bookkeeping happens at link changes, not per send: each peer's links
-are split into available links, available relays and whether a direct
-link is up at session start and whenever a link to the peer changes, and
-the half of critical proximity that no peer changes is taken once per
-frame. A route leaves a down link in one place, on_link_change, at the
-link change and whatever the route dwell. A frame waits in its peer's
-queue only while no link to the peer is up: queued frames expire per tick
-after QUEUE_LIMIT_MS, and the rest are sent, in order, when a link to the
-peer comes up. A tick looks at the peers one by one only when a ping may
+Everything a manager keeps of one peer (links, route, quiet time) is one
+_Peer record in peers, in peer id order. The fan-out sends a frame to every
+peer in one pass: route re-evaluation (overlay on, and only for a route
+past its dwell: this is the one place the dwell applies, and
+overlay.select_route only chooses a link) -> network. Per-peer link
+bookkeeping happens at link changes, not per send: each peer's links are
+split into available links, available relays and whether a direct link is
+up at session start and whenever a link to the peer changes, and the half
+of critical proximity that no peer changes is taken once per frame. A
+route leaves a down link in one place, on_link_change, at the link change
+and whatever the route dwell. A frame waits in its peer's queue only while
+no link to the peer is up: queued frames expire per tick after
+QUEUE_LIMIT_MS, and the rest are sent, in order, when a link to the peer
+comes up. A tick looks at the peers one by one only when a ping may
 be due (the earliest time any peer went quiet is idle_ping_ms old) and
 only for peers with frames queued. Each player manager is single-threaded;
 distinct managers share no mutable state and talk only through the network
@@ -73,8 +76,8 @@ from gamesync.deadreckoning import (DEFAULT_HEARTBEAT_MS, DeadReckoningPolicy,
                                     should_send)
 from gamesync.locallag import DEFAULT_CLASS, PlayoutBuffer
 from gamesync.overlay import (LinkKind, LinkPartition, LinkSpec,
-                              PeerCapabilities, RouteDecision, best_link,
-                              default_route, partition, select_route)
+                              PeerCapabilities, best_link, default_route,
+                              partition, select_route)
 from gamesync.pdu import (CodecError, EventMessage, PingMessage, PongMessage,
                           StateUpdate, decode, encode)
 from gamesync.regions import (EXIT_HYSTERESIS_MS, ConsistencyMode,
@@ -192,12 +195,19 @@ class PmCounters:
 
 
 @dataclass(slots=True)
-class _PeerState:
-    """What a send needs of a peer besides its route: its links split by
-    overlay.partition as of the last change to one, the entities it owns,
-    and whether its last state update was flagged critical."""
-    links: LinkPartition
+class _Peer:
+    """Everything a manager keeps of one peer: every link to it (in link id
+    order) and their overlay.partition as of the last change to one, the
+    entities it owns, its route (the chosen link id, -1 when no link
+    connects us) and when the route last switched, the later of its last
+    data or pong and our last ping to it, and whether its last state update
+    was flagged critical."""
+    links: list
+    partition: LinkPartition
     entities: tuple
+    route: int
+    switched_at: int
+    quiet_since: int
     critical: bool = False
 
 
@@ -235,15 +245,12 @@ class PlayerManager:
                     f"link {spec.link_id} does not touch client {config.client_id}")
             self.links_by_id[spec.link_id] = replace(spec)
 
-        self.peers: list[int] = []
-        self.peer_links: dict[int, list[LinkSpec]] = {}
-        self.routes: dict[int, RouteDecision] = {}
+        self.peers: dict[int, _Peer] = {}
         # peer -> its queued (frame, time) pairs, for peers with any queued
         self._pending: dict[int, deque] = {}
         # direct links to peers whose address is unknown: down for the
         # whole session, whatever the link events say
         self.unreachable: set[int] = set()
-        self._peer_state: dict[int, _PeerState] = {}
         self._views: dict[int, _RemoteView] = {}
         self._last_sent: dict[int, EntityKinematics] = {}
         self._seqs: dict[int, int] = {}
@@ -251,17 +258,15 @@ class PlayerManager:
         self._entity_modes: dict[int, ConsistencyMode] = {}
         self._outstanding_pings: dict[int, tuple] = {}
         self._ping_counter = 0
-        # Per peer, the later of its last data or pong and our last ping to
-        # it: a ping is due once this is idle_ping_ms old. _quiet_min is at
-        # most the earliest of them (they only grow), so no ping is due
-        # before _quiet_min + idle_ping_ms.
+        # A ping to a peer is due once its quiet_since is idle_ping_ms old.
+        # _quiet_min is at most the earliest quiet_since (they only grow),
+        # so no ping is due before _quiet_min + idle_ping_ms.
         #
-        # A manager has 28 instance attributes. CPython stops sharing the
+        # A manager has 24 instance attributes. CPython stops sharing the
         # instances' dict keys at 30, and attribute loads on every manager
         # then get slower (see the attribute budget test in
         # tests/test_runner.py), so new state replaces attributes rather
-        # than adding to them.
-        self._quiet_since: dict[int, int] = {}
+        # than adding to them; per-peer state goes in _Peer.
         self._quiet_min = math.inf
 
         # observability hooks (wired by the scenario runner)
@@ -278,31 +283,31 @@ class PlayerManager:
         if self.config.policies.heartbeat_ms <= 0:
             raise ConfigInvalid("heartbeat_ms must be > 0")
         now = self.clock.read(now)
-        self.peers = sorted(c.peer_id for c in peer_capabilities)
-        caps = {c.peer_id: c for c in peer_capabilities}
         self._seqs.clear()
         self.estimator.reset()
-        for peer in self.peers:
+        self.peers = {}
+        for caps in sorted(peer_capabilities, key=lambda c: c.peer_id):
+            peer_id = caps.peer_id
             links = [l for l in self.links_by_id.values()
-                     if l.connects(self.config.client_id, peer)]
-            if not caps[peer].direct_address_known:
+                     if l.connects(self.config.client_id, peer_id)]
+            if not caps.direct_address_known:
                 for l in links:
                     if l.kind is LinkKind.DIRECT:
                         l.available = False
                         self.unreachable.add(l.link_id)
             links.sort(key=lambda l: l.link_id)
-            self.peer_links[peer] = links
             split = partition(links)
-            self._peer_state[peer] = _PeerState(split, tuple(
-                e for e, owner in self.config.entity_owner.items()
-                if owner == peer))
+            route = -1
             if links:
-                chosen = links[0].link_id
+                route = links[0].link_id
                 if split.available:
-                    chosen = default_route(split, {})
-                self.routes[peer] = RouteDecision(chosen, last_switch_at=now)
+                    route = default_route(split, {})
+            entities = tuple(e for e, owner in self.config.entity_owner.items()
+                             if owner == peer_id)
+            peer = self.peers[peer_id] = _Peer(links, split, entities, route,
+                                               now, now)
             self._send_pings(peer, now)
-        self._quiet_min = min(self._quiet_since.values(), default=math.inf)
+        self._quiet_min = now if self.peers else math.inf
 
     # -- reception pipeline ------------------------------------------------
 
@@ -354,9 +359,9 @@ class PlayerManager:
         critical = False
         if kind is StateUpdate:
             critical = msg.critical
-            peer_state = self._peer_state.get(sender)
-            if peer_state is not None:
-                peer_state.critical = critical
+            peer = self.peers.get(sender)
+            if peer is not None:
+                peer.critical = critical
             positions[entity] = msg.pos
         if self.on_delivery_metric is not None:
             self.on_delivery_metric(now, sender, entity, seq, delay, critical)
@@ -530,11 +535,12 @@ class PlayerManager:
             last_sent[entity_id] = _new(EntityKinematics, (pos, vel, now))
 
         if now - self._quiet_min >= pol.idle_ping_ms:
-            quiet = self._quiet_since
-            for peer in self.peers:
-                if now - quiet[peer] >= pol.idle_ping_ms:
+            peers = self.peers.values()
+            for peer in peers:
+                if now - peer.quiet_since >= pol.idle_ping_ms:
                     self._send_pings(peer, now)
-            self._quiet_min = min(quiet.values(), default=math.inf)
+            self._quiet_min = min((peer.quiet_since for peer in peers),
+                                  default=math.inf)
         if self._pending:
             for peer, pending in list(self._pending.items()):
                 self._expire_queued(pending, now)
@@ -566,34 +572,31 @@ class PlayerManager:
         A route sits on a down link only while no link to the peer is up
         (on_link_change keeps it so), and then the frame waits in the
         peer's queue. With overlay on, a route past its dwell is
-        re-evaluated first; inside the dwell select_route would return it
-        unchanged, so it is not asked."""
+        re-evaluated first, and moves to the link select_route chooses;
+        inside the dwell it is not asked. This is the one place the dwell
+        applies."""
         links_by_id = self.links_by_id
-        routes = self.routes
         send = self._send_fn
         overlay = self.config.toggles.overlay
         if overlay:
             dwell = self.config.policies.route_hysteresis_ms
             estimates = self.estimator.estimates
             local = self._local_proximity()
-        for peer, peer_state in self._peer_state.items():
-            decision = routes.get(peer)
-            if decision is None:
+        for peer_id, peer in self.peers.items():
+            link_id = peer.route
+            if link_id < 0:
                 continue
-            link_id = decision.chosen_link
             if not links_by_id[link_id].available:
-                self._pending.setdefault(peer, deque()).append((data, now))
+                self._pending.setdefault(peer_id, deque()).append((data, now))
                 continue
-            if overlay and now - decision.last_switch_at >= dwell:
-                new = select_route(
-                    peer, peer_state.links, estimates,
-                    self._critical_proximity(peer_state, local), decision,
-                    now, dwell)
-                if new.chosen_link != link_id:
-                    self.switch_log.append((now, peer, link_id,
-                                            new.chosen_link, False))
-                    routes[peer] = new
-                    link_id = new.chosen_link
+            if overlay and now - peer.switched_at >= dwell:
+                chosen = select_route(peer.partition, estimates,
+                                      self._critical_proximity(peer, local))
+                if chosen != link_id:
+                    self.switch_log.append((now, peer_id, link_id, chosen,
+                                            False))
+                    peer.route = link_id = chosen
+                    peer.switched_at = now
             send(link_id, data)
 
     def on_link_change(self, link_id: int, available: bool, now: int) -> None:
@@ -610,26 +613,24 @@ class PlayerManager:
         if link is None or link_id in self.unreachable:
             return
         link.available = available
-        peer = link.other_endpoint(self.config.client_id)
-        decision = self.routes.get(peer)
-        if decision is None:
+        peer_id = link.other_endpoint(self.config.client_id)
+        peer = self.peers.get(peer_id)
+        if peer is None:
             return
-        split = partition(self.peer_links[peer])
-        self._peer_state[peer].links = split
-        if not self.links_by_id[decision.chosen_link].available:
+        split = peer.partition = partition(peer.links)
+        if not self.links_by_id[peer.route].available:
             if not split.available:
                 return
             best = best_link(split.available,
                              self.estimator.estimates).link_id
-            self.switch_log.append((now, peer, decision.chosen_link, best,
-                                    True))
-            decision = self.routes[peer] = replace(
-                decision, chosen_link=best, last_switch_at=now)
-        pending = self._pending.pop(peer, None)
+            self.switch_log.append((now, peer_id, peer.route, best, True))
+            peer.route = best
+            peer.switched_at = now
+        pending = self._pending.pop(peer_id, None)
         if pending:
             self._expire_queued(pending, now)
             while pending:
-                self._send_fn(decision.chosen_link, pending.popleft()[0])
+                self._send_fn(peer.route, pending.popleft()[0])
 
     def _expire_queued(self, pending: deque, now: int) -> None:
         """Drop queued frames older than QUEUE_LIMIT_MS, oldest first."""
@@ -653,19 +654,19 @@ class PlayerManager:
         radius = self.config.policies.critical_proximity_radius_m
         return strong, mine, None if radius is None else radius * radius
 
-    def _critical_proximity(self, peer_state: _PeerState, local) -> bool:
+    def _critical_proximity(self, peer: _Peer, local) -> bool:
         """True when the peer flags its updates critical while a local
         entity is strong, or when one of the peer's entities is within the
         proximity radius of a local one. local is _local_proximity()."""
         if local is None:
             return False
         strong, mine, reach = local
-        if strong and peer_state.critical:
+        if strong and peer.critical:
             return True
         if reach is None:
             return False
         positions = self._entity_positions
-        for other in peer_state.entities:
+        for other in peer.entities:
             pos = positions.get(other)
             if pos is None:
                 continue
@@ -676,14 +677,15 @@ class PlayerManager:
                     return True
         return False
 
-    def _observe(self, peer: int, link_id: int, delay: int, now: int) -> None:
+    def _observe(self, peer_id: int, link_id: int, delay: int,
+                 now: int) -> None:
         self.estimator.observe(link_id, delay)
-        quiet = self._quiet_since
-        if peer in quiet:
-            quiet[peer] = now
+        peer = self.peers.get(peer_id)
+        if peer is not None:
+            peer.quiet_since = now
 
-    def _send_pings(self, peer: int, now: int) -> None:
-        for link in self.peer_links.get(peer, ()):
+    def _send_pings(self, peer: _Peer, now: int) -> None:
+        for link in peer.links:
             if not link.available:
                 continue
             self._ping_counter += 1
@@ -691,7 +693,7 @@ class PlayerManager:
             ping = PingMessage(self.config.client_id, nonce, now)
             self._outstanding_pings[nonce] = (ping, link.link_id)
             self._send_fn(link.link_id, encode(ping))
-        self._quiet_since[peer] = now
+        peer.quiet_since = now
 
     def _dr_policy(self, entity_id: int) -> ClassPolicy:
         """The entity's class policy, read live: one lookup."""

@@ -11,8 +11,9 @@ Containment is written once, in `_inside`, over flat per-kind records: a
 rect as (min_x, min_y, max_x, max_y), a circle as (cx, cy, r) and an
 anchored circle as (anchor, r), each tagged with its kind. A RegionSet keeps
 the record of every region it holds, so testing a point against all of them
-is one loop with no per-region function call, and `contains` tests a single
-region through the same loop. Circles compare sqrt(dx*dx + dy*dy) with the
+is one loop with no per-region function call; RegionSet.any_contains is the
+one way a point is tested. An anchored circle whose anchor has no known
+position contains nothing. Circles compare sqrt(dx*dx + dy*dy) with the
 radius, the formula of `deadreckoning.dist`, so a point on a boundary gets
 the same answer everywhere.
 """
@@ -25,10 +26,6 @@ EXIT_HYSTERESIS_MS = 250
 
 
 class InvalidGeometry(Exception):
-    pass
-
-
-class UnknownAnchor(Exception):
     pass
 
 
@@ -78,12 +75,11 @@ def _record(region: Region) -> tuple:
     return _ANCHORED, (region.anchor_entity_id, region.radius)
 
 
-def _inside(records, point, entity_positions, skip_unknown: bool) -> bool:
+def _inside(records, point, entity_positions) -> bool:
     """True if the point is inside any of the tagged records (inclusive).
 
     An anchored circle centres on its anchor's position in
-    entity_positions. Without one it is skipped, or raises UnknownAnchor
-    unless skip_unknown is set."""
+    entity_positions; without one it is skipped."""
     x, y = point
     for kind, record in records:
         if kind == _RECT:
@@ -98,25 +94,13 @@ def _inside(records, point, entity_positions, skip_unknown: bool) -> bool:
             center = (None if entity_positions is None
                       else entity_positions.get(anchor))
             if center is None:
-                if skip_unknown:
-                    continue
-                raise UnknownAnchor(f"no known position for entity {anchor}")
+                continue
             cx, cy = center
         dx = cx - x
         dy = cy - y
         if sqrt(dx * dx + dy * dy) <= r:
             return True
     return False
-
-
-def contains(region: Region, point: tuple[float, float],
-             entity_positions: dict | None = None) -> bool:
-    """Inclusive geometric containment.
-
-    AnchoredCircle centers on the anchor entity's latest known position from
-    entity_positions; raises UnknownAnchor if it has none.
-    """
-    return _inside((_record(region),), point, entity_positions, False)
 
 
 class RegionSet:
@@ -138,7 +122,7 @@ class RegionSet:
         Anchored regions whose anchor has no known position yet cannot
         contain anything and are skipped.
         """
-        return _inside(self._records, point, entity_positions, True)
+        return _inside(self._records, point, entity_positions)
 
 
 class ConsistencyMode(Enum):

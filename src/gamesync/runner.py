@@ -1,6 +1,9 @@
 """Scenario runner: drives the network simulator, one player manager per
 client, and scripted bot games; emits per-tick divergence rows, per-event
-display-time rows, optional per-delivery rows, a trace, and a summary.
+display-time rows, optional per-delivery rows, a trace, and a summary. The
+rows go only to their files: a run returns its summary and its managers.
+An entity's ground truth is its motion's state(t) position, and a tick
+row's route is the owner manager's route to the viewer.
 
 Everything is deterministic given the scenario seed: all randomness flows
 through the simulator's generator, bots are closed-form functions of virtual
@@ -10,7 +13,7 @@ simulation.
 
 import gc
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from gamesync.deadreckoning import EntityKinematics, dist
 from gamesync.metrics import (DELIVERY_HEADER, DELIVERY_ROW, EVENT_HEADER,
@@ -59,18 +62,14 @@ class _Bot(GameCallbacks):
 
 @dataclass
 class RunResult:
-    """A finished run. The tick and event rows are kept only when run() is
-    given keep_rows; otherwise they are only written to their files."""
+    """A finished run: its summary and its player managers by client id.
+    The rows go only to their files."""
     summary: dict
     pms: dict
-    bots: dict
-    sim: NetworkSim
-    event_rows: list
-    tick_rows: list = field(default_factory=list)
 
 
 def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
-        trace_out=None, summary_out=None, seed=None, keep_rows=False) -> RunResult:
+        trace_out=None, summary_out=None, seed=None) -> RunResult:
     """Run a scenario to completion. File arguments are paths or None.
 
     The collector's young-generation threshold is raised to
@@ -107,7 +106,6 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
         pms: dict[int, PlayerManager] = {}
         delay_all = RunningStats()
         delay_critical = RunningStats()
-        tick_rows: list = []
 
         # The run-wide tables, built once and shared by every manager along
         # with the config's own policies and toggles, which nothing mutates.
@@ -147,15 +145,15 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
             pms[cid] = pm
 
         # One sampling plan per entity, resolved before the first tick: its
-        # truth function, its owner and the owner's manager, and every other
-        # client, its viewers.
+        # motion's state function (the truth), its owner and the owner's
+        # manager, and every other client, its viewers.
         plans = []
         fire_cursor = {}
         for client_spec in clients:
             owner = client_spec.client_id
             for spec in client_spec.entities:
                 viewers = [viewer for viewer in client_ids if viewer != owner]
-                plans.append((spec.entity_id, spec.motion.position, owner,
+                plans.append((spec.entity_id, spec.motion.state, owner,
                               pms[owner], viewers))
                 fire_cursor[(owner, spec.entity_id)] = 0
 
@@ -251,10 +249,10 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
             lines = []
             count, total = divergence.count, divergence.total
             maximum = divergence.maximum
-            for entity_id, position, owner, owner_pm, viewers in plans:
-                tx, ty = position(now)
+            for entity_id, state, owner, owner_pm, viewers in plans:
+                tx, ty = state(now)[0]
                 mode = owner_pm.mode_of(entity_id).value
-                routes = owner_pm.routes
+                peers = owner_pm.peers
                 points = {} if len(viewers) > 1 else None
                 entity_part = None
                 for viewer in viewers:
@@ -276,8 +274,7 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
                     total += div
                     if maximum is None or div > maximum:
                         maximum = div
-                    decision = routes.get(viewer)
-                    route = -1 if decision is None else decision.chosen_link
+                    route = peers[viewer].route
                     if write_ticks is not None:
                         if entity_part is None:
                             entity_part = TICK_ENTITY % (now, entity_id, owner)
@@ -293,9 +290,6 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
                                                                 mode)
                             lines.append(TICK_SHARED % (
                                 entity_part, viewer, truth_part, part, route))
-                    if keep_rows:
-                        tick_rows.append((now, entity_id, owner, viewer, tx,
-                                          ty, sx, sy, div, mode, route))
             divergence.count, divergence.total = count, total
             divergence.maximum = maximum
             if lines:
@@ -313,13 +307,11 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
                 for cid in sim.links[link_id].endpoints:
                     pm = pms[cid]
                     link = pm.links_by_id[link_id]
-                    peer = link.other_endpoint(cid)
-                    decision = pm.routes.get(peer)
-                    if (decision is not None
-                            and decision.chosen_link == link_id
-                            and not link.available
-                            and any(l.available for l in pm.peer_links[peer])):
-                        dead.append((cid, peer))
+                    peer_id = link.other_endpoint(cid)
+                    peer = pm.peers[peer_id]
+                    if (peer.route == link_id and not link.available
+                            and any(l.available for l in peer.links)):
+                        dead.append((cid, peer_id))
             if dead:
                 cid, peer = min(dead)
                 raise InvariantViolation(
@@ -338,7 +330,6 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
         # Event display-time rows need both playout times, so they are
         # computed after the run and written as they are computed.
         event_writer = CsvWriter(_open(events_out), EVENT_HEADER, EVENT_ROW)
-        event_rows = []
         diff_stats = RunningStats()
         for client_spec in clients:
             owner = client_spec.client_id
@@ -355,10 +346,8 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
                             continue
                         diff = remote - local
                         diff_stats.add(float(abs(diff)))
-                        row = (key[2], owner, viewer, local, remote, diff)
-                        event_writer.row(*row)
-                        if keep_rows:
-                            event_rows.append(row)
+                        event_writer.row(key[2], owner, viewer, local,
+                                         remote, diff)
 
         processing = sorted(ns for pm in pms.values() for ns in pm.processing_ns)
         data_received = sum(pm.counters.data_received for pm in pms.values())
@@ -408,8 +397,7 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
             with open(summary_out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(format_summary(summary))
 
-        return RunResult(summary=summary, pms=pms, bots=bots, sim=sim,
-                         event_rows=event_rows, tick_rows=tick_rows)
+        return RunResult(summary=summary, pms=pms)
     finally:
         gc.set_threshold(*thresholds)
         for fh in opened:

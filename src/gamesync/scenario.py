@@ -89,12 +89,9 @@ class ConstantVelocity:
 
     def state(self, t: int) -> tuple:
         """(position, velocity) at t."""
-        return self.position(t), self.vel
-
-    def position(self, t: int) -> tuple[float, float]:
         dt = t / 1000.0
-        return (self.pos0[0] + self.vel[0] * dt,
-                self.pos0[1] + self.vel[1] * dt)
+        return ((self.pos0[0] + self.vel[0] * dt,
+                 self.pos0[1] + self.vel[1] * dt), self.vel)
 
 
 class WaypointPath:
@@ -154,14 +151,6 @@ class WaypointPath:
         scale = self.speed / length
         return ((a[0] + (b[0] - a[0]) * u, a[1] + (b[1] - a[1]) * u),
                 ((b[0] - a[0]) * scale, (b[1] - a[1]) * scale))
-
-    def position(self, t: int) -> tuple[float, float]:
-        """The position alone, with state's arithmetic and lookup."""
-        loc = self._locate(t)
-        if loc is None:
-            return self.points[-1]
-        a, b, _, u = loc
-        return (a[0] + (b[0] - a[0]) * u, a[1] + (b[1] - a[1]) * u)
 
 
 MotionScript = ConstantVelocity | WaypointPath

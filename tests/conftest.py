@@ -59,6 +59,24 @@ def two_client_doc(**overrides):
     return doc
 
 
+def _parse_field(text):
+    """A CSV field as written: an int's or a float's repr, or text."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def read_rows(path):
+    """The data rows of a CSV the runner wrote, as tuples of the values
+    they were written from. Numbers are written as their repr, so each
+    parses back to the exact value (-0.0 included); text stays as is."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()[1:]
+    return [tuple(map(_parse_field, line.split(","))) for line in lines]
+
+
 def run_observing_estimates(config, client_id):
     """Run a scenario and return every ((link_id, delay_ms), estimate) pair
     that client_id's latency estimator observed, in order."""

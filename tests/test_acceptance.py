@@ -9,7 +9,8 @@ import subprocess
 import sys
 import time
 
-from conftest import SCENARIOS, run_observing_estimates, two_client_doc
+from conftest import (SCENARIOS, read_rows, run_observing_estimates,
+                      two_client_doc)
 from gamesync.compare import compare
 from gamesync.netsim import SimRng
 from gamesync.pdu import EventKind, EventMessage
@@ -141,20 +142,21 @@ def _slalom(x_end, step, amp):
     return points
 
 
-def test_criterion_4_dead_reckoning_error_bound():
+def test_criterion_4_dead_reckoning_error_bound(tmp_path):
     doc = two_client_doc()
     doc["duration_ms"] = 12000
     doc["clients"][0]["entities"][0]["motion"] = {
         "kind": "waypoints", "points": _slalom(140, 5, 0.5), "speed": 10.0}
     doc["policies"]["default"] = {"threshold_m": 0.5, "convergence_ms": 0,
                                   "lag_ms": 0}
-    res = run(parse_scenario(doc), keep_rows=True)
-    rows = [r for r in res.tick_rows if r[1] == 0]
+    run(parse_scenario(doc), out=tmp_path / "waypoints.csv")
+    rows = [r for r in read_rows(tmp_path / "waypoints.csv") if r[1] == 0]
     bound = 0.5 + 10.0 * 250 / 1000.0 + 0.5
     worst = max(r[8] for r in rows)
 
-    cv = run(parse_scenario(two_client_doc(duration_ms=10000)), keep_rows=True)
-    cv_rows = [r for r in cv.tick_rows if r[1] == 0]
+    run(parse_scenario(two_client_doc(duration_ms=10000)),
+        out=tmp_path / "cv.csv")
+    cv_rows = [r for r in read_rows(tmp_path / "cv.csv") if r[1] == 0]
     cv_worst = max(r[8] for r in cv_rows)
 
     detail = (f"waypoint rows={len(rows)} worst={worst:.3f} bound={bound}; "
@@ -218,14 +220,13 @@ def _tightening_doc(enabled):
 def test_criterion_6_critical_region_tightening(tmp_path):
     strong_csv = tmp_path / "strong.csv"
     normal_csv = tmp_path / "normal.csv"
-    strong = run(parse_scenario(_tightening_doc(True)), keep_rows=True,
-                 out=strong_csv)
-    normal = run(parse_scenario(_tightening_doc(False)), keep_rows=True,
-                 out=normal_csv)
+    strong = run(parse_scenario(_tightening_doc(True)), out=strong_csv)
+    normal = run(parse_scenario(_tightening_doc(False)), out=normal_csv)
+    strong_rows, normal_rows = read_rows(strong_csv), read_rows(normal_csv)
 
-    window = {r[0] for r in strong.tick_rows if r[1] == 0 and r[9] == "strong"}
-    strong_div = [r[8] for r in strong.tick_rows if r[1] == 0 and r[0] in window]
-    normal_div = [r[8] for r in normal.tick_rows if r[1] == 0 and r[0] in window]
+    window = {r[0] for r in strong_rows if r[1] == 0 and r[9] == "strong"}
+    strong_div = [r[8] for r in strong_rows if r[1] == 0 and r[0] in window]
+    normal_div = [r[8] for r in normal_rows if r[1] == 0 and r[0] in window]
     assert len(strong_div) == len(normal_div) > 50
     mean_strong = sum(strong_div) / len(strong_div)
     mean_normal = sum(normal_div) / len(normal_div)

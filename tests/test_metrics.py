@@ -2,6 +2,7 @@
 
 import io
 
+from conftest import read_rows
 from gamesync.metrics import (DELIVERY_HEADER, DELIVERY_ROW, EVENT_HEADER,
                               EVENT_ROW, TICK_ENTITY, TICK_HEADER, TICK_ROW,
                               TICK_TRUTH, TICK_VIEWER, CsvWriter)
@@ -47,3 +48,16 @@ def test_event_and_delivery_rows_match_reference_join():
     deliveries = [(100, 0, 1, 4, 9, 250, 1), (105, 1, 0, 5, 10, -3, 0)]
     assert written(DELIVERY_HEADER, DELIVERY_ROW, deliveries) == (
         DELIVERY_HEADER + "\n" + "".join(map(join_reference, deliveries)))
+
+
+def test_written_rows_parse_back_to_the_values_written(tmp_path):
+    """The row contract is what lets tests read a run's rows from its CSV
+    files (conftest.read_rows) instead of from the runner."""
+    rows = [(50, 3, 0, 1) + AWKWARD + (0.5, "strong", -1),
+            (100, 3, 0, 2, 1e-310, 2.0, 0.5, -3.25, 7.5, "normal", 12)]
+    path = tmp_path / "tick.csv"
+    path.write_text(written(TICK_HEADER, TICK_ROW, rows), encoding="utf-8")
+    parsed = read_rows(path)
+    assert parsed == rows
+    assert [tuple(map(repr, row)) for row in parsed] == \
+        [tuple(map(repr, row)) for row in rows]    # -0.0 stays -0.0

@@ -1,13 +1,14 @@
-"""Route selection and dwell-time hysteresis. Failover is driven through
-PlayerManager.on_link_change in test_player.py."""
+"""Route selection. The dwell-time hysteresis is applied by
+PlayerManager._fan_out, and failover is driven through
+PlayerManager.on_link_change; both are tested in test_player.py."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gamesync.overlay import (LinkKind, LinkSpec, NoAvailableLink,
-                              RouteDecision, best_link, default_route,
-                              partition, select_route)
+                              best_link, default_route, partition,
+                              select_route)
 
 
 def relay(link_id=0, delay=250, available=True):
@@ -22,78 +23,44 @@ def direct(link_id=1, delay=40, available=True):
 
 def test_single_relay_only_option():
     links = partition([relay()])
-    decision = RouteDecision(default_route(links, {}))
-    out = select_route(1, links, {0: 250.0}, False, decision, 1000, 500)
-    assert out.chosen_link == 0
+    assert default_route(links, {}) == 0
+    assert select_route(links, {0: 250.0}, False) == 0
 
 
 def test_critical_proximity_picks_fast_direct():
     links = partition([relay(), direct()])
-    decision = RouteDecision(0, last_switch_at=0)
-    out = select_route(1, links, {0: 250.0, 1: 40.0}, True, decision, 1000,
-                       500)
-    assert out.chosen_link == 1
-    assert out.last_switch_at == 1000
+    assert select_route(links, {0: 250.0, 1: 40.0}, True) == 1
 
 
 def test_without_proximity_relay_is_default():
     links = partition([relay(), direct()])
-    decision = RouteDecision(0, last_switch_at=0)
-    out = select_route(1, links, {0: 250.0, 1: 40.0}, False, decision, 1000,
-                       500)
-    assert out.chosen_link == 0
-
-
-def test_hysteresis_trace_per_ms():
-    """Direct chosen at t=1000; proximity ends at t=1200; the switch back
-    waits for the 500 ms dwell: still direct through 1499, relay at 1500."""
-    links = partition([relay(), direct()])
-    decision = RouteDecision(0, last_switch_at=0)
-    decision = select_route(1, links, {0: 250.0, 1: 40.0}, True, decision,
-                            1000, 500)
-    assert decision.chosen_link == 1 and decision.last_switch_at == 1000
-    for t in range(1001, 1500):
-        decision = select_route(1, links, {0: 250.0, 1: 40.0}, t < 1200,
-                                decision, t, 500)
-        assert decision.chosen_link == 1, f"flapped early at {t}"
-    decision = select_route(1, links, {0: 250.0, 1: 40.0}, False, decision,
-                            1500, 500)
-    assert decision.chosen_link == 0
-    assert decision.last_switch_at == 1500
+    assert select_route(links, {0: 250.0, 1: 40.0}, False) == 0
 
 
 def test_no_available_link_raises():
     links = partition([relay(available=False)])
     with pytest.raises(NoAvailableLink):
-        select_route(1, links, {}, False, RouteDecision(0), 0, 500)
+        select_route(links, {}, False)
     with pytest.raises(NoAvailableLink):
         default_route(links, {})
 
 
 def test_deterministic_tie_break_by_link_id():
     links = partition([direct(3, 40), direct(2, 40), relay(0, 250)])
-    decision = RouteDecision(0, last_switch_at=0)
-    out = select_route(1, links, {0: 250.0, 2: 40.0, 3: 40.0}, True, decision,
-                       5000, 500)
-    assert out.chosen_link == 2
+    assert select_route(links, {0: 250.0, 2: 40.0, 3: 40.0}, True) == 2
 
 
 def test_unknown_estimates_sort_last():
     links = partition([relay(0, 250), direct(1, 40)])
-    decision = RouteDecision(0, last_switch_at=0)
     # direct has no estimate yet: keep the measured relay
-    out = select_route(1, links, {0: 250.0}, True, decision, 5000, 500)
-    assert out.chosen_link == 0
+    assert select_route(links, {0: 250.0}, True) == 0
 
 
 def test_chosen_link_always_available():
     links = [relay(0, 250, available=False), direct(1, 40)]
-    decision = RouteDecision(1, last_switch_at=0)
-    for t in range(0, 3000, 50):
-        decision = select_route(1, partition(links), {1: 40.0}, False,
-                                decision, t, 500)
-        assert next(l for l in links
-                    if l.link_id == decision.chosen_link).available
+    for critical in (False, True):
+        chosen = select_route(partition(links), {1: 40.0}, critical)
+        assert next(l for l in links if l.link_id == chosen).available
 
 
 # -- the rewritten route choice against the earlier list-and-key versions --
@@ -107,6 +74,7 @@ def _min_key_best_link(candidates, estimates):
 
 def _list_select_route(peer, links, latency_estimates, critical_proximity,
                        decision, now, hysteresis_ms):
+    """decision is a route's (chosen link, last switch time)."""
     available = [l for l in links if l.available]
     if not available:
         raise NoAvailableLink(f"no available link to peer {peer}")
@@ -116,11 +84,27 @@ def _list_select_route(peer, links, latency_estimates, critical_proximity,
         relays = [l for l in available if l.kind is LinkKind.RELAY]
         desired = _min_key_best_link(relays or available,
                                      latency_estimates).link_id
-    if desired == decision.chosen_link:
+    chosen_link, last_switch_at = decision
+    if desired == chosen_link:
         return decision
-    if now - decision.last_switch_at < hysteresis_ms:
+    if now - last_switch_at < hysteresis_ms:
         return decision
-    return RouteDecision(desired, now)
+    return desired, now
+
+
+def _dwell_then_select(links, latency_estimates, critical_proximity,
+                       decision, now, hysteresis_ms):
+    """select_route behind the dwell rule PlayerManager._fan_out applies: a
+    route inside its dwell is not asked; past it, the route moves to the
+    chosen link, and its dwell restarts, only when that link differs."""
+    chosen_link, last_switch_at = decision
+    if now - last_switch_at < hysteresis_ms:
+        return decision
+    chosen = select_route(partition(links), latency_estimates,
+                          critical_proximity)
+    if chosen == chosen_link:
+        return decision
+    return chosen, now
 
 
 # A few estimate values, so that ties are common, and None for no estimate.
@@ -159,14 +143,14 @@ def test_best_link_matches_min_over_estimate_then_id(rows):
 def test_select_route_matches_the_list_version(rows, critical, chosen,
                                                last_switch, now, dwell):
     links, estimates = _build(rows)
-    decision = RouteDecision(chosen, last_switch)
+    decision = (chosen, last_switch)
     args = (estimates, critical, decision, now, dwell)
     try:
         want = _list_select_route(1, links, *args)
     except NoAvailableLink:
         with pytest.raises(NoAvailableLink):
-            select_route(1, partition(links), *args)
+            select_route(partition(links), estimates, critical)
         return
-    got = select_route(1, partition(links), *args)
+    got = _dwell_then_select(links, *args)
     assert got == want
     assert (got is decision) == (want is decision)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gamesync import player
 from gamesync import rollback as rb
 from gamesync.deadreckoning import EntityKinematics
 from gamesync.overlay import LinkKind, LinkSpec, PeerCapabilities, partition
@@ -371,7 +372,7 @@ def test_unknown_direct_address_disables_direct_links():
     pm = PlayerManager(config, Spy(), lambda link, data: None)
     pm.start_session([PeerCapabilities(1, direct_address_known=False)], 0)
     assert pm.links_by_id[1].available is False
-    assert pm.routes[1].chosen_link == 0
+    assert pm.peers[1].route == 0
 
 
 def test_three_client_session_builds_per_peer_state():
@@ -381,8 +382,8 @@ def test_three_client_session_builds_per_peer_state():
     sent = []
     pm = PlayerManager(config, Spy(), lambda link, data: sent.append(link))
     pm.start_session([PeerCapabilities(1), PeerCapabilities(2)], 0)
-    assert pm.peers == [1, 2]
-    assert set(pm.routes) == {1, 2}
+    assert list(pm.peers) == [1, 2]
+    assert [peer.route for peer in pm.peers.values()] == [0, 1]
     assert sorted(sent) == [0, 1]   # one session ping per peer link
 
 
@@ -402,7 +403,7 @@ def test_critical_proximity_holds_only_for_the_peer_within_the_radius():
     pm.tick(100)
 
     def proximity(peer):
-        return pm._critical_proximity(pm._peer_state[peer],
+        return pm._critical_proximity(pm.peers[peer],
                                       pm._local_proximity())
 
     assert (proximity(1), proximity(2)) == (False, False)
@@ -452,9 +453,9 @@ def relay_and_direct_pm():
 
 def test_failover_entry_marked_in_switch_log():
     pm, _ = relay_and_direct_pm()
-    assert pm.routes[1].chosen_link == 0
+    assert pm.peers[1].route == 0
     pm.on_link_change(0, False, 700)
-    assert pm.routes[1].chosen_link == 1
+    assert pm.peers[1].route == 1
     assert pm.switch_log == [(700, 1, 0, 1, True)]
 
 
@@ -462,10 +463,10 @@ def test_failover_inside_dwell_window_is_same_tick():
     """The dwell only limits quality-driven switches: a chosen link that
     goes down 100 ms after the last switch still fails over at once."""
     pm, sent = relay_and_direct_pm()
-    assert pm.routes[1].last_switch_at == 0
+    assert pm.peers[1].switched_at == 0
     pm.on_link_change(0, False, 100)
-    assert pm.routes[1].chosen_link == 1
-    assert pm.routes[1].last_switch_at == 100
+    assert pm.peers[1].route == 1
+    assert pm.peers[1].switched_at == 100
     sent.clear()
     pm.send_event(3, EventKind.FIRE, b"\x00" * 8, 100)
     assert sent == [1]
@@ -473,12 +474,89 @@ def test_failover_inside_dwell_window_is_same_tick():
 
 def test_change_to_unchosen_link_keeps_route():
     pm, _ = relay_and_direct_pm()
-    before = pm.routes[1]
+    peer = pm.peers[1]
     pm.on_link_change(1, False, 50)
-    assert pm.routes[1] is before
+    assert (peer.route, peer.switched_at) == (0, 0)
     pm.on_link_change(1, True, 60)
-    assert pm.routes[1] is before
+    assert (peer.route, peer.switched_at) == (0, 0)
+    assert pm.peers[1] is peer
     assert pm.switch_log == []
+
+
+def test_peer_with_no_link_has_no_route_and_gets_nothing():
+    """A peer that no link connects us to keeps route -1: the fan-out
+    passes it by and queues nothing for it, and its idle ping only marks
+    it pinged."""
+    config = PlayerManagerConfig(client_id=0, links=[LinkSpec(0, (0, 1), 250)],
+                                 toggles=Toggles(overlay=True))
+    sent = []
+    pm = PlayerManager(config, Spy(), lambda link, data: sent.append(link))
+    pm.start_session([PeerCapabilities(2), PeerCapabilities(1)], 0)
+    assert [(p, peer.route) for p, peer in pm.peers.items()] == [(1, 0),
+                                                                 (2, -1)]
+    assert pm.peers[2].links == []
+    assert sent == [0]    # the session ping, to peer 1
+    sent.clear()
+    pm.send_event(3, EventKind.FIRE, b"\x00" * 8, 100)
+    assert sent == [0]
+    assert pm._pending == {}
+    sent.clear()
+    pm.tick(1000)    # both peers quiet for idle_ping_ms
+    assert sent == [0]
+    assert [peer.quiet_since for peer in pm.peers.values()] == [1000, 1000]
+
+
+def test_route_dwell_trace_per_ms(monkeypatch):
+    """Proximity (peer 1's entity 11 within 5 m of local entity 10) picks
+    the direct link at t=1000; proximity ends at t=1200; the switch back
+    waits for the 500 ms dwell: still direct through 1499, relay at 1500.
+    Inside the dwell the route chooser is not asked."""
+    config = PlayerManagerConfig(
+        client_id=0,
+        links=[LinkSpec(0, (0, 1), 250),
+               LinkSpec(1, (0, 1), 40, kind=LinkKind.DIRECT)],
+        local_entities=(10,), entity_owner={10: 0, 11: 1},
+        policies=PolicySet(route_hysteresis_ms=500,
+                           critical_proximity_radius_m=5.0),
+        toggles=Toggles(overlay=True))
+    spy, sent = Spy(), []
+    pm = PlayerManager(config, spy, lambda link, data: sent.append(link))
+    pm.start_session([PeerCapabilities(1)], 0)
+    spy.local[10] = EntityKinematics((0.0, 0.0), (0.0, 0.0), 0)
+    pm.tick(0)
+    # seed the estimates: 250 ms on the relay, 40 ms on the direct link
+    pm.on_network_message(
+        encode(state(710, sender=1, entity=11, pos=(3.0, 4.0))), 960, 0)
+    pm.on_network_message(
+        encode(state(960, seq=2, sender=1, entity=11, pos=(3.0, 4.0))),
+        1000, 1)
+    assert pm.estimator.estimates == {0: 250.0, 1: 40.0}
+    peer = pm.peers[1]
+    assert (peer.route, peer.switched_at) == (0, 0)
+
+    asked = []
+    choose = player.select_route
+    monkeypatch.setattr(player, "select_route",
+                        lambda *args: asked.append(now) or choose(*args))
+    now = 1000
+    sent.clear()
+    pm._fan_out(b"frame", now)
+    assert sent == [1]
+    assert (peer.route, peer.switched_at) == (1, 1000)
+    for now in range(1001, 1500):
+        if now == 1200:
+            pm.on_network_message(encode(state(
+                1160, seq=3, sender=1, entity=11, pos=(100.0, 0.0))), now, 1)
+        sent.clear()
+        pm._fan_out(b"frame", now)
+        assert sent == [1], f"flapped early at {now}"
+    now = 1500
+    sent.clear()
+    pm._fan_out(b"frame", now)
+    assert sent == [0]
+    assert (peer.route, peer.switched_at) == (0, 1500)
+    assert asked == [1000, 1500]
+    assert pm.switch_log == [(1000, 1, 0, 1, False), (1500, 1, 1, 0, False)]
 
 
 # 2-3 links to one peer, each a relay or a direct link, up or down at start
@@ -521,11 +599,11 @@ def test_route_sits_on_a_down_link_only_while_no_link_is_up(rows, overlay,
     now, changes, seq = 0, set(), 0
 
     def check():
-        peer_links = pm.peer_links[1]
-        assert pm._peer_state[1].links == partition(peer_links)
+        peer = pm.peers[1]
+        assert peer.partition == partition(peer.links)
         queued = [frames[data] for data, _ in pm._pending.get(1, ())]
-        if any(l.available for l in peer_links):
-            assert pm.links_by_id[pm.routes[1].chosen_link].available
+        if any(l.available for l in peer.links):
+            assert pm.links_by_id[peer.route].available
             assert queued == []
         assert sent == sorted(set(sent))
         assert queued == sorted(queued)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from conftest import run_observing_estimates, two_client_doc
+from conftest import read_rows, run_observing_estimates, two_client_doc
 from gamesync import player, runner
 from gamesync.metrics import TICK_HEADER, TICK_ROW
 from gamesync.netsim import InvariantViolation, NetworkSim
@@ -20,7 +20,7 @@ def run_doc(doc, **kwargs):
     return run(parse_scenario(doc), **kwargs)
 
 
-def test_fire_event_display_diff_zero_closed_form():
+def test_fire_event_display_diff_zero_closed_form(tmp_path):
     """L >= d with sender-side lag: both sides play out at timestamp + L,
     so every display-time difference is exactly zero.
 
@@ -31,41 +31,27 @@ def test_fire_event_display_diff_zero_closed_form():
     doc["policies"]["default"]["lag_ms"] = 500
     doc["clients"][0]["entities"][0]["events"] = [
         {"kind": "fire", "first": 1000, "every": 500, "count": 6}]
-    res = run_doc(doc, keep_rows=True)
-    assert res.summary["event_rows"] == 6
-    assert [r for r in res.event_rows if r[5] != 0] == []
+    events_csv = tmp_path / "events.csv"
+    res = run_doc(doc, events_out=events_csv)
+    rows = read_rows(events_csv)
+    assert res.summary["event_rows"] == len(rows) == 6
+    assert [r for r in rows if r[5] != 0] == []
     assert res.summary["mean_abs_display_diff_ms"] == 0.0
-    first = res.event_rows[0]
+    first = rows[0]
     assert (first[3], first[4]) == (1500, 1500)
 
 
-def test_event_rows_are_kept_only_under_keep_rows(tmp_path):
-    doc = two_client_doc()
-    doc["links"][0]["jitter_ms"] = 40
-    doc["clients"][0]["entities"][0]["events"] = [
-        {"kind": "fire", "first": 500, "every": 250, "count": 10}]
-    streamed = run_doc(doc, events_out=tmp_path / "streamed.csv")
-    kept = run_doc(doc, events_out=tmp_path / "kept.csv", keep_rows=True)
-    assert (streamed.event_rows, streamed.tick_rows) == ([], [])
-    assert len(kept.event_rows) == kept.summary["event_rows"] == 10
-    written = (tmp_path / "streamed.csv").read_text().splitlines()[1:]
-    assert written == [",".join(map(repr, row)) for row in kept.event_rows]
-    assert (tmp_path / "streamed.csv").read_bytes() == \
-        (tmp_path / "kept.csv").read_bytes()
-
-
-def test_kept_tick_rows_match_written_rows(tmp_path):
-    """Sampling formats the columns an entity's viewers share once and
-    writes a tick's rows in one batch; the file still holds every kept row
-    as TICK_ROW renders it, and a run without a tick file sums the same
-    divergences in the same order."""
+def test_divergence_summary_is_the_same_without_a_tick_file(tmp_path):
+    """Sampling writes a tick's rows in one batch, each as TICK_ROW renders
+    its values; without a tick file it formats nothing, and still sums the
+    same divergences in the same order."""
     tick_csv = tmp_path / "tick.csv"
-    written = run_doc(small_mesh_doc(), out=tick_csv, keep_rows=True)
-    assert len(written.tick_rows) == written.summary["divergence_rows"] > 0
+    written = run_doc(small_mesh_doc(), out=tick_csv)
+    rows = read_rows(tick_csv)
+    assert len(rows) == written.summary["divergence_rows"] > 0
     assert tick_csv.read_bytes() == (TICK_HEADER + "\n" + "".join(
-        TICK_ROW % row for row in written.tick_rows)).encode()
-    unwritten = run_doc(small_mesh_doc(), keep_rows=True)
-    assert unwritten.tick_rows == written.tick_rows
+        TICK_ROW % row for row in rows)).encode()
+    unwritten = run_doc(small_mesh_doc())
     for key in ("divergence_rows", "mean_divergence_m", "max_divergence_m"):
         assert unwritten.summary[key] == written.summary[key], key
 
@@ -88,11 +74,12 @@ def test_simulator_heap_does_not_grow_with_run_length(monkeypatch):
     assert peaks[0] < 2000 // 50
 
 
-def test_straight_line_car_has_zero_divergence():
+def test_straight_line_car_has_zero_divergence(tmp_path):
     """Constant velocity makes first-order prediction exact: after the first
     update is displayed, divergence stays at 0 (within 1e-9)."""
-    res = run_doc(two_client_doc(), keep_rows=True)
-    rows = [r for r in res.tick_rows if r[1] == 0]
+    tick_csv = tmp_path / "tick.csv"
+    res = run_doc(two_client_doc(), out=tick_csv)
+    rows = [r for r in read_rows(tick_csv) if r[1] == 0]
     assert len(rows) > 50
     assert all(r[8] <= 1e-9 for r in rows)
     assert res.summary["max_divergence_m"] <= 1e-9
@@ -368,21 +355,21 @@ def test_rows_of_a_shared_point_equal_rows_formatted_one_by_one(
         tmp_path, monkeypatch):
     monkeypatch.setattr(PlayerManager, "displayed_positions", _shown_points)
     out = tmp_path / "tick.csv"
-    res = run_doc(small_mesh_doc(), out=out, keep_rows=True)
+    res = run_doc(small_mesh_doc(), out=out)
     lines = out.read_text().splitlines(keepends=True)
+    rows = read_rows(out)
     assert lines[0] == TICK_HEADER + "\n"
-    assert lines[1:] == [TICK_ROW % row for row in res.tick_rows]
+    assert lines[1:] == [TICK_ROW % row for row in rows]
     assert len(lines) > 1
-    signs = {(row[1], row[3]): repr(row[6])
-             for row in res.tick_rows if row[0] == 200}
+    signs = {(row[1], row[3]): repr(row[6]) for row in rows if row[0] == 200}
     assert signs[(0, 1)] == signs[(0, 3)] == "-0.0"
     assert signs[(0, 2)] == signs[(0, 4)] == "0.0"
     # the statistics sum the divergences in row order
     total = 0.0
-    for row in res.tick_rows:
+    for row in rows:
         total += row[8]
-    assert res.summary["mean_divergence_m"] == total / len(res.tick_rows)
-    assert res.summary["max_divergence_m"] == max(r[8] for r in res.tick_rows)
+    assert res.summary["mean_divergence_m"] == total / len(rows)
+    assert res.summary["max_divergence_m"] == max(r[8] for r in rows)
 
 
 class _CountingTemplate(str):
@@ -431,14 +418,16 @@ def dead_route_repair_doc(standing_entity):
 
 
 @pytest.mark.parametrize("standing_entity", [False, True])
-def test_link_coming_back_repairs_a_route_with_nothing_queued(standing_entity):
-    res = run_doc(dead_route_repair_doc(standing_entity), keep_rows=True)
+def test_link_coming_back_repairs_a_route_with_nothing_queued(
+        standing_entity, tmp_path):
+    tick_csv = tmp_path / "tick.csv"
+    res = run_doc(dead_route_repair_doc(standing_entity), out=tick_csv)
     pm = res.pms[1]
     assert pm.switch_log == [(1000, 0, 0, 1, True), (3000, 0, 1, 0, True)]
-    assert pm.routes[0].chosen_link == 0
+    assert pm.peers[0].route == 0
     # both clients fail over at 1000 ms and are repaired at 3000 ms
     assert res.summary["route_failovers"] == 4
-    routes = {row[10] for row in res.tick_rows
+    routes = {row[10] for row in read_rows(tick_csv)
               if row[2] == 1 and row[0] >= 3000}
     assert routes == ({0} if standing_entity else set())
 

@@ -274,21 +274,21 @@ def test_fire_event_shorthand_expansion():
 
 def test_constant_velocity_closed_form():
     motion = ConstantVelocity((1.0, 2.0), (10.0, -4.0))
-    assert motion.position(0) == (1.0, 2.0)
-    assert motion.position(500) == (6.0, 0.0)
+    assert motion.state(0)[0] == (1.0, 2.0)
+    assert motion.state(500)[0] == (6.0, 0.0)
     assert motion.state(12345)[1] == (10.0, -4.0)
 
 
 def test_waypoint_path_geometry():
     motion = WaypointPath([(0, 0), (10, 0), (10, 10)], speed=10.0)
-    assert motion.position(0) == (0.0, 0.0)
-    assert motion.position(500) == (5.0, 0.0)
+    assert motion.state(0)[0] == (0.0, 0.0)
+    assert motion.state(500)[0] == (5.0, 0.0)
     assert motion.state(500)[1] == (10.0, 0.0)
-    assert motion.position(1000) == (10.0, 0.0)   # corner
+    assert motion.state(1000)[0] == (10.0, 0.0)   # corner
     assert motion.state(1000)[1] == (0.0, 10.0)   # outgoing leg
-    assert motion.position(1500) == (10.0, 5.0)
+    assert motion.state(1500)[0] == (10.0, 5.0)
     # path exhausted: parked at the last point
-    assert motion.position(5000) == (10.0, 10.0)
+    assert motion.state(5000)[0] == (10.0, 10.0)
     assert motion.state(5000)[1] == (0.0, 0.0)
 
 
@@ -296,8 +296,8 @@ def test_waypoint_loop_wraps():
     motion = WaypointPath([(0, 0), (10, 0), (10, 10), (0, 10)], speed=10.0,
                           loop=True)
     lap_ms = int(40 / 10.0 * 1000)
-    assert motion.position(0) == motion.position(lap_ms)
-    assert motion.position(500) == motion.position(lap_ms + 500)
+    assert motion.state(0)[0] == motion.state(lap_ms)[0]
+    assert motion.state(500)[0] == motion.state(lap_ms + 500)[0]
 
 
 def test_motion_state_is_position_and_velocity_from_one_lookup():
@@ -306,12 +306,8 @@ def test_motion_state_is_position_and_velocity_from_one_lookup():
     locate = motion._locate
     motion._locate = lambda t: lookups.append(t) or locate(t)
     for t in (0, 500, 1000, 1500, 5000):
-        assert motion.state(t)[0] == motion.position(t)
-    assert lookups.count(500) == 2
-    lookups.clear()
-    motion.state(700)
-    motion.position(900)
-    assert lookups == [700, 900]
+        motion.state(t)
+    assert lookups == [0, 500, 1000, 1500, 5000]
     cv = ConstantVelocity((1.0, 2.0), (10.0, -4.0))
     assert cv.state(500) == ((6.0, 0.0), (10.0, -4.0))
 

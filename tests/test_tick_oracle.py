@@ -79,11 +79,12 @@ class ReferenceManager(PlayerManager):
                                                           now)
 
         if now - self._quiet_min >= pol.idle_ping_ms:
-            quiet = self._quiet_since
-            for peer in self.peers:
-                if now - quiet[peer] >= pol.idle_ping_ms:
-                    self._send_pings(peer, now)
-            self._quiet_min = min(quiet.values(), default=math.inf)
+            peers = self.peers
+            for peer in peers:
+                if now - peers[peer].quiet_since >= pol.idle_ping_ms:
+                    self._send_pings(peers[peer], now)
+            self._quiet_min = min((p.quiet_since for p in peers.values()),
+                                  default=math.inf)
         if self._pending:
             for peer, pending in list(self._pending.items()):
                 self._expire_queued(pending, now)
@@ -238,7 +239,9 @@ def make(cls, spec):
 def observed(pm, game, sent):
     return (list(sent), asdict(pm.counters), list(game.record),
             dict(pm._last_sent), dict(pm._entity_modes), dict(pm._seqs),
-            list(pm._outstanding_pings), dict(pm.routes))
+            list(pm._outstanding_pings),
+            {peer_id: (peer.route, peer.switched_at, peer.quiet_since)
+             for peer_id, peer in pm.peers.items()})
 
 
 @given(setup, st.lists(step, min_size=15, max_size=40))
