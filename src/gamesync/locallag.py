@@ -13,6 +13,8 @@ from typing import NamedTuple
 
 DEFAULT_CLASS = "default"
 
+_new = tuple.__new__    # builds a NamedTuple record without its __new__
+
 
 class PlayoutEntry(NamedTuple):
     msg: object
@@ -38,11 +40,12 @@ class PlayoutBuffer:
         return len(self.heap)
 
     def enqueue(self, msg, lag_ms: int, now: int) -> PlayoutEntry:
-        due = msg.timestamp + lag_ms
+        sender, _, seq, timestamp = msg[:4]
+        due = timestamp + lag_ms
         late = now > due
-        entry = PlayoutEntry(msg, due, late)
+        entry = _new(PlayoutEntry, (msg, due, late))
         if not late:
-            key = (due, msg.timestamp, msg.sender_id, msg.seq, self._counter)
+            key = (due, timestamp, sender, seq, self._counter)
             self._counter += 1
             heapq.heappush(self.heap, (key, entry))
         return entry

@@ -112,7 +112,11 @@ class GameCallbacks:
         position already displayed."""
 
     def apply_event(self, msg: EventMessage) -> None:
-        pass
+        """Apply an event: in order, or as part of a rollback's replay,
+        so one event can be applied more than once. An exception raised
+        here fails the delivery with rollback.CallbackFailure, and the
+        event is not logged as applied: a resend of it is delivered again,
+        and no later rollback undoes it."""
 
     def undo_event(self, msg: EventMessage) -> None:
         """Revert an applied event, newest first; the rollback then applies
@@ -386,18 +390,26 @@ class PlayerManager:
     def _playout(self, msg, now: int) -> None:
         """A state update goes straight to prediction and the game; an
         event goes through rollback ordering first. Dispatches on the
-        exact type: every message played out was decoded or built here."""
+        exact type, of the message (every message played out was decoded
+        or built here) and of the log's outcome (built in rollback). A game
+        callback that raises on either event path raises CallbackFailure
+        and leaves the event out of the log."""
         if type(msg) is StateUpdate:
             self._apply_state(msg, now)
             return
         outcome = self.log.on_deliver(msg, now)
-        if isinstance(outcome, rb.Apply):
-            self.callbacks.apply_event(msg)
-        elif isinstance(outcome, rb.RollbackDirective):
+        kind = type(outcome)
+        if kind is rb.Apply:
+            try:
+                self.callbacks.apply_event(msg)
+            except Exception as exc:
+                self.log.withdraw(msg)
+                raise rb.CallbackFailure(f"game callback failed: {exc}") from exc
+        elif kind is rb.RollbackDirective:
             self.counters.rollbacks += 1
             rb.apply_directive(self.callbacks, outcome)
             self.log.commit(outcome)
-        elif isinstance(outcome, rb.DropDuplicate):
+        elif kind is rb.DropDuplicate:
             self.counters.duplicates += 1
         else:   # DropBeyondWindow
             self.counters.beyond_window += 1

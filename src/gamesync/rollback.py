@@ -10,12 +10,30 @@ first). The game owns its inverse records; this module only sequences the
 undo/apply calls.
 
 Cross-sender timestamp ties order by (timestamp, sender_id, seq).
+
+Each delivery is classified in one pass: the message's header is unpacked
+once, and its stream key (sender_id, entity_id, seq) and order key
+(timestamp, sender_id, seq) are built from that one unpack; order_key and
+stream_key are the definitions those keys follow. The log is pruned only
+when the history window has moved past its watermark. The four outcome
+records (Apply, DropDuplicate, DropBeyondWindow, RollbackDirective) are
+immutable NamedTuples built with tuple.__new__, since one is built for
+every event played out. Unlike plain tuples, a record equals only a record
+of its own type with equal fields, and hashes as its tuple.
+
+A game callback that raises fails the delivery the same way on both paths,
+with CallbackFailure, and leaves the log as it was before the delivery: a
+directive is committed only after its callbacks all succeed, and an
+applied event is taken back out of the log (DeliveryLog.withdraw) when its
+apply_event raises.
 """
 
 import bisect
-from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_HISTORY_WINDOW_MS = 2000
+
+_new = tuple.__new__    # builds a NamedTuple record without its __new__
 
 
 class CallbackFailure(Exception):
@@ -30,28 +48,48 @@ def stream_key(msg) -> tuple[int, int, int]:
     return (msg.sender_id, msg.entity_id, msg.seq)
 
 
-@dataclass(frozen=True)
-class Apply:
+def _record_eq(self, other):
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _record_ne(self, other):
+    return type(other) is not type(self) or tuple.__ne__(self, other)
+
+
+class Apply(NamedTuple):
     msg: object
 
+    __eq__ = _record_eq
+    __ne__ = _record_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class DropDuplicate:
+
+class DropDuplicate(NamedTuple):
     msg: object
 
+    __eq__ = _record_eq
+    __ne__ = _record_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class DropBeyondWindow:
+
+class DropBeyondWindow(NamedTuple):
     msg: object
 
+    __eq__ = _record_eq
+    __ne__ = _record_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class RollbackDirective:
+
+class RollbackDirective(NamedTuple):
     late: object
     undo: tuple            # newest first
     replay: tuple          # oldest first: late message then the undone ones
     key: tuple             # order_key(late)
     stream: tuple          # stream_key(late)
+
+    __eq__ = _record_eq
+    __ne__ = _record_ne
+    __hash__ = tuple.__hash__
 
 
 class DeliveryLog:
@@ -85,8 +123,9 @@ class DeliveryLog:
         # (watermark,) sorts before every key stamped at the watermark, so
         # entries stamped exactly at it stay.
         cut = bisect.bisect_left(self._keys, (watermark,))
+        seen = self._seen
         for dropped in self._applied[:cut]:
-            self._seen.discard(stream_key(dropped))
+            seen.discard(dropped[:3])     # its stream key
         del self._applied[:cut]
         del self._keys[:cut]
 
@@ -97,24 +136,24 @@ class DeliveryLog:
         A directive does not mutate the log; call commit() after the game
         callbacks succeed so a callback failure leaves the log unchanged.
         """
-        self.prune(now)
-        if msg.timestamp < self._watermark:
-            return DropBeyondWindow(msg)
-        stream = stream_key(msg)
+        if now - self.history_window_ms > self._watermark:
+            self.prune(now)
+        sender, entity, seq, timestamp = msg[:4]
+        if timestamp < self._watermark:
+            return _new(DropBeyondWindow, (msg,))
+        stream = (sender, entity, seq)
         if stream in self._seen:
-            return DropDuplicate(msg)
-        key = order_key(msg)
-        if not self._applied or key >= self._keys[-1]:
+            return _new(DropDuplicate, (msg,))
+        key = (timestamp, sender, seq)
+        keys = self._keys
+        if not keys or key >= keys[-1]:
             self._applied.append(msg)
-            self._keys.append(key)
+            keys.append(key)
             self._seen.add(stream)
-            return Apply(msg)
-        idx = bisect.bisect_left(self._keys, key)
-        newer = tuple(self._applied[idx:])
-        return RollbackDirective(late=msg,
-                                 undo=tuple(reversed(newer)),
-                                 replay=(msg,) + newer,
-                                 key=key, stream=stream)
+            return _new(Apply, (msg,))
+        newer = self._applied[bisect.bisect_left(keys, key):]
+        return _new(RollbackDirective, (msg, tuple(newer[::-1]),
+                                        (msg, *newer), key, stream))
 
     def commit(self, directive: RollbackDirective) -> None:
         """Record the late message once its directive has been applied."""
@@ -122,11 +161,28 @@ class DeliveryLog:
         # run by the directive can deliver into this log first (an event the
         # game sends is played out at once without sender-side lag), which
         # can prune, append or insert and so move the late message's place.
-        key = directive.key
+        late, _, _, key, stream = directive
         idx = bisect.bisect_left(self._keys, key)
-        self._applied.insert(idx, directive.late)
+        self._applied.insert(idx, late)
         self._keys.insert(idx, key)
-        self._seen.add(directive.stream)
+        self._seen.add(stream)
+
+    def withdraw(self, msg) -> None:
+        """Take back an event that on_deliver applied, because the game
+        failed to apply it. The event is found by its order key, as commit
+        finds its place: a callback may have delivered into the log since,
+        and events of one sender's different entities can share an order
+        key, so the entry is the one holding this very message."""
+        key = order_key(msg)
+        keys, applied = self._keys, self._applied
+        idx = bisect.bisect_left(keys, key)
+        while idx < len(keys) and keys[idx] == key:
+            if applied[idx] is msg:
+                del applied[idx]
+                del keys[idx]
+                self._seen.discard(stream_key(msg))
+                return
+            idx += 1
 
 
 def apply_directive(callbacks, directive: RollbackDirective) -> int:
@@ -136,14 +192,14 @@ def apply_directive(callbacks, directive: RollbackDirective) -> int:
     Any exception from a callback is wrapped in CallbackFailure; the caller
     must not commit the directive in that case.
     """
-    calls = 0
+    _, undo, replay, _, _ = directive
     try:
-        for msg in directive.undo:
-            callbacks.undo_event(msg)
-            calls += 1
-        for msg in directive.replay:
-            callbacks.apply_event(msg)
-            calls += 1
+        undo_event = callbacks.undo_event
+        apply_event = callbacks.apply_event
+        for msg in undo:
+            undo_event(msg)
+        for msg in replay:
+            apply_event(msg)
     except Exception as exc:
         raise CallbackFailure(f"game callback failed: {exc}") from exc
-    return calls
+    return len(undo) + len(replay)

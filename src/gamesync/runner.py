@@ -56,8 +56,12 @@ class _Bot(GameCallbacks):
         return EntityKinematics(pos, vel, t)
 
     def apply_event(self, msg):
-        key = (msg.sender_id, msg.entity_id, msg.seq)
-        self.event_playouts.setdefault(key, self._now_fn())
+        # A rollback replays events already played out; only the first
+        # playout reads the clock.
+        key = msg[:3]    # (sender_id, entity_id, seq)
+        playouts = self.event_playouts
+        if key not in playouts:
+            playouts[key] = self._now_fn()
 
 
 @dataclass

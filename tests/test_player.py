@@ -152,6 +152,51 @@ def test_failing_game_callback_aborts_the_rollback_uncommitted():
     assert len(pm.log) == logged
 
 
+def test_failing_game_callback_on_an_in_order_event_leaves_it_unlogged():
+    """The in-order path fails like a directive: CallbackFailure, and the
+    event leaves the log, found by its order key although the failing
+    callback delivered an event of its own after it."""
+    pm, spy, _ = make_pm(receiver_side_lag=False, sender_side_lag=False)
+    pm.start_session([PeerCapabilities(0)], 0)
+    pm.on_network_message(encode(event(100, seq=1)), 105, 0)
+    apply_event = spy.apply_event
+
+    def failing_apply(msg):
+        if msg.timestamp == 130:
+            pm.send_event(9, EventKind.FIRE, b"\x00" * 8, 135)
+            raise RuntimeError("the game rejected the event")
+        apply_event(msg)
+
+    spy.apply_event = failing_apply
+    with pytest.raises(rb.CallbackFailure):
+        pm.on_network_message(encode(event(130, seq=2)), 135, 0)
+    assert [(m.timestamp, m.sender_id) for m in pm.log.applied] == \
+        [(100, 0), (135, 1)]
+    # an older event rolls back only what the game applied
+    pm.on_network_message(encode(event(120, seq=3)), 136, 0)
+    assert [m.timestamp for m in spy.undone] == [135]
+    # and a resend of the failed event is delivered, not a duplicate
+    spy.apply_event = apply_event
+    pm.on_network_message(encode(event(130, seq=2)), 137, 0)
+    assert pm.counters.duplicates == 0
+    assert [m.timestamp for m in spy.events] == [100, 135, 120, 135, 130, 135]
+    assert [m.timestamp for m in pm.log.applied] == [100, 120, 130, 135]
+
+
+def test_event_beyond_the_history_window_is_counted_never_played_out():
+    pm, spy, _ = make_pm(lag=100)
+    pm.start_session([PeerCapabilities(0)], 0)
+    window = pm.log.history_window_ms
+    pm.on_network_message(encode(event(100, seq=1)), 100 + window + 1, 0)
+    assert pm.counters.late_messages == 1
+    assert pm.counters.beyond_window == 1
+    assert spy.events == [] and len(pm.log) == 0
+    # one exactly a window old is still played out
+    pm.on_network_message(encode(event(101, seq=2)), 101 + window, 0)
+    assert pm.counters.beyond_window == 1
+    assert [m.timestamp for m in spy.events] == [101]
+
+
 def test_late_tagged_message_goes_straight_to_rollback():
     pm, spy, _ = make_pm(lag=100)
     pm.start_session([PeerCapabilities(0)], 0)

@@ -1,9 +1,13 @@
 """Temporal ordering: rollback directive construction and application."""
 
+import bisect
 import itertools
 import random
+from dataclasses import dataclass, fields
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gamesync.pdu import EventKind, EventMessage
 from gamesync.rollback import (Apply, CallbackFailure, DeliveryLog,
@@ -230,3 +234,216 @@ def test_callback_failure_leaves_log_unchanged():
         apply_directive(game, outcome)
     # not committed: the log still holds the original three
     assert [m.timestamp for m in log.applied] == [100, 130, 140]
+
+
+def test_withdraw_takes_back_only_the_applied_message():
+    """Events of one sender's two entities can share an order key; withdraw
+    removes the very message it is given, and forgets its stream key only."""
+    log = DeliveryLog()
+    first, second = ev(100, seq=1, entity=0), ev(100, seq=1, entity=1)
+    later = ev(130, seq=2)
+    for msg in (first, second, later):
+        assert isinstance(log.on_deliver(msg, 130), Apply)
+    log.withdraw(second)
+    assert log.applied == [first, later]
+    assert log._keys == [order_key(first), order_key(later)]
+    assert isinstance(log.on_deliver(first, 131), DropDuplicate)
+    assert isinstance(log.on_deliver(second, 131), RollbackDirective)
+
+
+def test_inline_keys_follow_order_key_and_stream_key():
+    """on_deliver builds the keys from one header unpack; they are the ones
+    order_key and stream_key define. Every field differs, so a permuted key
+    shows."""
+    log = DeliveryLog()
+    first = ev(130, seq=5, sender=2, entity=1)
+    late = ev(120, seq=6, sender=4, entity=3)
+    assert isinstance(log.on_deliver(first, 130), Apply)
+    assert log._keys == [order_key(first)]
+    assert log._seen == {stream_key(first)}
+    directive = log.on_deliver(late, 131)
+    assert directive.key == order_key(late)
+    assert directive.stream == stream_key(late)
+    log.commit(directive)
+    assert log._seen == {stream_key(first), stream_key(late)}
+    log.prune(131 + log.history_window_ms)
+    assert len(log) == 0 and log._seen == set()
+
+
+# -- outcome records ---------------------------------------------------------
+
+def test_outcome_records_equal_only_their_own_type():
+    msg = ev(100)
+    records = [Apply(msg), DropDuplicate(msg), DropBeyondWindow(msg)]
+    for a, b in itertools.permutations(records, 2):
+        assert a != b and not a == b
+    # nor a plain tuple of the same fields, from either side
+    for record in records:
+        assert record != (msg,) and (msg,) != record
+        assert not record == (msg,) and not (msg,) == record
+    directive = RollbackDirective(msg, (), (msg,), order_key(msg),
+                                  stream_key(msg))
+    assert directive != tuple(directive) and tuple(directive) != directive
+
+
+def test_outcome_records_of_one_type_equal_and_hash_by_fields():
+    a, b = ev(100), ev(100)
+    assert a is not b
+    assert Apply(a) == Apply(b) and not Apply(a) != Apply(b)
+    assert hash(Apply(a)) == hash(Apply(b)) == hash((a,))
+    assert len({DropDuplicate(a), DropDuplicate(b)}) == 1
+    assert Apply(ev(100)) != Apply(ev(101))
+    first = RollbackDirective(late=a, undo=(), replay=(a,), key=order_key(a),
+                              stream=stream_key(a))
+    second = RollbackDirective(a, (), (b,), order_key(b), stream_key(b))
+    assert first == second and hash(first) == hash(second)
+    assert first != second._replace(undo=(a,))
+
+
+def test_outcome_records_are_read_only_and_keyword_built():
+    msg = ev(100)
+    directive = RollbackDirective(late=msg, undo=(ev(110),), replay=(msg,),
+                                  key=order_key(msg), stream=stream_key(msg))
+    assert (directive.late, directive.undo, directive.replay, directive.key,
+            directive.stream) == (msg, (ev(110),), (msg,), order_key(msg),
+                                  stream_key(msg))
+    for record, name in ((Apply(msg=msg), "msg"),
+                         (DropDuplicate(msg=msg), "msg"),
+                         (DropBeyondWindow(msg=msg), "msg"),
+                         (directive, "undo")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+
+# -- oracle: the delivery log as it was written with frozen dataclass records,
+# its keys built by order_key and stream_key and prune called on every
+# delivery. The flat log must classify every delivery as it did.
+
+@dataclass(frozen=True)
+class RefApply:
+    msg: object
+
+
+@dataclass(frozen=True)
+class RefDropDuplicate:
+    msg: object
+
+
+@dataclass(frozen=True)
+class RefDropBeyondWindow:
+    msg: object
+
+
+@dataclass(frozen=True)
+class RefRollbackDirective:
+    late: object
+    undo: tuple            # newest first
+    replay: tuple          # oldest first: late message then the undone ones
+    key: tuple             # order_key(late)
+    stream: tuple          # stream_key(late)
+
+
+class ReferenceLog:
+    def __init__(self, history_window_ms):
+        self.history_window_ms = history_window_ms
+        self._applied: list = []      # sorted by order_key
+        self._keys: list = []
+        self._seen: set = set()       # stream keys within the window
+        self._watermark: int = 0
+
+    def prune(self, now: int) -> None:
+        watermark = now - self.history_window_ms
+        if watermark <= self._watermark:
+            return
+        self._watermark = watermark
+        if not self._keys or self._keys[0][0] >= watermark:
+            return
+        # (watermark,) sorts before every key stamped at the watermark, so
+        # entries stamped exactly at it stay.
+        cut = bisect.bisect_left(self._keys, (watermark,))
+        for dropped in self._applied[:cut]:
+            self._seen.discard(stream_key(dropped))
+        del self._applied[:cut]
+        del self._keys[:cut]
+
+
+def reference_on_deliver(self, msg, now: int):
+    self.prune(now)
+    if msg.timestamp < self._watermark:
+        return RefDropBeyondWindow(msg)
+    stream = stream_key(msg)
+    if stream in self._seen:
+        return RefDropDuplicate(msg)
+    key = order_key(msg)
+    if not self._applied or key >= self._keys[-1]:
+        self._applied.append(msg)
+        self._keys.append(key)
+        self._seen.add(stream)
+        return RefApply(msg)
+    idx = bisect.bisect_left(self._keys, key)
+    newer = tuple(self._applied[idx:])
+    return RefRollbackDirective(late=msg,
+                                undo=tuple(reversed(newer)),
+                                replay=(msg,) + newer,
+                                key=key, stream=stream)
+
+
+def reference_commit(self, directive) -> None:
+    key = directive.key
+    idx = bisect.bisect_left(self._keys, key)
+    self._applied.insert(idx, directive.late)
+    self._keys.insert(idx, key)
+    self._seen.add(directive.stream)
+
+
+@st.composite
+def delivery_streams(draw):
+    """A history window and a stream of (message, now) deliveries: messages
+    from 3 senders and 2 entities, drawn from a small pool so that
+    (sender, entity, seq) repeats, on few timestamps so that senders tie,
+    arriving with jitter (some behind the clock) and a clock that never
+    goes back. A window this small lets old messages fall beyond it."""
+    window = draw(st.integers(1, 30))
+    pool = draw(st.lists(st.builds(ev, ts=st.integers(0, 15),
+                                   seq=st.integers(0, 2),
+                                   sender=st.integers(0, 2),
+                                   entity=st.integers(0, 1)),
+                         min_size=1, max_size=12))
+    # twins: the same timestamp and seq from another sender (a cross-sender
+    # tie), or the same order key for the sender's other entity
+    for i, other_sender in draw(st.lists(st.tuples(
+            st.integers(0, len(pool) - 1), st.booleans()), max_size=4)):
+        ts, sender, seq = order_key(pool[i])
+        entity = pool[i].entity_id
+        if other_sender:
+            pool.append(ev(ts, seq=seq, sender=(sender + 1) % 3, entity=entity))
+        else:
+            pool.append(ev(ts, seq=seq, sender=sender, entity=1 - entity))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                    st.integers(-3, 12)),
+                          min_size=1, max_size=40))
+    now, steps = 0, []
+    for i, jitter in picks:
+        msg = pool[i]
+        now = max(now, msg.timestamp + jitter)
+        steps.append((msg, now))
+    return window, steps
+
+
+@given(delivery_streams())
+def test_delivery_log_classifies_like_the_reference(stream):
+    window, steps = stream
+    log, ref = DeliveryLog(window), ReferenceLog(window)
+    for msg, now in steps:
+        outcome = log.on_deliver(msg, now)
+        expected = reference_on_deliver(ref, msg, now)
+        assert "Ref" + type(outcome).__name__ == type(expected).__name__
+        assert outcome._fields == tuple(f.name for f in fields(expected))
+        assert tuple(outcome) == tuple(getattr(expected, name)
+                                       for name in outcome._fields)
+        if isinstance(outcome, RollbackDirective):
+            log.commit(outcome)
+            reference_commit(ref, expected)
+        assert log.applied == ref._applied

@@ -11,6 +11,7 @@ from gamesync import player, runner
 from gamesync.metrics import TICK_HEADER, TICK_ROW
 from gamesync.netsim import InvariantViolation, NetworkSim
 from gamesync.player import PlayerManager
+from gamesync.rollback import DEFAULT_HISTORY_WINDOW_MS
 from gamesync.runner import run
 from gamesync.scenario import parse_scenario
 from test_golden import small_mesh_doc
@@ -236,6 +237,21 @@ def test_jitter_produces_event_rollbacks_with_zero_lag():
         {"kind": "fire", "first": 100, "every": 50, "count": 90}]
     res = run_doc(doc)
     assert res.summary["rollbacks"] > 0
+
+
+def test_events_beyond_the_history_window_reach_the_summary_not_the_game():
+    """A link slower than the rollback log's history window delivers every
+    event too old to order: each is counted once and none is played out."""
+    doc = two_client_doc()
+    doc["links"][0]["base_delay_ms"] = DEFAULT_HISTORY_WINDOW_MS + 500
+    doc["clients"][0]["entities"][0]["events"] = [
+        {"kind": "fire", "first": 100, "every": 100, "count": 10}]
+    res = run_doc(doc)
+    viewer = res.pms[1]
+    assert viewer.counters.beyond_window == 10
+    assert res.summary["dropped_beyond_window"] == 10
+    assert [key for key in viewer.callbacks.event_playouts if key[0] == 0] == []
+    assert res.summary["event_rows"] == 0
 
 
 def test_loss_is_counted_and_conserved():
