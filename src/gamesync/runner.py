@@ -5,6 +5,15 @@ rows go only to their files: a run returns its summary and its managers.
 An entity's ground truth is its motion's state(t) position, and a tick
 row's route is the owner manager's route to the viewer.
 
+The event rows need every event's first playout time at its owner and at
+each viewer, so each bot records them during the run in one flat record per
+(sender, entity) stream: a run-wide table, shared by every bot, gives each
+seq a slot in the order the seqs are first played out anywhere, and each bot
+holds one array('q') of first playout times indexed by slot (-1 where it has
+none). A recorded (event, viewer) costs 8 bytes and a distinct seq one table
+entry, so the record grows with the number of distinct seqs played out,
+never with their values: a corrupt seq near 2**32 takes one slot.
+
 Everything is deterministic given the scenario seed: all randomness flows
 through the simulator's generator, bots are closed-form functions of virtual
 time, and wall-clock measurements are recorded but never fed back into the
@@ -13,6 +22,7 @@ simulation.
 
 import gc
 import time
+from array import array
 from dataclasses import dataclass
 
 from gamesync.deadreckoning import EntityKinematics, dist
@@ -39,16 +49,30 @@ from gamesync.scenario import ScenarioConfig
 YOUNG_GC_THRESHOLD = 20_000
 
 
+# Slots a bot's first-playout array grows by at a time. Growth is amortized
+# over a block of new seqs, and an array overshoots its stream's slot table
+# by less than one block.
+PLAYOUT_BLOCK = 256
+_UNPLAYED = array("q", [-1]) * PLAYOUT_BLOCK
+
+
 class _Bot(GameCallbacks):
     """Scripted game: closed-form motion (the divergence ground truth) and
     the first playout time of every event (for display-time differences).
-    States, undos and mode changes keep the no-op default callbacks."""
+    States, undos and mode changes keep the no-op default callbacks.
 
-    def __init__(self, client_spec, now_fn):
+    event_streams maps each (sender, entity) stream the bot has played out
+    an event of to (slots, times): slots is the run's shared seq -> slot
+    table of the stream, and times[slot] is this bot's first playout time
+    of that seq, -1 if it has none. A seq takes the next slot the first
+    time any bot plays it out."""
+
+    def __init__(self, client_spec, now_fn, seq_slots):
         self.client_id = client_spec.client_id
         self.entities = {e.entity_id: e for e in client_spec.entities}
         self._now_fn = now_fn
-        self.event_playouts: dict[tuple, int] = {}   # first playout per event
+        self._seq_slots = seq_slots      # stream -> {seq: slot}, run-wide
+        self.event_streams: dict[tuple, tuple[dict, array]] = {}
 
     def query_local_state(self, entity_id):
         t = self._now_fn()
@@ -58,10 +82,50 @@ class _Bot(GameCallbacks):
     def apply_event(self, msg):
         # A rollback replays events already played out; only the first
         # playout reads the clock.
-        key = msg[:3]    # (sender_id, entity_id, seq)
-        playouts = self.event_playouts
-        if key not in playouts:
-            playouts[key] = self._now_fn()
+        stream = msg[:2]    # (sender_id, entity_id)
+        entry = self.event_streams.get(stream)
+        if entry is None:
+            entry = self.event_streams[stream] = (
+                self._seq_slots.setdefault(stream, {}), array("q"))
+        slots, times = entry
+        seq = msg[2]
+        slot = slots.get(seq)
+        if slot is None:
+            slot = slots[seq] = len(slots)
+        try:
+            if times[slot] >= 0:
+                return
+        except IndexError:
+            while slot >= len(times):    # grow through the block holding slot
+                times.extend(_UNPLAYED)
+        times[slot] = self._now_fn()
+
+
+def _event_rows(clients, bots):
+    """Yield the event rows (seq, owner, viewer, owner's playout, viewer's
+    playout, their difference) of every event its owner played out: for
+    each owner stream in client and entity order, its seqs in order, and for
+    each seq the other clients that played it out, in client order."""
+    client_ids = [c.client_id for c in clients]
+    for client_spec in clients:
+        owner = client_spec.client_id
+        for spec in client_spec.entities:
+            stream = (owner, spec.entity_id)
+            entry = bots[owner].event_streams.get(stream)
+            if entry is None:
+                continue
+            slots, local_times = entry
+            viewer_times = [(viewer, bots[viewer].event_streams[stream][1])
+                            for viewer in client_ids if viewer != owner
+                            and stream in bots[viewer].event_streams]
+            for seq, slot in sorted(slots.items()):
+                if slot >= len(local_times) or local_times[slot] < 0:
+                    continue
+                local = local_times[slot]
+                for viewer, times in viewer_times:
+                    if slot < len(times) and times[slot] >= 0:
+                        remote = times[slot]
+                        yield seq, owner, viewer, local, remote, remote - local
 
 
 @dataclass
@@ -108,6 +172,7 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
         client_ids = [c.client_id for c in clients]
         bots: dict[int, _Bot] = {}
         pms: dict[int, PlayerManager] = {}
+        seq_slots = {}       # (sender, entity) -> {seq: slot}, for every bot
         delay_all = RunningStats()
         delay_critical = RunningStats()
 
@@ -124,7 +189,7 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
 
         for client_spec in clients:
             cid = client_spec.client_id
-            bot = _Bot(client_spec, lambda: sim.now)
+            bot = _Bot(client_spec, lambda: sim.now, seq_slots)
             pm_config = PlayerManagerConfig(
                 client_id=cid,
                 links=[l for l in config.links if cid in l.endpoints],
@@ -335,23 +400,9 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
         # computed after the run and written as they are computed.
         event_writer = CsvWriter(_open(events_out), EVENT_HEADER, EVENT_ROW)
         diff_stats = RunningStats()
-        for client_spec in clients:
-            owner = client_spec.client_id
-            for spec in client_spec.entities:
-                keys = sorted(k for k in bots[owner].event_playouts
-                              if k[0] == owner and k[1] == spec.entity_id)
-                for key in keys:
-                    local = bots[owner].event_playouts[key]
-                    for viewer in client_ids:
-                        if viewer == owner:
-                            continue
-                        remote = bots[viewer].event_playouts.get(key)
-                        if remote is None:
-                            continue
-                        diff = remote - local
-                        diff_stats.add(float(abs(diff)))
-                        event_writer.row(key[2], owner, viewer, local,
-                                         remote, diff)
+        for row in _event_rows(clients, bots):
+            diff_stats.add(float(abs(row[5])))
+            event_writer.row(*row)
 
         processing = sorted(ns for pm in pms.values() for ns in pm.processing_ns)
         data_received = sum(pm.counters.data_received for pm in pms.values())

@@ -63,6 +63,7 @@ Top-level document:
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 
 from gamesync.locallag import DEFAULT_CLASS
@@ -135,12 +136,11 @@ class WaypointPath:
             s = math.fmod(s, self.total)
         elif s >= self.total:
             return None
-        for i, (a, b, length) in enumerate(self._segments):
-            # strict <: a sample exactly on a corner reports the outgoing leg
-            if s < self._cum[i + 1] or i == len(self._segments) - 1:
-                u = (s - self._cum[i]) / length
-                return a, b, length, u
-        return None
+        # The first segment that ends past s, strictly, so a sample exactly
+        # on a corner reports the outgoing leg; the last one takes the rest.
+        i = bisect_right(self._cum, s, 1, len(self._segments)) - 1
+        a, b, length = self._segments[i]
+        return a, b, length, (s - self._cum[i]) / length
 
     def state(self, t: int) -> tuple:
         """(position, velocity) at t, from one segment lookup."""

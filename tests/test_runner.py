@@ -3,13 +3,19 @@ summary consistency with the emitted files."""
 
 import gc
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import read_rows, run_observing_estimates, two_client_doc
 from gamesync import player, runner
 from gamesync.metrics import TICK_HEADER, TICK_ROW
 from gamesync.netsim import InvariantViolation, NetworkSim
+from gamesync.pdu import EventKind, EventMessage
 from gamesync.player import PlayerManager
 from gamesync.rollback import DEFAULT_HISTORY_WINDOW_MS
 from gamesync.runner import run
@@ -250,8 +256,195 @@ def test_events_beyond_the_history_window_reach_the_summary_not_the_game():
     viewer = res.pms[1]
     assert viewer.counters.beyond_window == 10
     assert res.summary["dropped_beyond_window"] == 10
-    assert [key for key in viewer.callbacks.event_playouts if key[0] == 0] == []
+    assert len(res.pms[0].callbacks.event_streams[0, 0][0]) == 10
+    assert [time for (sender, _), (_, times)
+            in viewer.callbacks.event_streams.items() if sender == 0
+            for time in times if time >= 0] == []
     assert res.summary["event_rows"] == 0
+
+
+# -- event rows against the dict-keyed record --------------------------------
+
+def reference_event_rows(clients, playouts):
+    """The event rows as a record keyed by (sender, entity, seq) gives them:
+    playouts[client] maps each key the client played out to its first
+    playout time, and each of an owner entity's keys, in order, gives one
+    row per other client, in client order, that played it out."""
+    rows = []
+    for owner, entities in clients:
+        for entity in entities:
+            for key in sorted(k for k in playouts[owner]
+                              if k[0] == owner and k[1] == entity):
+                local = playouts[owner][key]
+                for viewer, _ in clients:
+                    remote = playouts[viewer].get(key)
+                    if viewer != owner and remote is not None:
+                        rows.append((key[2], owner, viewer, local, remote,
+                                     remote - local))
+    return rows
+
+
+@st.composite
+def event_docs(draw):
+    """Small documents whose event rows exercise the record: two to four
+    clients with one or two firing entities each (so event seqs interleave
+    with state updates and a client's two entities share seqs), jitter
+    above the local lag (so rollbacks replay events), loss, one link slower
+    than the history window, and events fired too late in the run for
+    their owner to play out."""
+    n = draw(st.integers(2, 4))
+    lag = draw(st.sampled_from([50, 100, 150]))
+    duration = draw(st.integers(DEFAULT_HISTORY_WINDOW_MS + 300, 3500))
+    clients = []
+    for cid in range(n):
+        entities = []
+        for k in range(draw(st.integers(1, 2))):
+            x, y = 20.0 * cid, 20.0 * k
+            every = draw(st.integers(30, 200))
+            entities.append({
+                "id": 2 * cid + k, "class": "tank",
+                "motion": {"kind": "waypoints",
+                           "points": [[x, y], [x + 4, y], [x + 4, y + 4]],
+                           "speed": 2.0, "loop": True},
+                "events": [{"kind": "fire", "first": draw(st.integers(0, 300)),
+                            "every": every, "count": duration // every + 1}]})
+        clients.append({"id": cid, "entities": entities})
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    slow = draw(st.integers(0, len(pairs) - 1))
+    links = [{"id": i, "endpoints": [a, b],
+              "base_delay_ms": (DEFAULT_HISTORY_WINDOW_MS + 100 if i == slow
+                                else draw(st.integers(20, 150))),
+              "jitter_ms": lag + draw(st.integers(10, 120)),
+              "loss_prob": draw(st.sampled_from([0.0, 0.1, 0.3]))}
+             for i, (a, b) in enumerate(pairs)]
+    return {"duration_ms": duration, "tick_ms": 50,
+            "seed": draw(st.integers(0, 2**16)),
+            "clients": clients, "links": links,
+            "policies": {"default": {"threshold_m": 0.5,
+                                     "convergence_ms": 0, "lag_ms": lag},
+                         "heartbeat_ms": 200},
+            "toggles": {}}
+
+
+@settings(deadline=None)
+@given(event_docs())
+def test_event_rows_match_the_dict_keyed_record(doc):
+    """Every event a bot plays out also goes, through a spy, into a record
+    keyed by (sender, entity, seq), and so does a forged copy from a client
+    that does not own the entity, one seq on; the events CSV must hold
+    exactly the rows that record gives."""
+    clients = [(c["id"], [e["id"] for e in c["entities"]])
+               for c in doc["clients"]]
+    playouts = {cid: {} for cid, _ in clients}
+    apply_event = runner._Bot.apply_event
+
+    def spy(bot, msg):
+        forged = msg._replace(sender_id=(msg.sender_id + 1) % len(clients),
+                              seq=msg.seq + 1)
+        for played in (msg, forged):
+            playouts[bot.client_id].setdefault(played[:3], bot._now_fn())
+            apply_event(bot, played)
+
+    runner._Bot.apply_event = spy
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            events_csv = Path(tmp) / "events.csv"
+            res = run_doc(doc, events_out=events_csv)
+            rows = read_rows(events_csv)
+    finally:
+        runner._Bot.apply_event = apply_event
+    assert rows == reference_event_rows(clients, playouts)
+    assert res.summary["event_rows"] == len(rows)
+
+
+def test_playout_record_takes_one_slot_per_distinct_seq():
+    """Events with seq 2**32 - 1, from a sender that does not own the
+    entity, and repeated, raise nothing, keep each bot's first playout,
+    take one slot per distinct seq whatever its value, and give no row:
+    the owner never played out its own event, and a sender's stream of an
+    entity it does not own is not an owner stream."""
+    clients = sorted(parse_scenario(two_client_doc()).clients,
+                     key=lambda c: c.client_id)
+    now = [100]
+    seq_slots = {}
+    bots = {c.client_id: runner._Bot(c, lambda: now[0], seq_slots)
+            for c in clients}
+    top = 2**32 - 1
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(3):
+            bots[1].apply_event(EventMessage(0, 0, top, 0, EventKind.FIRE))
+            for bot in bots.values():
+                for seq in (top, 5):
+                    bot.apply_event(EventMessage(1, 0, seq, 0, EventKind.FIRE))
+            now[0] += 50
+        grown = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert seq_slots == {(0, 0): {top: 0}, (1, 0): {top: 0, 5: 1}}
+    assert bots[1].event_streams[0, 0][1][:1].tolist() == [100]
+    for bot in bots.values():
+        assert bot.event_streams[1, 0][1][:3].tolist() == [100, 100, -1]
+    # Three one-block arrays (about 2.2 KB each with the array's own
+    # over-allocation) and small tables; an array indexed by seq would need
+    # 32 GiB.
+    assert grown < 16 * 1024
+    assert list(runner._event_rows(clients, bots)) == []
+
+
+def skirmish_doc(duration_ms):
+    """Six tanks firing every 50 ms over a relay mesh whose jitter spread
+    exceeds the local lag."""
+    clients = [{"id": cid, "entities": [{
+        "id": cid, "class": "tank",
+        "motion": {"kind": "waypoints",
+                   "points": [[60.0 * cid, 0], [60.0 * cid + 10, 0],
+                              [60.0 * cid + 10, 10]],
+                   "speed": 2.2, "loop": True},
+        "events": [{"kind": "fire", "first": 500 + 50 * cid, "every": 50,
+                    "count": duration_ms // 50}]}]} for cid in range(6)]
+    pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    links = [{"id": i, "endpoints": [a, b], "base_delay_ms": 80 + 3 * i,
+              "jitter_ms": 60} for i, (a, b) in enumerate(pairs)]
+    return {"duration_ms": duration_ms, "tick_ms": 50, "seed": 1,
+            "clients": clients, "links": links,
+            "policies": {"default": {"threshold_m": 0.5, "convergence_ms": 0,
+                                     "lag_ms": 100},
+                         "heartbeat_ms": 1000}}
+
+
+def test_playout_record_grows_by_at_most_32_bytes_per_recorded_event(
+        monkeypatch):
+    """The peak memory a run's playout record adds, measured with
+    tracemalloc against the same run with a game that records nothing,
+    grows by at most 32 bytes per extra (event, viewer) it records when
+    the run doubles in length."""
+    def peak(config):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = run(config)
+            return tracemalloc.get_traced_memory()[1] - before, res
+        finally:
+            tracemalloc.stop()
+
+    def record_peak(config):
+        with_record, res = peak(config)
+        recorded = sum(time >= 0 for pm in res.pms.values()
+                       for _, times in pm.callbacks.event_streams.values()
+                       for time in times)
+        del res
+        monkeypatch.setattr(runner._Bot, "apply_event", lambda bot, msg: None)
+        without_record, _ = peak(config)
+        monkeypatch.undo()
+        return with_record - without_record, recorded
+
+    short, short_recorded = record_peak(parse_scenario(skirmish_doc(8000)))
+    long, long_recorded = record_peak(parse_scenario(skirmish_doc(16000)))
+    assert long_recorded > 2 * short_recorded > 0
+    assert (long - short) / (long_recorded - short_recorded) <= 32
 
 
 def test_loss_is_counted_and_conserved():

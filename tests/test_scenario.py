@@ -1,8 +1,11 @@
 """Scenario schema: strict validation, defaults, and motion scripts."""
 
 import json
+import math
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import gamesync.cli as cli
 from conftest import minimal_doc, two_client_doc
@@ -310,6 +313,53 @@ def test_motion_state_is_position_and_velocity_from_one_lookup():
     assert lookups == [0, 500, 1000, 1500, 5000]
     cv = ConstantVelocity((1.0, 2.0), (10.0, -4.0))
     assert cv.state(500) == ((6.0, 0.0), (10.0, -4.0))
+
+
+def scan_locate(motion, t):
+    """The segment lookup as a scan of the segments: the reference for
+    WaypointPath._locate."""
+    s = motion.speed * (t / 1000.0)
+    if motion.loop:
+        s = math.fmod(s, motion.total)
+    elif s >= motion.total:
+        return None
+    for i, (a, b, length) in enumerate(motion._segments):
+        # strict <: a sample exactly on a corner reports the outgoing leg
+        if s < motion._cum[i + 1] or i == len(motion._segments) - 1:
+            return a, b, length, (s - motion._cum[i]) / length
+    return None
+
+
+_STEP = st.tuples(st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1)]),
+                  st.integers(1, 20))
+
+
+@st.composite
+def paths_and_times(draw):
+    """An axis-aligned path with whole-metre legs and a speed at which
+    every corner falls on a whole ms, and a time that is often exactly a
+    corner's, possibly laps later, or the path's end."""
+    points = [(draw(st.integers(-50, 50)), draw(st.integers(-50, 50)))]
+    for (dx, dy), length in draw(st.lists(_STEP, min_size=1, max_size=6)):
+        x, y = points[-1]
+        points.append((x + dx * length, y + dy * length))
+    if points[-1] == points[0]:
+        points.pop()
+    assume(len(points) >= 2)
+    motion = WaypointPath(points, speed=draw(st.sampled_from([0.5, 1, 2, 4])),
+                          loop=draw(st.booleans()))
+    corner = draw(st.sampled_from(motion._cum))
+    laps = draw(st.integers(0, 3))
+    t = draw(st.one_of(
+        st.just(round((corner + laps * motion.total) / motion.speed * 1000)),
+        st.integers(-10_000, 1_000_000)))
+    return motion, t
+
+
+@given(paths_and_times())
+def test_locate_matches_the_segment_scan(case):
+    motion, t = case
+    assert motion._locate(t) == scan_locate(motion, t)
 
 
 def test_waypoint_validation():
