@@ -5,7 +5,8 @@ the one the caller hands over with the message (the player manager takes it
 from the entity's class policy, scaled down in strong mode). Messages that
 are already past their playout deadline on arrival are tagged Late and
 bypass the buffer entirely; buffering them further would only postpone the
-repair, so the caller hands them to rollback immediately.
+repair, so the caller hands them to rollback immediately. Entries due at
+one time are released in the rollback log's order, the same for every viewer.
 """
 
 import heapq
@@ -24,10 +25,11 @@ class PlayoutEntry(NamedTuple):
 
 class PlayoutBuffer:
     """Min-heap of pending entries, released in (due, timestamp, sender,
-    seq) order. Late entries are returned tagged but never stored.
+    entity, seq) order. Late entries are returned tagged but never stored.
 
-    The tie-break matches the rollback log's cross-sender order key, so a
-    jitter-free run never releases in an order the log would repair."""
+    The tie-break is the rollback log's order key, so a jitter-free run
+    never releases in an order the log would repair; an arrival counter
+    ends the key, so two entries are never compared by their messages."""
 
     def __init__(self):
         # (key, entry) pairs; a key starts with the entry's due time. Read
@@ -40,12 +42,12 @@ class PlayoutBuffer:
         return len(self.heap)
 
     def enqueue(self, msg, lag_ms: int, now: int) -> PlayoutEntry:
-        sender, _, seq, timestamp = msg[:4]
+        sender, entity, seq, timestamp = msg[:4]
         due = timestamp + lag_ms
         late = now > due
         entry = _new(PlayoutEntry, (msg, due, late))
         if not late:
-            key = (due, timestamp, sender, seq, self._counter)
+            key = (due, timestamp, sender, entity, seq, self._counter)
             self._counter += 1
             heapq.heappush(self.heap, (key, entry))
         return entry

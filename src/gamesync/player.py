@@ -113,10 +113,12 @@ class GameCallbacks:
 
     def apply_event(self, msg: EventMessage) -> None:
         """Apply an event: in order, or as part of a rollback's replay,
-        so one event can be applied more than once. An exception raised
-        here fails the delivery with rollback.CallbackFailure, and the
-        event is not logged as applied: a resend of it is delivered again,
-        and no later rollback undoes it."""
+        so one event can be applied more than once, in the order of
+        (timestamp, sender_id, entity_id, seq), the key that names it. An
+        exception raised here fails the delivery with
+        rollback.CallbackFailure, and an event the game does not hold is
+        not logged as applied: a resend of it is delivered again, and no
+        later rollback undoes it."""
 
     def undo_event(self, msg: EventMessage) -> None:
         """Revert an applied event, newest first; the rollback then applies
@@ -392,8 +394,8 @@ class PlayerManager:
         event goes through rollback ordering first. Dispatches on the
         exact type, of the message (every message played out was decoded
         or built here) and of the log's outcome (built in rollback). A game
-        callback that raises on either event path raises CallbackFailure
-        and leaves the event out of the log."""
+        callback that raises on either event path raises CallbackFailure,
+        and the log then lists exactly the events the game holds."""
         if type(msg) is StateUpdate:
             self._apply_state(msg, now)
             return
@@ -407,7 +409,15 @@ class PlayerManager:
                 raise rb.CallbackFailure(f"game callback failed: {exc}") from exc
         elif kind is rb.RollbackDirective:
             self.counters.rollbacks += 1
-            rb.apply_directive(self.callbacks, outcome)
+            try:
+                rb.apply_directive(self.callbacks, outcome)
+            except rb.CallbackFailure as failure:
+                # keep the log to the events the game holds
+                for undone in failure.undone:
+                    self.log.withdraw(undone)
+                if failure.late_applied:
+                    self.log.commit(outcome)
+                raise
             self.log.commit(outcome)
         elif kind is rb.DropDuplicate:
             self.counters.duplicates += 1

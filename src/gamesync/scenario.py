@@ -31,7 +31,7 @@ Top-level document:
            }]}],
       "links": [
         {"id": 0, "endpoints": [0,1], "base_delay_ms": 250,
-         "jitter_ms": 0, "jitter_dist": "uniform", "loss_prob": 0.0,
+         "jitter_ms": 0, "loss_prob": 0.0,
          "kind": "relay", "available": true}],
       "link_events": [
         {"at": 5000, "link": 0, "base_delay_ms": 300}
@@ -426,14 +426,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     for i, obj in enumerate(_list(doc.get("links", []), "$.links")):
         path = f"$.links[{i}]"
         _require_keys(obj, path, {"id", "endpoints", "base_delay_ms"},
-                      {"jitter_ms", "loss_prob", "kind", "available",
-                       "jitter_dist"})
-        jitter_dist = obj.get("jitter_dist", "uniform")
-        if jitter_dist != "uniform":
-            # keyword reserved for alternative delay distributions
-            raise ValidationError(
-                f"{path}.jitter_dist: unsupported distribution {jitter_dist!r}"
-                " (available: 'uniform')")
+                      {"jitter_ms", "loss_prob", "kind", "available"})
         lid = _number(obj["id"], f"{path}.id", 0, True)
         if lid in link_ids:
             raise ValidationError(f"{path}.id: duplicate link id {lid}")

@@ -15,7 +15,7 @@ from gamesync.compare import compare
 from gamesync.netsim import SimRng
 from gamesync.pdu import EventKind, EventMessage
 from gamesync.rollback import (Apply, DeliveryLog, RollbackDirective,
-                               apply_directive, order_key)
+                               apply_directive)
 from gamesync.runner import run
 from gamesync.scenario import load_scenario, parse_scenario
 
@@ -93,23 +93,34 @@ def _deliver_stream(msgs, arrival_order):
             log.commit(outcome)
         else:
             raise AssertionError(f"unexpected outcome {outcome}")
-    return [order_key(m) for m in game.sequence]
+    return [_key(m) for m in game.sequence]
 
 
-def _event(ts, seq, sender=0):
-    return EventMessage(sender, 0, seq, ts, EventKind.FIRE, b"\x00" * 8)
+def _key(msg):
+    """The order every viewer must apply events in, spelled out here
+    rather than taken from rollback.order_key."""
+    return (msg.timestamp, msg.sender_id, msg.entity_id, msg.seq)
+
+
+def _event(ts, seq, sender=0, entity=0):
+    return EventMessage(sender, entity, seq, ts, EventKind.FIRE, b"\x00" * 8)
 
 
 def test_criterion_3_rollback_order_equivalence():
-    msgs = [_event(100 + 10 * i, seq=i + 1) for i in range(6)]
-    expected = sorted(order_key(m) for m in msgs)
+    # six events at distinct timestamps, and six twins: one sender's three
+    # entities fire at 100 and 110 with the same seqs
+    distinct = [_event(100 + 10 * i, seq=i + 1) for i in range(6)]
+    twins = [_event(100 + 10 * i, seq=i + 1, entity=e)
+             for i in range(2) for e in range(3)]
     failures = 0
     count = 0
-    for perm in itertools.permutations(msgs):
-        count += 1
-        if _deliver_stream(msgs, perm) != expected:
-            failures += 1
-    assert count == 720
+    for msgs in (distinct, twins):
+        expected = sorted(_key(m) for m in msgs)
+        for perm in itertools.permutations(msgs):
+            count += 1
+            if _deliver_stream(msgs, perm) != expected:
+                failures += 1
+    assert count == 1440
 
     stream_failures = 0
     for stream in range(1000):
@@ -122,11 +133,11 @@ def test_criterion_3_rollback_order_equivalence():
             arrivals.append((max(m.timestamp + 1, m.timestamp + 100 + jitter),
                              i, m))
         arrivals.sort(key=lambda a: (a[0], a[1]))
-        expected = sorted(order_key(m) for m in msgs)
+        expected = sorted(_key(m) for m in msgs)
         if _deliver_stream(msgs, [m for _, _, m in arrivals]) != expected:
             stream_failures += 1
 
-    detail = (f"permutations=720 failures={failures}; "
+    detail = (f"permutations=1440 failures={failures}; "
               f"random streams=1000 failures={stream_failures}")
     _report(3, "rollback order equivalence",
             failures == 0 and stream_failures == 0, detail)

@@ -102,8 +102,20 @@ def test_release_full_sort_oracle_100_seeded_entries():
     assert len(released) == 100
 
     oracle = sorted(entries, key=lambda e: (e.due, e.msg.timestamp,
-                                            e.msg.sender_id, e.msg.seq))
+                                            e.msg.sender_id, e.msg.entity_id,
+                                            e.msg.seq))
     assert released == oracle
+
+
+def test_twins_released_by_entity_whatever_the_enqueue_order():
+    """Messages of one sender's entities that share due time, timestamp and
+    seq are released in entity order, as the rollback log orders them."""
+    twins = [msg(100, seq=1, entity=e) for e in (0, 1, 2)]
+    for order in ((0, 1, 2), (2, 1, 0), (1, 2, 0)):
+        buf = PlayoutBuffer()
+        for i in order:
+            buf.enqueue(twins[i], 50, 100)
+        assert [e.msg for e in buf.release_due(150)] == twins
 
 
 def test_no_late_when_lag_covers_max_delay():

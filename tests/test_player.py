@@ -183,6 +183,106 @@ def test_failing_game_callback_on_an_in_order_event_leaves_it_unlogged():
     assert [m.timestamp for m in pm.log.applied] == [100, 120, 130, 135]
 
 
+class Mirror(Spy):
+    """A Spy that also keeps the events the game holds, in order, and can
+    fail one event callback, the fail_at-th counted from 0, before it acts."""
+
+    def __init__(self, fail_at=None):
+        super().__init__()
+        self.held = []
+        self.calls = 0
+        self.fail_at = fail_at
+
+    def _count(self):
+        self.calls += 1
+        if self.calls - 1 == self.fail_at:
+            raise RuntimeError("the game failed")
+
+    def apply_event(self, msg):
+        self._count()
+        super().apply_event(msg)
+        self.held.append(msg)
+
+    def undo_event(self, msg):
+        self._count()
+        assert self.held and self.held[-1] is msg, \
+            "undo must name the newest event the game holds"
+        super().undo_event(msg)
+        self.held.pop()
+
+
+@pytest.mark.parametrize("fail_at, held", [
+    (0, [100, 130, 140]),    # the undo of 140 raised: nothing changed
+    (1, [100, 130]),         # the undo of 130 raised: 140 is undone
+    (2, [100]),              # the late event's apply raised
+    (3, [100, 120]),         # the re-apply of 130 raised
+    (4, [100, 120, 130]),    # the re-apply of 140 raised
+])
+def test_failed_rollback_leaves_the_log_listing_what_the_game_holds(
+        fail_at, held):
+    """Events 100, 130 and 140 are applied, then 120 arrives late and one
+    callback of its rollback raises. The log then lists exactly the events
+    the game holds, and a later event at 110 undoes only held ones."""
+    pm, _, _ = make_pm(receiver_side_lag=False)
+    game = pm.callbacks = Mirror()
+    pm.start_session([PeerCapabilities(0)], 0)
+    for i, ts in enumerate((100, 130, 140)):
+        pm.on_network_message(encode(event(ts, seq=i + 1)), ts + 5, 0)
+    game.fail_at = game.calls + fail_at
+    with pytest.raises(rb.CallbackFailure):
+        pm.on_network_message(encode(event(120, seq=4)), 141, 0)
+    assert [m.timestamp for m in game.held] == held
+    assert pm.log.applied == game.held
+    undone = len(game.undone)
+    game.fail_at = None
+    pm.on_network_message(encode(event(110, seq=5)), 142, 0)
+    assert [m.timestamp for m in game.undone[undone:]] == \
+        [t for t in held[::-1] if t > 110]
+    assert [m.timestamp for m in game.held] == sorted(held + [110])
+    assert pm.log.applied == game.held
+
+
+@pytest.mark.parametrize("receiver_side_lag", [True, False])
+def test_twin_events_play_out_in_one_order_whatever_the_arrival_order(
+        receiver_side_lag):
+    """Events of one sender's two entities that share timestamp and seq
+    reach every viewer's game in entity order: through the playout buffer,
+    or through a rollback when they are played out on arrival."""
+    twins = [event(100, seq=1, entity=e) for e in (3, 4)]
+    games = []
+    for arrival in (twins, twins[::-1]):
+        pm, _, _ = make_pm(receiver_side_lag=receiver_side_lag, lag=50)
+        game = pm.callbacks = Mirror()
+        pm.start_session([PeerCapabilities(0)], 0)
+        for i, msg in enumerate(arrival):
+            pm.on_network_message(encode(msg), 120 + i, 0)
+        pm.tick(150)
+        games.append(game)
+    assert [[m.entity_id for m in g.held] for g in games] == [[3, 4], [3, 4]]
+    if receiver_side_lag:
+        assert [[m.entity_id for m in g.events] for g in games] == \
+            [[3, 4], [3, 4]]
+
+
+def test_reused_seqs_after_a_session_restart_reach_the_game():
+    """A sender that calls start_session again numbers its seqs from 1
+    again; its new events are new to the receiver, not duplicates."""
+    sender, _, sent = make_pm(client_id=0, peer=1, local_entities=(7,),
+                              sender_side_lag=False)
+    sender.start_session([PeerCapabilities(1)], 0)
+    sender.send_event(7, EventKind.FIRE, b"\x00" * 8, 100)
+    sender.start_session([PeerCapabilities(1)], 800)
+    sender.send_event(7, EventKind.FIRE, b"\x00" * 8, 900)
+    pm, spy, _ = make_pm(receiver_side_lag=False)
+    pm.start_session([PeerCapabilities(0)], 0)
+    for link, data in sent:
+        msg = decode(data)
+        if type(msg) is EventMessage:
+            pm.on_network_message(data, msg.timestamp + 5, link)
+    assert [(m.seq, m.timestamp) for m in spy.events] == [(1, 100), (1, 900)]
+    assert pm.counters.duplicates == 0
+
+
 def test_event_beyond_the_history_window_is_counted_never_played_out():
     pm, spy, _ = make_pm(lag=100)
     pm.start_session([PeerCapabilities(0)], 0)

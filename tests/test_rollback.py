@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from gamesync.pdu import EventKind, EventMessage
 from gamesync.rollback import (Apply, CallbackFailure, DeliveryLog,
                                DropBeyondWindow, DropDuplicate,
-                               RollbackDirective, apply_directive, order_key,
-                               stream_key)
+                               RollbackDirective, apply_directive, order_key)
 
 
 def ev(ts, seq=None, sender=0, entity=0):
@@ -30,14 +29,21 @@ class SpyGame:
         self.sequence = []
         self.trace = []
         self.fail_on = fail_on
+        self.fail_at_call = None    # fail the n-th callback, counted from 0
+
+    def _fail_at_call(self):
+        if len(self.trace) == self.fail_at_call:
+            raise RuntimeError("boom")
 
     def apply_event(self, msg):
+        self._fail_at_call()
         if self.fail_on is not None and msg.timestamp == self.fail_on:
             raise RuntimeError("boom")
         self.trace.append(("apply", msg.timestamp))
         self.sequence.append(msg)
 
     def undo_event(self, msg):
+        self._fail_at_call()
         self.trace.append(("undo", msg.timestamp))
         assert self.sequence and self.sequence[-1] is msg, \
             "undo must arrive newest-first"
@@ -70,10 +76,12 @@ def test_late_message_directive_matches_sort_oracle():
     outcome = log.on_deliver(late, 140)
     assert isinstance(outcome, RollbackDirective)
     assert [m.timestamp for m in outcome.undo] == [140, 130]
-    assert [m.timestamp for m in outcome.replay] == [120, 130, 140]
+    game.trace.clear()
+    apply_directive(game, outcome)
+    replay = [ts for call, ts in game.trace if call == "apply"]
+    assert replay == [120, 130, 140]
     # oracle: sorting the four timestamps fixes the replay suffix
-    assert [m.timestamp for m in outcome.replay] == \
-        sorted([120, 130, 140])
+    assert replay == sorted([120, 130, 140])
 
 
 def test_duplicate_dropped_and_never_a_directive():
@@ -98,8 +106,7 @@ def test_callback_trace_for_late_event():
 
 def test_directive_with_empty_undo_is_single_apply():
     late = ev(50)
-    directive = RollbackDirective(late=late, undo=(), replay=(late,),
-                                  key=order_key(late), stream=stream_key(late))
+    directive = RollbackDirective(late=late, undo=(), key=order_key(late))
     game = SpyGame()
     assert apply_directive(game, directive) == 1
     assert game.trace == [("apply", 50)]
@@ -230,15 +237,38 @@ def test_callback_failure_leaves_log_unchanged():
         deliver(log, game, ev(ts))
     outcome = log.on_deliver(ev(120), 141)
     assert isinstance(outcome, RollbackDirective)
-    with pytest.raises(CallbackFailure):
+    with pytest.raises(CallbackFailure) as failure:
         apply_directive(game, outcome)
+    # the two undos returned, then the late event's apply raised
+    assert failure.value.undone == outcome.undo
+    assert not failure.value.late_applied
     # not committed: the log still holds the original three
     assert [m.timestamp for m in log.applied] == [100, 130, 140]
 
 
+@pytest.mark.parametrize("fail_at", range(5))
+def test_callback_failure_names_what_the_game_no_longer_holds(fail_at):
+    """Whichever callback of a directive raises, the failure's undone and
+    late_applied are what the game's own sequence shows."""
+    log = DeliveryLog()
+    game = SpyGame()
+    for ts in (100, 130, 140):
+        deliver(log, game, ev(ts))
+    outcome = log.on_deliver(ev(120), 141)
+    game.fail_at_call = len(game.trace) + fail_at
+    with pytest.raises(CallbackFailure) as failure:
+        apply_directive(game, outcome)
+    held = [id(m) for m in game.sequence]
+    assert failure.value.undone == tuple(
+        m for m in reversed(log.applied) if id(m) not in held)
+    assert failure.value.late_applied == (id(outcome.late) in held)
+
+
 def test_withdraw_takes_back_only_the_applied_message():
-    """Events of one sender's two entities can share an order key; withdraw
-    removes the very message it is given, and forgets its stream key only."""
+    """Twin events of one sender's two entities share timestamp and seq but
+    not their key; withdraw removes only the message it is given, whose
+    resend is then delivered again, and does nothing for a message the log
+    does not hold."""
     log = DeliveryLog()
     first, second = ev(100, seq=1, entity=0), ev(100, seq=1, entity=1)
     later = ev(130, seq=2)
@@ -247,27 +277,53 @@ def test_withdraw_takes_back_only_the_applied_message():
     log.withdraw(second)
     assert log.applied == [first, later]
     assert log._keys == [order_key(first), order_key(later)]
+    log.withdraw(second)
+    assert log.applied == [first, later]
     assert isinstance(log.on_deliver(first, 131), DropDuplicate)
     assert isinstance(log.on_deliver(second, 131), RollbackDirective)
 
 
-def test_inline_keys_follow_order_key_and_stream_key():
-    """on_deliver builds the keys from one header unpack; they are the ones
-    order_key and stream_key define. Every field differs, so a permuted key
+def test_twins_apply_by_entity_in_either_arrival_order():
+    """Events of one sender's two entities with one timestamp and seq are
+    two events, ordered by entity whichever arrives first."""
+    twins = [ev(100, seq=1, entity=0), ev(100, seq=1, entity=1)]
+    for arrival in (twins, twins[::-1]):
+        log = DeliveryLog()
+        game = SpyGame()
+        for msg in arrival:
+            deliver(log, game, msg, now=101)
+        assert log.applied == twins
+        assert game.sequence == twins
+
+
+def test_reused_stream_with_another_timestamp_is_a_new_event():
+    """A sender that restarts its session numbers its seqs from 1 again:
+    the same (sender, entity, seq) at another timestamp is a new event,
+    while a resend of either is a duplicate."""
+    log = DeliveryLog()
+    first, reused = ev(100, seq=1), ev(900, seq=1)
+    assert isinstance(log.on_deliver(first, 100), Apply)
+    assert isinstance(log.on_deliver(reused, 900), Apply)
+    assert isinstance(log.on_deliver(ev(100, seq=1), 901), DropDuplicate)
+    assert isinstance(log.on_deliver(ev(900, seq=1), 901), DropDuplicate)
+    assert log.applied == [first, reused]
+
+
+def test_inline_key_follows_order_key():
+    """on_deliver builds the key from one header unpack; it is the one
+    order_key defines. Every field differs, so a permuted or shortened key
     shows."""
     log = DeliveryLog()
     first = ev(130, seq=5, sender=2, entity=1)
     late = ev(120, seq=6, sender=4, entity=3)
     assert isinstance(log.on_deliver(first, 130), Apply)
     assert log._keys == [order_key(first)]
-    assert log._seen == {stream_key(first)}
     directive = log.on_deliver(late, 131)
     assert directive.key == order_key(late)
-    assert directive.stream == stream_key(late)
     log.commit(directive)
-    assert log._seen == {stream_key(first), stream_key(late)}
+    assert log._keys == [order_key(late), order_key(first)]
     log.prune(131 + log.history_window_ms)
-    assert len(log) == 0 and log._seen == set()
+    assert len(log) == 0 and log._keys == []
 
 
 # -- outcome records ---------------------------------------------------------
@@ -281,8 +337,7 @@ def test_outcome_records_equal_only_their_own_type():
     for record in records:
         assert record != (msg,) and (msg,) != record
         assert not record == (msg,) and not (msg,) == record
-    directive = RollbackDirective(msg, (), (msg,), order_key(msg),
-                                  stream_key(msg))
+    directive = RollbackDirective(msg, (), order_key(msg))
     assert directive != tuple(directive) and tuple(directive) != directive
 
 
@@ -293,20 +348,18 @@ def test_outcome_records_of_one_type_equal_and_hash_by_fields():
     assert hash(Apply(a)) == hash(Apply(b)) == hash((a,))
     assert len({DropDuplicate(a), DropDuplicate(b)}) == 1
     assert Apply(ev(100)) != Apply(ev(101))
-    first = RollbackDirective(late=a, undo=(), replay=(a,), key=order_key(a),
-                              stream=stream_key(a))
-    second = RollbackDirective(a, (), (b,), order_key(b), stream_key(b))
+    first = RollbackDirective(late=a, undo=(), key=order_key(a))
+    second = RollbackDirective(b, (), order_key(b))
     assert first == second and hash(first) == hash(second)
     assert first != second._replace(undo=(a,))
 
 
 def test_outcome_records_are_read_only_and_keyword_built():
     msg = ev(100)
-    directive = RollbackDirective(late=msg, undo=(ev(110),), replay=(msg,),
-                                  key=order_key(msg), stream=stream_key(msg))
-    assert (directive.late, directive.undo, directive.replay, directive.key,
-            directive.stream) == (msg, (ev(110),), (msg,), order_key(msg),
-                                  stream_key(msg))
+    directive = RollbackDirective(late=msg, undo=(ev(110),),
+                                  key=order_key(msg))
+    assert (directive.late, directive.undo, directive.key) == \
+        (msg, (ev(110),), order_key(msg))
     for record, name in ((Apply(msg=msg), "msg"),
                          (DropDuplicate(msg=msg), "msg"),
                          (DropBeyondWindow(msg=msg), "msg"),
@@ -318,8 +371,15 @@ def test_outcome_records_are_read_only_and_keyword_built():
 
 
 # -- oracle: the delivery log as it was written with frozen dataclass records,
-# its keys built by order_key and stream_key and prune called on every
-# delivery. The flat log must classify every delivery as it did.
+# a set of seen keys beside the sorted list, and prune called on every
+# delivery. It differs from that log in two ways only: its key gains
+# entity_id, and a duplicate is a delivery whose key was seen (so the
+# directive's separate stream key is gone). The flat log must classify
+# every delivery as it does.
+
+def ref_key(msg):
+    return (msg.timestamp, msg.sender_id, msg.entity_id, msg.seq)
+
 
 @dataclass(frozen=True)
 class RefApply:
@@ -341,16 +401,15 @@ class RefRollbackDirective:
     late: object
     undo: tuple            # newest first
     replay: tuple          # oldest first: late message then the undone ones
-    key: tuple             # order_key(late)
-    stream: tuple          # stream_key(late)
+    key: tuple             # ref_key(late)
 
 
 class ReferenceLog:
     def __init__(self, history_window_ms):
         self.history_window_ms = history_window_ms
-        self._applied: list = []      # sorted by order_key
+        self._applied: list = []      # sorted by ref_key
         self._keys: list = []
-        self._seen: set = set()       # stream keys within the window
+        self._seen: set = set()       # keys within the window
         self._watermark: int = 0
 
     def prune(self, now: int) -> None:
@@ -364,7 +423,7 @@ class ReferenceLog:
         # entries stamped exactly at it stay.
         cut = bisect.bisect_left(self._keys, (watermark,))
         for dropped in self._applied[:cut]:
-            self._seen.discard(stream_key(dropped))
+            self._seen.discard(ref_key(dropped))
         del self._applied[:cut]
         del self._keys[:cut]
 
@@ -373,21 +432,20 @@ def reference_on_deliver(self, msg, now: int):
     self.prune(now)
     if msg.timestamp < self._watermark:
         return RefDropBeyondWindow(msg)
-    stream = stream_key(msg)
-    if stream in self._seen:
+    key = ref_key(msg)
+    if key in self._seen:
         return RefDropDuplicate(msg)
-    key = order_key(msg)
     if not self._applied or key >= self._keys[-1]:
         self._applied.append(msg)
         self._keys.append(key)
-        self._seen.add(stream)
+        self._seen.add(key)
         return RefApply(msg)
     idx = bisect.bisect_left(self._keys, key)
     newer = tuple(self._applied[idx:])
     return RefRollbackDirective(late=msg,
                                 undo=tuple(reversed(newer)),
                                 replay=(msg,) + newer,
-                                key=key, stream=stream)
+                                key=key)
 
 
 def reference_commit(self, directive) -> None:
@@ -395,16 +453,17 @@ def reference_commit(self, directive) -> None:
     idx = bisect.bisect_left(self._keys, key)
     self._applied.insert(idx, directive.late)
     self._keys.insert(idx, key)
-    self._seen.add(directive.stream)
+    self._seen.add(key)
 
 
 @st.composite
 def delivery_streams(draw):
     """A history window and a stream of (message, now) deliveries: messages
     from 3 senders and 2 entities, drawn from a small pool so that
-    (sender, entity, seq) repeats, on few timestamps so that senders tie,
-    arriving with jitter (some behind the clock) and a clock that never
-    goes back. A window this small lets old messages fall beyond it."""
+    (sender, entity, seq) repeats, also at another timestamp, on few
+    timestamps so that senders tie, arriving with jitter (some behind the
+    clock) and a clock that never goes back. A window this small lets old
+    messages fall beyond it."""
     window = draw(st.integers(1, 30))
     pool = draw(st.lists(st.builds(ev, ts=st.integers(0, 15),
                                    seq=st.integers(0, 2),
@@ -412,11 +471,10 @@ def delivery_streams(draw):
                                    entity=st.integers(0, 1)),
                          min_size=1, max_size=12))
     # twins: the same timestamp and seq from another sender (a cross-sender
-    # tie), or the same order key for the sender's other entity
+    # tie), or from the sender's other entity
     for i, other_sender in draw(st.lists(st.tuples(
             st.integers(0, len(pool) - 1), st.booleans()), max_size=4)):
-        ts, sender, seq = order_key(pool[i])
-        entity = pool[i].entity_id
+        sender, entity, seq, ts = pool[i][:4]
         if other_sender:
             pool.append(ev(ts, seq=seq, sender=(sender + 1) % 3, entity=entity))
         else:
@@ -440,10 +498,13 @@ def test_delivery_log_classifies_like_the_reference(stream):
         outcome = log.on_deliver(msg, now)
         expected = reference_on_deliver(ref, msg, now)
         assert "Ref" + type(outcome).__name__ == type(expected).__name__
-        assert outcome._fields == tuple(f.name for f in fields(expected))
+        assert outcome._fields == tuple(f.name for f in fields(expected)
+                                        if f.name != "replay")
         assert tuple(outcome) == tuple(getattr(expected, name)
                                        for name in outcome._fields)
         if isinstance(outcome, RollbackDirective):
+            # apply_directive re-applies the undone events oldest first
+            assert expected.replay == (outcome.late, *reversed(outcome.undo))
             log.commit(outcome)
             reference_commit(ref, expected)
         assert log.applied == ref._applied
