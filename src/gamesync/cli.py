@@ -5,8 +5,8 @@
                  [--summary summary.txt] [--trace trace.log]
     gamesync compare <baseline.csv> <variant.csv>
 
-Exit codes: 0 success, 2 configuration error, 3 invariant violation
-detected during the run.
+Exit codes: 0 success, 2 configuration error or a file that cannot be
+read or written, 3 invariant violation detected during the run.
 """
 
 import argparse
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
                          deliveries_out=args.deliveries,
                          trace_out=args.trace, summary_out=args.summary,
                          seed=args.seed)
-        except ConfigInvalid as exc:
+        except (ConfigInvalid, OSError) as exc:   # OSError: an output file
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except InvariantViolation as exc:

@@ -18,6 +18,7 @@ parts render the same bytes as TICK_ROW.
 """
 
 import math
+from bisect import bisect_right
 
 TICK_HEADER = "tick_ms,entity,owner,viewer,truth_x,truth_y,shown_x,shown_y,divergence_m,mode,route"
 EVENT_HEADER = "event_seq,owner,viewer,local_playout_ms,remote_playout_ms,diff_ms"
@@ -44,6 +45,31 @@ def percentile(sorted_values, p: float):
         return math.nan
     rank = math.ceil(p / 100.0 * len(sorted_values))
     return sorted_values[max(rank, 1) - 1]
+
+
+def merged_percentiles(sorted_runs, ps) -> list:
+    """Nearest-rank percentiles, one per p in ps, of all the values of
+    several ascending lists of integers, without a combined list; NaN each
+    when the lists hold no value. The value of rank r is the least integer
+    with at least r values at or below it: a bisection over the values'
+    range, counting by bisecting each list, so the cost grows with the log
+    of the lengths and of the range, not with the lengths."""
+    n = sum(map(len, sorted_runs))
+    if not n:
+        return [math.nan] * len(ps)
+    runs = [run for run in sorted_runs if run]
+    values = []
+    for p in ps:
+        rank = max(math.ceil(p / 100.0 * n), 1)
+        lo, hi = min(run[0] for run in runs), max(run[-1] for run in runs)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sum(bisect_right(run, mid) for run in runs) >= rank:
+                hi = mid
+            else:
+                lo = mid + 1
+        values.append(lo)
+    return values
 
 
 class RunningStats:

@@ -17,10 +17,13 @@ noted mode. Rollback ordering covers events only: a state update, on time
 or late, reaches the game once, through one apply path, as the displayed
 position at the playout time, and never regresses the entity's view. The
 stages carry no instrumentation of their own; `processing_ns` times each
-received frame as a whole. The pass reaches decode, encode and the
-estimator, playout buffer, mode tracker and delivery log methods by name
-at call time, never through a bound copy, so a wrapper set on one of those
-names (perfbench's traced runs set them) sees every call.
+received frame as a whole, and on_network_message returns a data frame's
+delivery (receive time, sender, entity, seq, one-way delay, critical
+flag), so the caller records it outside that timing. The pass reaches
+decode, encode and the estimator, playout buffer, mode tracker and
+delivery log methods by name at call time, never through a bound copy, so
+a wrapper set on one of those names (perfbench's traced runs set them)
+sees every call.
 
 Transmission is one flat pass per tick (tick): release due playouts ->
 forget expired probes -> local positions -> modes -> dead-reckoning gate ->
@@ -48,9 +51,10 @@ no link to the peer is up: queued frames expire per tick after
 QUEUE_LIMIT_MS, and the rest are sent, in order, when a link to the peer
 comes up. A tick looks at the peers one by one only when a ping may
 be due (the earliest time any peer went quiet is idle_ping_ms old) and
-only for peers with frames queued. Each player manager is single-threaded;
-distinct managers share no mutable state and talk only through the network
-layer.
+only for peers with frames queued. Route switches, and the failovers among
+them, are counted in PmCounters, not logged. Each player manager is
+single-threaded; distinct managers share no mutable state and talk only
+through the network layer.
 
 The Medium's settings are defined here once: a PolicySet (a ClassPolicy per
 object class, which is that class's dead-reckoning policy plus its local
@@ -198,6 +202,9 @@ class PmCounters:
     beyond_window: int = 0
     clock_anomalies: int = 0
     queue_drops: int = 0
+    # every route switch, and the failovers among them (see on_link_change)
+    route_switches: int = 0
+    route_failovers: int = 0
 
 
 @dataclass(slots=True)
@@ -242,7 +249,6 @@ class PlayerManager:
         self.modes = ModeTracker(pol.exit_hysteresis_ms)
         self.counters = PmCounters()
         self.processing_ns: list[int] = []
-        self.switch_log: list[tuple] = []   # (now, peer, old, new, failover)
 
         self.links_by_id: dict[int, LinkSpec] = {}
         for spec in config.links:
@@ -268,15 +274,12 @@ class PlayerManager:
         # _quiet_min is at most the earliest quiet_since (they only grow),
         # so no ping is due before _quiet_min + idle_ping_ms.
         #
-        # A manager has 24 instance attributes. CPython stops sharing the
+        # A manager has 22 instance attributes. CPython stops sharing the
         # instances' dict keys at 30, and attribute loads on every manager
         # then get slower (see the attribute budget test in
         # tests/test_runner.py), so new state replaces attributes rather
         # than adding to them; per-peer state goes in _Peer.
         self._quiet_min = math.inf
-
-        # observability hooks (wired by the scenario runner)
-        self.on_delivery_metric = None    # fn(now, sender, entity, seq, delay, critical)
 
     # -- session ---------------------------------------------------------
 
@@ -317,14 +320,19 @@ class PlayerManager:
 
     # -- reception pipeline ------------------------------------------------
 
-    def on_network_message(self, data: bytes, now: int, link_id: int) -> None:
+    def on_network_message(self, data: bytes, now: int,
+                           link_id: int) -> tuple | None:
+        """Receive one frame, timed into processing_ns. Returns the delivery
+        of a data frame, (now, sender, entity, seq, delay, critical) with now
+        on the local clock, and None for a ping, a pong or a malformed
+        frame."""
         t0 = time.perf_counter_ns()
         try:
-            self._receive(data, now, link_id)
+            return self._receive(data, now, link_id)
         finally:
             self.processing_ns.append(time.perf_counter_ns() - t0)
 
-    def _receive(self, data: bytes, now: int, link_id: int) -> None:
+    def _receive(self, data: bytes, now: int, link_id: int) -> tuple | None:
         """One flat pass per frame (see the module docstring). A data
         frame's mode is evaluated at the entity's recorded position (an
         event's entity may have none: normal, not noted); a critical update
@@ -334,7 +342,7 @@ class PlayerManager:
             msg = decode(data)
         except CodecError:   # a malformed frame, or a NaN or infinity in one
             self.counters.decode_errors += 1
-            return
+            return None
         kind = type(msg)
         if kind is PingMessage:
             pong = PongMessage(self.config.client_id, msg.nonce, now,
@@ -342,15 +350,15 @@ class PlayerManager:
             link = self.links_by_id.get(link_id)
             if link is not None and link.available:
                 self._send_fn(link_id, encode(pong))
-            return
+            return None
         if kind is PongMessage:
             entry = self._outstanding_pings.pop(msg.nonce, None)
             if entry is None:
-                return
+                return None
             ping, ping_link = entry
             delay = rtt_probe(ping, msg, now)
             self._observe(msg.sender_id, ping_link, delay, now)
-            return
+            return None
 
         # data message (state update or event)
         sender, entity, seq, timestamp = msg[:4]
@@ -369,8 +377,7 @@ class PlayerManager:
             if peer is not None:
                 peer.critical = critical
             positions[entity] = msg.pos
-        if self.on_delivery_metric is not None:
-            self.on_delivery_metric(now, sender, entity, seq, delay, critical)
+        delivery = (now, sender, entity, seq, delay, critical)
 
         config = self.config
         toggles = config.toggles
@@ -385,9 +392,10 @@ class PlayerManager:
                 self._note_mode(entity, mode)
         if toggles.receiver_side_lag:
             if not self.buffer.enqueue(msg, self._lag(entity, mode), now).late:
-                return
+                return delivery
             counters.late_messages += 1
         self._playout(msg, now)
+        return delivery
 
     def _playout(self, msg, now: int) -> None:
         """A state update goes straight to prediction and the game; an
@@ -615,8 +623,7 @@ class PlayerManager:
                 chosen = select_route(peer.partition, estimates,
                                       self._critical_proximity(peer, local))
                 if chosen != link_id:
-                    self.switch_log.append((now, peer_id, link_id, chosen,
-                                            False))
+                    self.counters.route_switches += 1
                     peer.route = link_id = chosen
                     peer.switched_at = now
             send(link_id, data)
@@ -645,7 +652,8 @@ class PlayerManager:
                 return
             best = best_link(split.available,
                              self.estimator.estimates).link_id
-            self.switch_log.append((now, peer_id, peer.route, best, True))
+            self.counters.route_switches += 1
+            self.counters.route_failovers += 1
             peer.route = best
             peer.switched_at = now
         pending = self._pending.pop(peer_id, None)

@@ -5,6 +5,14 @@ rows go only to their files: a run returns its summary and its managers.
 An entity's ground truth is its motion's state(t) position, and a tick
 row's route is the owner manager's route to the viewer.
 
+Each client's network handler hands a frame to its manager and then
+records the delivery the manager returns: the delivery row and the delay
+statistics are made after the call, outside the manager's timed span. The
+summary's processing percentiles are read from the managers'
+processing_ns lists, each sorted in place after the run, by bisecting
+across them, so no run-wide copy is built. Route switches and failovers
+are summed from the managers' counters.
+
 The event rows need every event's first playout time at its owner and at
 each viewer, so each bot records them during the run in one flat record per
 (sender, entity) stream: a run-wide table, shared by every bot, gives each
@@ -30,7 +38,7 @@ from gamesync.metrics import (DELIVERY_HEADER, DELIVERY_ROW, EVENT_HEADER,
                               EVENT_ROW, TICK_ENTITY, TICK_HEADER, TICK_ROW,
                               TICK_SHARED, TICK_SHOWN, TICK_TRUTH, TICK_VIEWER,
                               CsvWriter, RunningStats, format_summary,
-                              percentile)
+                              merged_percentiles)
 from gamesync.netsim import InvariantViolation, NetworkSim
 from gamesync.overlay import PeerCapabilities
 from gamesync.player import (GameCallbacks, PlayerManager,
@@ -201,15 +209,21 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
             pm = PlayerManager(pm_config, bot,
                                lambda link_id, data, c=cid: sim.send(link_id, c, data))
 
-            def on_delivery(now, sender, entity, seq, delay, critical, dest=cid):
-                delay_all.add(float(delay))
-                if critical:
-                    delay_critical.add(float(delay))
-                delivery_writer.row(now, sender, dest, entity, seq, delay,
-                                    1 if critical else 0)
+            def receive(data, now, link_id, dest=cid,
+                        on_network_message=pm.on_network_message):
+                """Hand a frame to the manager, then record its delivery:
+                the row and the delay statistics stay outside the manager's
+                timed span."""
+                delivery = on_network_message(data, now, link_id)
+                if delivery is not None:
+                    now, sender, entity, seq, delay, critical = delivery
+                    delay_all.add(float(delay))
+                    if critical:
+                        delay_critical.add(float(delay))
+                    delivery_writer.row(now, sender, dest, entity, seq, delay,
+                                        1 if critical else 0)
 
-            pm.on_delivery_metric = on_delivery
-            sim.register_handler(cid, pm.on_network_message)
+            sim.register_handler(cid, receive)
             bots[cid] = bot
             pms[cid] = pm
 
@@ -404,11 +418,14 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
             diff_stats.add(float(abs(row[5])))
             event_writer.row(*row)
 
-        processing = sorted(ns for pm in pms.values() for ns in pm.processing_ns)
+        # sorted in place: no run-wide copy (see merged_percentiles)
+        processing = [pm.processing_ns for pm in pms.values()]
+        for times in processing:
+            times.sort()
+        processing_count = sum(map(len, processing))
+        p50, p99 = merged_percentiles(processing, (50, 99))
         data_received = sum(pm.counters.data_received for pm in pms.values())
         late = sum(pm.counters.late_messages for pm in pms.values())
-        switches = sum(len(pm.switch_log) for pm in pms.values())
-        failovers = sum(1 for pm in pms.values() for s in pm.switch_log if s[4])
 
         summary = {
             "seed": seed,
@@ -430,8 +447,8 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
             "duplicates_dropped": sum(pm.counters.duplicates for pm in pms.values()),
             "dropped_beyond_window": sum(pm.counters.beyond_window for pm in pms.values()),
             "clock_anomalies": sum(pm.counters.clock_anomalies for pm in pms.values()),
-            "route_switches": switches,
-            "route_failovers": failovers,
+            "route_switches": sum(pm.counters.route_switches for pm in pms.values()),
+            "route_failovers": sum(pm.counters.route_failovers for pm in pms.values()),
             "divergence_rows": divergence.count,
             "mean_divergence_m": divergence.mean if divergence.count else 0.0,
             "max_divergence_m": divergence.max if divergence.count else 0.0,
@@ -440,11 +457,11 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
             "max_abs_display_diff_ms": diff_stats.max if diff_stats.count else 0.0,
             "mean_delay_ms": delay_all.mean if delay_all.count else 0.0,
             "mean_delay_critical_ms": delay_critical.mean if delay_critical.count else 0.0,
-            "processing_count": len(processing),
-            "processing_us_p50": percentile(processing, 50) / 1000.0 if processing else 0.0,
-            "processing_us_p99": percentile(processing, 99) / 1000.0 if processing else 0.0,
-            "processing_us_mean": (sum(processing) / len(processing) / 1000.0
-                                   if processing else 0.0),
+            "processing_count": processing_count,
+            "processing_us_p50": p50 / 1000.0 if processing_count else 0.0,
+            "processing_us_p99": p99 / 1000.0 if processing_count else 0.0,
+            "processing_us_mean": (sum(map(sum, processing)) / processing_count
+                                   / 1000.0 if processing_count else 0.0),
             "wall_time_s": time.perf_counter() - wall_start,
         }
 

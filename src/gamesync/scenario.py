@@ -436,7 +436,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                 or endpoints[0] == endpoints[1]):
             raise ValidationError(f"{path}.endpoints: expected two distinct client ids")
         for j, e in enumerate(endpoints):
-            if _number(e, f"{path}.endpoints[{j}]") not in client_ids:
+            if _number(e, f"{path}.endpoints[{j}]", 0, True) not in client_ids:
                 raise ValidationError(f"{path}.endpoints: unknown client {e}")
         kind = _string(obj.get("kind", "relay"), f"{path}.kind")
         if kind not in _LINK_KINDS:
@@ -459,7 +459,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         path = f"$.link_events[{i}]"
         _require_keys(obj, path, {"at", "link"}, {"base_delay_ms", "available"})
         at = _number(obj["at"], f"{path}.at", 0, True)
-        lid = _number(obj["link"], f"{path}.link")
+        lid = _number(obj["link"], f"{path}.link", 0, True)
         if lid not in link_ids:
             raise ValidationError(f"{path}.link: unknown link {lid}")
         if "base_delay_ms" in obj:

@@ -278,25 +278,44 @@ def _overlay_doc(enabled):
     return doc
 
 
+def _route_switch_times(trace_path):
+    """(sender, dest) -> the times its data frames move to another link, read
+    from a trace's SEND lines. A quality switch sends on its new link at the
+    switch time, so with no failover these are the route switches."""
+    links, switches = {}, {}
+    with open(trace_path, encoding="utf-8") as fh:
+        for line in fh:
+            now, kind, link, sender, dest, mtype, _ = line.split("\t")
+            if kind != "SEND" or mtype in ("PING", "PONG"):
+                continue
+            pair = (sender, dest)
+            if links.setdefault(pair, link) != link:
+                links[pair] = link
+                switches.setdefault(pair, []).append(int(now))
+    return switches
+
+
 def test_criterion_7_overlay_benefit(tmp_path):
     on_csv = tmp_path / "on.deliveries.csv"
     off_csv = tmp_path / "off.deliveries.csv"
-    on = run(parse_scenario(_overlay_doc(True)), deliveries_out=on_csv)
+    on_trace = tmp_path / "on.trace"
+    on = run(parse_scenario(_overlay_doc(True)), deliveries_out=on_csv,
+             trace_out=on_trace)
     off = run(parse_scenario(_overlay_doc(False)), deliveries_out=off_csv)
     delay_on = on.summary["mean_delay_critical_ms"]
     delay_off = off.summary["mean_delay_critical_ms"]
     deltas = compare(off_csv, on_csv)
     assert deltas["critical_mean_delay_delta_ms"] <= -150.0
 
-    hysteresis_ok = True
-    for pm in on.pms.values():
-        by_peer = {}
-        for now, peer, _, _, failover in pm.switch_log:
-            by_peer.setdefault(peer, []).append((now, failover))
-        for events in by_peer.values():
-            for (t_prev, _), (t_next, failover) in zip(events, events[1:]):
-                if not failover and t_next - t_prev < 500:
-                    hysteresis_ok = False
+    # no link changes, so no failovers: every switch is a quality switch,
+    # and each one keeps the 500 ms dwell after the one before
+    assert on.summary["route_failovers"] == 0
+    switch_times = _route_switch_times(on_trace)
+    assert (sum(map(len, switch_times.values()))
+            == on.summary["route_switches"])
+    hysteresis_ok = all(t_next - t_prev >= 500
+                        for times in switch_times.values()
+                        for t_prev, t_next in zip(times, times[1:]))
 
     switches = on.summary["route_switches"]
     detail = (f"critical delay on={delay_on:.1f}ms off={delay_off:.1f}ms "

@@ -37,6 +37,17 @@ def test_seed_override(scenario_file, tmp_path, capsys):
     assert "seed=99" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("option", ["--out", "--events", "--deliveries",
+                                    "--trace", "--summary"])
+def test_output_file_that_cannot_be_opened_exits_two(scenario_file, tmp_path,
+                                                      capsys, option):
+    missing_dir = tmp_path / "missing" / "output.txt"
+    assert cli.main(["run", str(scenario_file), option,
+                     str(missing_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_config_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

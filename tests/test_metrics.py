@@ -1,11 +1,17 @@
-"""CSV row contract: numbers are written as repr(), text verbatim."""
+"""CSV row contract: numbers are written as repr(), text verbatim; and the
+summary's percentiles."""
 
 import io
+import math
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import read_rows
 from gamesync.metrics import (DELIVERY_HEADER, DELIVERY_ROW, EVENT_HEADER,
                               EVENT_ROW, TICK_ENTITY, TICK_HEADER, TICK_ROW,
-                              TICK_TRUTH, TICK_VIEWER, CsvWriter)
+                              TICK_TRUTH, TICK_VIEWER, CsvWriter,
+                              merged_percentiles, percentile)
 
 SUBNORMAL = 5e-324
 AWKWARD = (-0.0, SUBNORMAL, 1e22, 0.1 + 0.2)
@@ -61,3 +67,18 @@ def test_written_rows_parse_back_to_the_values_written(tmp_path):
     assert parsed == rows
     assert [tuple(map(repr, row)) for row in parsed] == \
         [tuple(map(repr, row)) for row in rows]    # -0.0 stays -0.0
+
+
+@given(st.lists(st.lists(st.integers(0, 50) | st.integers(0, 10**12)),
+                max_size=5),
+       st.lists(st.floats(0, 100), min_size=1, max_size=4))
+def test_merged_percentiles_equal_those_of_the_combined_list(runs, ps):
+    """The percentiles read from a merge of sorted lists are those of one
+    sorted copy of all their values, the copy they replace."""
+    runs = [sorted(run) for run in runs]
+    combined = sorted(v for run in runs for v in run)
+    got = merged_percentiles(runs, ps)
+    if not combined:
+        assert all(math.isnan(v) for v in got) and len(got) == len(ps)
+    else:
+        assert got == [percentile(combined, p) for p in ps]

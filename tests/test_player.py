@@ -363,13 +363,13 @@ def test_frame_from_a_sender_other_than_the_links_peer_moves_its_estimate():
 
 def delay_seen(sent_at, received_at):
     """Hand one state frame stamped sent_at to a fresh manager at
-    received_at; return the manager and the delays its delivery hook got."""
+    received_at; return the manager and the delays of the deliveries
+    on_network_message returned."""
     pm, _, _ = make_pm()
     pm.start_session([PeerCapabilities(0)], 0)
-    delays = []
-    pm.on_delivery_metric = lambda *row: delays.append(row[4])
-    pm.on_network_message(encode(state(sent_at)), received_at, 0)
-    return pm, delays
+    delivery = pm.on_network_message(encode(state(sent_at)), received_at, 0)
+    assert delivery[:4] == (received_at, 0, 7, 1)
+    return pm, [delivery[4]]
 
 
 def test_data_frame_delay_reaches_the_estimator():
@@ -596,12 +596,12 @@ def relay_and_direct_pm():
     return pm, sent
 
 
-def test_failover_entry_marked_in_switch_log():
+def test_failover_counted_as_a_route_switch():
     pm, _ = relay_and_direct_pm()
     assert pm.peers[1].route == 0
     pm.on_link_change(0, False, 700)
-    assert pm.peers[1].route == 1
-    assert pm.switch_log == [(700, 1, 0, 1, True)]
+    assert (pm.peers[1].route, pm.peers[1].switched_at) == (1, 700)
+    assert (pm.counters.route_switches, pm.counters.route_failovers) == (1, 1)
 
 
 def test_failover_inside_dwell_window_is_same_tick():
@@ -625,7 +625,7 @@ def test_change_to_unchosen_link_keeps_route():
     pm.on_link_change(1, True, 60)
     assert (peer.route, peer.switched_at) == (0, 0)
     assert pm.peers[1] is peer
-    assert pm.switch_log == []
+    assert (pm.counters.route_switches, pm.counters.route_failovers) == (0, 0)
 
 
 def test_peer_with_no_link_has_no_route_and_gets_nothing():
@@ -701,7 +701,7 @@ def test_route_dwell_trace_per_ms(monkeypatch):
     assert sent == [0]
     assert (peer.route, peer.switched_at) == (0, 1500)
     assert asked == [1000, 1500]
-    assert pm.switch_log == [(1000, 1, 0, 1, False), (1500, 1, 1, 0, False)]
+    assert (pm.counters.route_switches, pm.counters.route_failovers) == (2, 0)
 
 
 # 2-3 links to one peer, each a relay or a direct link, up or down at start
@@ -723,9 +723,10 @@ def test_route_sits_on_a_down_link_only_while_no_link_is_up(rows, overlay,
     """After every step: if a link to the peer is up, the route is on an
     up link and nothing is queued; every frame handed to _fan_out was sent
     once, on an up link and in order, or is still queued, or was counted as
-    a queue drop (dropped frames are older than queued ones); every
-    failover happened at a link change; and the peer's kept link partition
-    is that of its links."""
+    a queue drop (dropped frames are older than queued ones); each link
+    change makes at most one switch, a failover, and every other switch
+    happens at a fan-out with overlay on; and the peer's kept link
+    partition is that of its links."""
     links = [LinkSpec(i, (0, 1), 250, kind=kind, available=up)
              for i, (kind, up) in enumerate(rows)]
     config = PlayerManagerConfig(
@@ -741,7 +742,7 @@ def test_route_sits_on_a_down_link_only_while_no_link_is_up(rows, overlay,
 
     pm = PlayerManager(config, Spy(), send)
     pm.start_session([PeerCapabilities(1)], 0)
-    now, changes, seq = 0, set(), 0
+    now, seq = 0, 0
 
     def check():
         peer = pm.peers[1]
@@ -756,15 +757,14 @@ def test_route_sits_on_a_down_link_only_while_no_link_is_up(rows, overlay,
         assert not set(sent) & set(queued)
         assert len(dropped) == pm.counters.queue_drops
         assert not queued or not dropped or max(dropped) < min(queued)
-        assert all(at in changes for at, _, _, _, failover in pm.switch_log
-                   if failover)
 
     check()
     for dt, step in steps:
         now += dt
+        switches = pm.counters.route_switches
+        failovers = pm.counters.route_failovers
         if step[0] == "link":
             pm.on_link_change(step[1] % len(links), step[2], now)
-            changes.add(now)
         elif step[0] == "send":
             for _ in range(step[1]):
                 data = b"frame %d" % len(frames)
@@ -775,6 +775,16 @@ def test_route_sits_on_a_down_link_only_while_no_link_is_up(rows, overlay,
             seq += 1
             heard = state(max(0, now - step[2]), seq=seq, sender=1, entity=9)
             pm.on_network_message(encode(heard), now, step[1] % len(links))
+        # every failover happens at a link change, every other switch at a
+        # fan-out with overlay on
+        moved = (pm.counters.route_switches - switches,
+                 pm.counters.route_failovers - failovers)
+        if step[0] == "link":
+            assert moved in ((0, 0), (1, 1))
+        elif step[0] == "send" and overlay:
+            assert moved[1] == 0
+        else:
+            assert moved == (0, 0)
         check()
 
 

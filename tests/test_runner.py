@@ -5,6 +5,7 @@ import gc
 import math
 import tempfile
 import tracemalloc
+from collections.abc import Sized
 from pathlib import Path
 
 import pytest
@@ -632,12 +633,15 @@ def test_link_coming_back_repairs_a_route_with_nothing_queued(
     tick_csv = tmp_path / "tick.csv"
     res = run_doc(dead_route_repair_doc(standing_entity), out=tick_csv)
     pm = res.pms[1]
-    assert pm.switch_log == [(1000, 0, 0, 1, True), (3000, 0, 1, 0, True)]
+    assert (pm.counters.route_switches, pm.counters.route_failovers) == (2, 2)
     assert pm.peers[0].route == 0
     # both clients fail over at 1000 ms and are repaired at 3000 ms
-    assert res.summary["route_failovers"] == 4
-    routes = {row[10] for row in read_rows(tick_csv)
-              if row[2] == 1 and row[0] >= 3000}
+    assert res.summary["route_failovers"] == res.summary["route_switches"] == 4
+    rows = read_rows(tick_csv)
+    assert {(row[0] >= 1000, row[0] >= 3000, row[10]) for row in rows
+            if row[2] == 0} == {(False, False, 0), (True, False, 1),
+                                (True, True, 0)}
+    routes = {row[10] for row in rows if row[2] == 1 and row[0] >= 3000}
     assert routes == ({0} if standing_entity else set())
 
 
@@ -662,7 +666,7 @@ def test_link_event_never_brings_up_a_direct_link_to_an_unknown_address(
     trace = tmp_path / "trace.txt"
     res = run_doc(unknown_address_doc(), trace_out=trace)
     pm = res.pms[0]
-    assert pm.switch_log == []
+    assert (pm.counters.route_switches, pm.counters.route_failovers) == (0, 0)
     assert pm.links_by_id[1].available is False
     sends = [line.split("\t") for line in trace.read_text().splitlines()
              if line.split("\t")[1] == "SEND"]
@@ -769,6 +773,39 @@ def test_delay_change_with_a_link_coming_up_reaches_the_flushed_frames(
     flushed = [arrived for sent, arrived in rows if 500 <= sent < 1000]
     assert flushed and set(flushed) == {1100}
     assert {arrived - sent for sent, arrived in rows if sent >= 1000} == {100}
+
+
+def test_nothing_a_manager_keeps_grows_with_run_length():
+    """Run the small mesh for 3 s and for 12 s, four times as long, with
+    client 3 firing every 150 ms throughout, so the rollback log takes
+    events for the whole run. Every sized attribute of a manager except
+    processing_ns, which keeps one time per received frame, is at most
+    `slack` entries longer at 12 s than at 3 s, taking the longest over the
+    managers. The ping table is bounded instead by its window: it holds the
+    pings of the last history window, at most one per link per idle-ping
+    interval."""
+    slack = 2
+    lengths = []
+    for duration_ms in (3000, 12000):
+        doc = small_mesh_doc()
+        doc["duration_ms"] = duration_ms
+        doc["clients"][3]["entities"][0]["events"][0]["count"] = (
+            duration_ms // 150)
+        pms = run_doc(doc).pms.values()
+        longest = {}
+        for pm in pms:
+            for name, value in vars(pm).items():
+                if isinstance(value, Sized) and name != "processing_ns":
+                    longest[name] = max(longest.get(name, 0), len(value))
+        lengths.append(longest)
+    short, long = lengths
+    assert short.keys() == long.keys()
+    pings = long.pop("_outstanding_pings")
+    assert pings <= max(len(pm.links_by_id) for pm in pms) * (
+        DEFAULT_HISTORY_WINDOW_MS // doc["policies"]["idle_ping_ms"] + 1)
+    grown = {name: (short[name], n) for name, n in long.items()
+             if n > short[name] + slack}
+    assert grown == {}
 
 
 def test_every_manager_keeps_its_attributes_in_the_shared_key_budget():

@@ -140,6 +140,11 @@ MALFORMED = [
     (("links", 0, "kind"), [1], r"links\[0\]\.kind"),
     (("link_events",), [{"at": 0, "link": [0], "available": False}],
      r"link_events\[0\]\.link"),
+    # a link reference is an integer id: 0.0 would name client or link 0,
+    # yet print as 0.0 in the trace
+    (("links", 0, "endpoints"), [0.0, 1], r"links\[0\]\.endpoints\[0\]"),
+    (("link_events",), [{"at": 0, "link": 0.0, "available": False}],
+     r"link_events\[0\]\.link"),
     (("clients", 0, "entities", 0, "events"), [{"kind": [1], "at": 0}],
      r"events\[0\]\.kind"),
     (("clients", 0, "entities", 0, "class"), [1], r"entities\[0\]\.class"),
