@@ -49,11 +49,12 @@ def percentile(sorted_values, p: float):
 
 def merged_percentiles(sorted_runs, ps) -> list:
     """Nearest-rank percentiles, one per p in ps, of all the values of
-    several ascending lists of integers, without a combined list; NaN each
-    when the lists hold no value. The value of rank r is the least integer
-    with at least r values at or below it: a bisection over the values'
-    range, counting by bisecting each list, so the cost grows with the log
-    of the lengths and of the range, not with the lengths."""
+    several ascending sequences of integers (lists or arrays), without a
+    combined list; NaN each when they hold no value. The value of rank r is
+    the least integer with at least r values at or below it: a bisection
+    over the values' range, counting by bisecting each sequence, so the cost
+    grows with the log of the lengths and of the range, not with the
+    lengths."""
     n = sum(map(len, sorted_runs))
     if not n:
         return [math.nan] * len(ps)

@@ -16,11 +16,12 @@ lookup of its entity's class policy, read live, and becomes the entity's
 noted mode. Rollback ordering covers events only: a state update, on time
 or late, reaches the game once, through one apply path, as the displayed
 position at the playout time, and never regresses the entity's view. The
-stages carry no instrumentation of their own; `processing_ns` times each
-received frame as a whole, and on_network_message returns a data frame's
-delivery (receive time, sender, entity, seq, one-way delay, critical
-flag), so the caller records it outside that timing. The pass reaches
-decode, encode and the estimator, playout buffer, mode tracker and
+stages carry no instrumentation of their own; `processing_ns`, an
+array('q') at 8 bytes a frame, times each received frame as a whole (the
+append is outside the timed span), and on_network_message returns a data
+frame's delivery (receive time, sender, entity, seq, one-way delay,
+critical flag), so the caller records it outside that timing. The pass
+reaches decode, encode and the estimator, playout buffer, mode tracker and
 delivery log methods by name at call time, never through a bound copy, so
 a wrapper set on one of those names (perfbench's traced runs set them)
 sees every call.
@@ -66,6 +67,7 @@ PolicySet and one Toggles, and the manager reads them live.
 
 import math
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -248,7 +250,7 @@ class PlayerManager:
         self.log = rb.DeliveryLog()
         self.modes = ModeTracker(pol.exit_hysteresis_ms)
         self.counters = PmCounters()
-        self.processing_ns: list[int] = []
+        self.processing_ns = array("q")    # one 8-byte time per frame
 
         self.links_by_id: dict[int, LinkSpec] = {}
         for spec in config.links:

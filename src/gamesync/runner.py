@@ -9,9 +9,15 @@ Each client's network handler hands a frame to its manager and then
 records the delivery the manager returns: the delivery row and the delay
 statistics are made after the call, outside the manager's timed span. The
 summary's processing percentiles are read from the managers'
-processing_ns lists, each sorted in place after the run, by bisecting
-across them, so no run-wide copy is built. Route switches and failovers
-are summed from the managers' counters.
+processing_ns arrays (8 bytes a frame): after the run each manager's
+timings are replaced by a sorted array, one manager at a time, and the
+percentiles bisect across them, so no run-wide copy is built. Route
+switches and failovers are summed from the managers' counters.
+
+Each client's tick fires its entities' scripted events. A run walks each
+entity's event series with one merged iterator (scenario.walk_events),
+built per run, so the same config runs again to the same bytes; an event
+is made when the walk reaches it, never before the run.
 
 The event rows need every event's first playout time at its owner and at
 each viewer, so each bot records them during the run in one flat record per
@@ -44,7 +50,7 @@ from gamesync.overlay import PeerCapabilities
 from gamesync.player import (GameCallbacks, PlayerManager,
                              PlayerManagerConfig)
 from gamesync.regions import RegionSet
-from gamesync.scenario import ScenarioConfig
+from gamesync.scenario import ScenarioConfig, walk_events
 
 # Young-generation threshold of the cyclic collector during a run. A run keeps
 # a sliding window of records alive (rollback log, playout buffers, the
@@ -231,14 +237,12 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
         # motion's state function (the truth), its owner and the owner's
         # manager, and every other client, its viewers.
         plans = []
-        fire_cursor = {}
         for client_spec in clients:
             owner = client_spec.client_id
             for spec in client_spec.entities:
                 viewers = [viewer for viewer in client_ids if viewer != owner]
                 plans.append((spec.entity_id, spec.motion.state, owner,
                               pms[owner], viewers))
-                fire_cursor[(owner, spec.entity_id)] = 0
 
         caps = {c.client_id: PeerCapabilities(c.client_id,
                                               c.direct_address_known)
@@ -290,20 +294,25 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
 
         def make_tick(cid):
             client_spec = next(c for c in clients if c.client_id == cid)
+            # [entity, its event walk, the walk's next event or None] for
+            # each entity with events
+            walks = []
+            for spec in client_spec.entities:
+                if spec.events:
+                    walk = walk_events(spec.events)
+                    walks.append([spec.entity_id, walk, next(walk, None)])
 
             def do_tick(now):
                 if now + tick_ms <= duration_ms:
                     sim.schedule_call(now + tick_ms, do_tick)
                 pm = pms[cid]
                 pm.tick(now)
-                for spec in client_spec.entities:
-                    cursor = fire_cursor[(cid, spec.entity_id)]
-                    events = spec.events
-                    while cursor < len(events) and events[cursor][0] <= now:
-                        _, kind = events[cursor]
-                        pm.send_event(spec.entity_id, kind, b"\x00" * 8, now)
-                        cursor += 1
-                    fire_cursor[(cid, spec.entity_id)] = cursor
+                for entry in walks:
+                    entity_id, walk, due = entry
+                    while due is not None and due[0] <= now:
+                        pm.send_event(entity_id, due[1], b"\x00" * 8, now)
+                        due = next(walk, None)
+                    entry[2] = due
             return do_tick
 
         write_ticks = tick_writer.write
@@ -418,10 +427,11 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
             diff_stats.add(float(abs(row[5])))
             event_writer.row(*row)
 
-        # sorted in place: no run-wide copy (see merged_percentiles)
+        # Each manager's timings become a sorted array, one manager at a
+        # time: no run-wide copy (see merged_percentiles).
+        for pm in pms.values():
+            pm.processing_ns = array("q", sorted(pm.processing_ns))
         processing = [pm.processing_ns for pm in pms.values()]
-        for times in processing:
-            times.sort()
         processing_count = sum(map(len, processing))
         p50, p99 = merged_percentiles(processing, (50, 99))
         data_received = sum(pm.counters.data_received for pm in pms.values())

@@ -11,6 +11,14 @@ One key is retired: "toggles.rollback_scope" is still accepted, as "all" or
 "events" and nothing else, but it maps to no field and has no effect,
 because rollback covers events only.
 
+An entity's events parse into series cut at the run's last tick (the last
+multiple of tick_ms at or before duration_ms): later events never fire.
+Each "first"/"every"/"count" item is one (range of times, kind) pair, so it
+costs one range whatever its count, and the single "at" events of each kind
+are one (sorted tuple of times, kind) pair. No series is expanded at parse
+time: walk_events merges an entity's series into (at, kind) events in time
+order, ties by kind, one at a time as the run asks for them.
+
 Top-level document:
 
     {
@@ -61,10 +69,12 @@ Top-level document:
     }
 """
 
+import heapq
 import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 from gamesync.locallag import DEFAULT_CLASS
 from gamesync.overlay import LinkKind, LinkSpec
@@ -163,7 +173,10 @@ class EntitySpec:
     entity_id: int
     class_id: str
     motion: MotionScript
-    events: list = field(default_factory=list)   # [(at_ms, EventKind), ...]
+    # The entity's event series, [(ascending at_ms, EventKind), ...], cut
+    # at the run's last tick: a range per series item, one sorted tuple per
+    # kind for single events (see _parse_events and walk_events).
+    events: list = field(default_factory=list)
 
 
 @dataclass
@@ -304,10 +317,15 @@ _EVENT_KINDS = {"fire": EventKind.FIRE, "spawn": EventKind.SPAWN,
                 "despawn": EventKind.DESPAWN}
 
 
-def _parse_events(items, path, duration_ms):
-    """The entity's events at or before duration_ms, in time order; later
-    ones never fire, and a series is never expanded past the run's end."""
-    events = []
+def _parse_events(items, path, last_tick):
+    """The entity's event series, cut at last_tick (later events never
+    fire): a (range of times, kind) pair per "first"/"every"/"count" item
+    with an event at or before last_tick, in document order, then a
+    (sorted tuple of times, kind) pair per kind with single "at" events.
+    Grouping the singles keeps a walk's merge to one input per series and
+    kind, not one per event."""
+    series = []
+    singles = {}     # kind -> its "at" times at or before last_tick
     for i, obj in enumerate(_list(items, path)):
         p = f"{path}[{i}]"
         if not isinstance(obj, dict) or "kind" not in obj:
@@ -318,18 +336,27 @@ def _parse_events(items, path, duration_ms):
         if "at" in obj:
             _require_keys(obj, p, {"kind", "at"}, set())
             at = _number(obj["at"], f"{p}.at", 0, True)
-            if at <= duration_ms:
-                events.append((at, kind))
+            if at <= last_tick:
+                singles.setdefault(kind, []).append(at)
         else:
             _require_keys(obj, p, {"kind", "first", "every", "count"}, set())
             first = _number(obj["first"], f"{p}.first", 0, True)
             every = _number(obj["every"], f"{p}.every", 1, True)
             count = _number(obj["count"], f"{p}.count", 1, True)
-            if first <= duration_ms:
-                count = min(count, (duration_ms - first) // every + 1)
-                events.extend((first + k * every, kind) for k in range(count))
-    events.sort()
-    return events
+            if first <= last_tick:
+                count = min(count, (last_tick - first) // every + 1)
+                series.append((range(first, first + count * every, every),
+                               kind))
+    series.extend((tuple(sorted(times)), kind)
+                  for kind, times in singles.items())
+    return series
+
+
+def walk_events(series):
+    """The events of an entity's series as (at, kind) pairs, in time order
+    and ties by kind: one merge over the series, each pair made as the walk
+    reaches it. A walk is used once; a run builds its own."""
+    return heapq.merge(*(zip(times, repeat(kind)) for times, kind in series))
 
 
 def _parse_region(obj, path) -> Region:
@@ -383,6 +410,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     duration = _number(doc["duration_ms"], "$.duration_ms", 1, True)
     tick = _number(doc.get("tick_ms", 50), "$.tick_ms", 1, True)
     seed = _number(doc.get("seed", 1), "$.seed", 0, True)
+    last_tick = duration - duration % tick
 
     clients = []
     client_ids = set()
@@ -411,7 +439,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                                  f"{epath}.class"),
                 motion=motion,
                 events=_parse_events(ent.get("events", []), f"{epath}.events",
-                                     duration)))
+                                     last_tick)))
         # A client's clock reads at most duration_ms + its offset.
         clients.append(ClientSpec(
             client_id=cid, entities=entities,

@@ -5,6 +5,7 @@ import gc
 import math
 import tempfile
 import tracemalloc
+from array import array
 from collections.abc import Sized
 from pathlib import Path
 
@@ -12,15 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import read_rows, run_observing_estimates, two_client_doc
+from conftest import (minimal_doc, read_rows, run_observing_estimates,
+                      two_client_doc)
 from gamesync import player, runner
-from gamesync.metrics import TICK_HEADER, TICK_ROW
+from gamesync.metrics import TICK_HEADER, TICK_ROW, percentile
 from gamesync.netsim import InvariantViolation, NetworkSim
 from gamesync.pdu import EventKind, EventMessage
 from gamesync.player import PlayerManager
 from gamesync.rollback import DEFAULT_HISTORY_WINDOW_MS
 from gamesync.runner import run
-from gamesync.scenario import parse_scenario
+from gamesync.scenario import _EVENT_KINDS, parse_scenario, walk_events
 from test_golden import small_mesh_doc
 
 
@@ -500,21 +502,101 @@ def test_clock_offset_flags_anomalies():
 
 def test_run_leaves_its_config_unchanged(tmp_path):
     """A link that goes down and stays down is down only in the run's own
-    simulator: the same parsed config runs again to the same bytes, and its
+    simulator, and each run walks the event series afresh: the same parsed
+    config runs again to the same bytes, firing every event again, and its
     links are all still available afterwards."""
     doc = small_mesh_doc()
     doc["link_events"] = [e for e in doc["link_events"]
                           if e.get("available") is not True]
     config = parse_scenario(doc)
-    outputs = []
+    outputs, events_sent = [], []
     for tag in ("first", "second"):
         paths = {kind: tmp_path / f"{tag}.{kind}"
                  for kind in ("tick", "events", "deliveries", "trace")}
-        run(config, out=paths["tick"], events_out=paths["events"],
-            deliveries_out=paths["deliveries"], trace_out=paths["trace"])
+        res = run(config, out=paths["tick"], events_out=paths["events"],
+                  deliveries_out=paths["deliveries"], trace_out=paths["trace"])
         outputs.append({kind: path.read_bytes() for kind, path in paths.items()})
+        events_sent.append(res.summary["events_sent"])
     assert outputs[0] == outputs[1]
+    assert events_sent == [18, 18]
     assert all(link.available for link in config.links)
+
+
+def old_expansion(items, duration_ms):
+    """The parser's former event list, kept as the reference: every event
+    at or before duration_ms as an (at, kind) pair, each series expanded."""
+    events = []
+    for obj in items:
+        kind = _EVENT_KINDS[obj["kind"]]
+        if "at" in obj:
+            if obj["at"] <= duration_ms:
+                events.append((obj["at"], kind))
+        elif obj["first"] <= duration_ms:
+            count = min(obj["count"],
+                        (duration_ms - obj["first"]) // obj["every"] + 1)
+            events.extend((obj["first"] + k * obj["every"], kind)
+                          for k in range(count))
+    return events
+
+
+@st.composite
+def event_items(draw):
+    """(duration_ms, tick_ms, items): single `at` items and series of
+    every kind, with times before, at and after the last tick and the run
+    end, repeats and several kinds at one time."""
+    duration = draw(st.integers(1, 120))
+    tick = draw(st.integers(1, 40))
+    time = st.integers(0, duration + 2 * tick)
+    kind = st.sampled_from(sorted(_EVENT_KINDS))
+    single = st.builds(lambda k, at: {"kind": k, "at": at}, kind, time)
+    series = st.builds(lambda k, first, every, count: {
+        "kind": k, "first": first, "every": every, "count": count},
+        kind, time, st.integers(1, 30), st.integers(1, 12))
+    items = draw(st.lists(st.one_of(single, series), max_size=8))
+    return duration, tick, items
+
+
+@settings(deadline=None)
+@given(event_items())
+def test_runner_fires_the_sorted_old_expansion(case):
+    """The walk yields sorted() of the former expansion up to the last
+    tick, and the runner fires exactly those events, in that order, each
+    at the first tick at or after its time."""
+    duration, tick, items = case
+    doc = minimal_doc()
+    doc["duration_ms"], doc["tick_ms"] = duration, tick
+    doc["clients"][0]["entities"][0]["events"] = items
+    config = parse_scenario(doc)
+    last_tick = duration - duration % tick
+    expected = [e for e in sorted(old_expansion(items, duration))
+                if e[0] <= last_tick]
+    assert list(walk_events(config.clients[0].entities[0].events)) == expected
+
+    fired = []
+    send_event = PlayerManager.send_event
+
+    def recording(pm, entity_id, kind, payload, now):
+        fired.append((now, kind))
+        return send_event(pm, entity_id, kind, payload, now)
+
+    PlayerManager.send_event = recording
+    try:
+        res = run(config)
+    finally:
+        PlayerManager.send_event = send_event
+    assert fired == [(-(-at // tick) * tick, kind) for at, kind in expected]
+    assert res.summary["events_sent"] == len(expected)
+
+
+def test_events_after_the_last_tick_are_not_scheduled():
+    """The last tick of a 7 ms run at 5 ms ticks is at 5 ms: an event at
+    7 ms, within duration_ms, would never fire, so the parser drops it."""
+    doc = minimal_doc()
+    doc["duration_ms"], doc["tick_ms"] = 7, 5
+    doc["clients"][0]["entities"][0]["events"] = [{"kind": "fire", "at": 7}]
+    config = parse_scenario(doc)
+    assert config.clients[0].entities[0].events == []
+    assert run(config).summary["events_sent"] == 0
 
 
 def test_tracing_does_not_change_outputs(tmp_path):
@@ -775,16 +857,25 @@ def test_delay_change_with_a_link_coming_up_reaches_the_flushed_frames(
     assert {arrived - sent for sent, arrived in rows if sent >= 1000} == {100}
 
 
-def test_nothing_a_manager_keeps_grows_with_run_length():
+def test_nothing_a_manager_keeps_grows_with_run_length(monkeypatch):
     """Run the small mesh for 3 s and for 12 s, four times as long, with
     client 3 firing every 150 ms throughout, so the rollback log takes
-    events for the whole run. Every sized attribute of a manager except
-    processing_ns, which keeps one time per received frame, is at most
+    events for the whole run. processing_ns keeps one time per received
+    frame, so it is an array of 8-byte items with one entry per frame the
+    manager received. Every other sized attribute of a manager is at most
     `slack` entries longer at 12 s than at 3 s, taking the longest over the
     managers. The ping table is bounded instead by its window: it holds the
     pings of the last history window, at most one per link per idle-ping
     interval."""
     slack = 2
+    received = {}
+    on_network_message = PlayerManager.on_network_message
+
+    def counting(pm, data, now, link_id):
+        received[pm] = received.get(pm, 0) + 1
+        return on_network_message(pm, data, now, link_id)
+
+    monkeypatch.setattr(PlayerManager, "on_network_message", counting)
     lengths = []
     for duration_ms in (3000, 12000):
         doc = small_mesh_doc()
@@ -794,6 +885,9 @@ def test_nothing_a_manager_keeps_grows_with_run_length():
         pms = run_doc(doc).pms.values()
         longest = {}
         for pm in pms:
+            assert isinstance(pm.processing_ns, array)
+            assert pm.processing_ns.itemsize == 8
+            assert len(pm.processing_ns) == received[pm] > 0
             for name, value in vars(pm).items():
                 if isinstance(value, Sized) and name != "processing_ns":
                     longest[name] = max(longest.get(name, 0), len(value))
@@ -806,6 +900,19 @@ def test_nothing_a_manager_keeps_grows_with_run_length():
     grown = {name: (short[name], n) for name, n in long.items()
              if n > short[name] + slack}
     assert grown == {}
+
+
+def test_processing_summary_equals_one_sorted_list_of_every_frame():
+    """The summary's processing percentiles, read by bisecting across the
+    managers' sorted arrays, and its mean equal those of one plain sorted
+    list of every manager's times."""
+    res = run_doc(small_mesh_doc())
+    times = sorted(t for pm in res.pms.values() for t in pm.processing_ns)
+    s = res.summary
+    assert s["processing_count"] == len(times)
+    assert s["processing_us_p50"] == percentile(times, 50) / 1000.0
+    assert s["processing_us_p99"] == percentile(times, 99) / 1000.0
+    assert s["processing_us_mean"] == sum(times) / len(times) / 1000.0
 
 
 def test_every_manager_keeps_its_attributes_in_the_shared_key_budget():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 import gamesync.cli as cli
 from conftest import minimal_doc, two_client_doc
 from gamesync.overlay import LinkKind
+from gamesync.pdu import EventKind
 from gamesync.player import Toggles
 from gamesync.regions import Rect
 from gamesync.scenario import (ConstantVelocity, ParseError, ValidationError,
-                               WaypointPath, load_scenario, parse_scenario)
+                               WaypointPath, load_scenario, parse_scenario,
+                               walk_events)
+from test_golden import benchmark_document
 
 
 def test_minimal_config_loads_with_defaults():
@@ -239,8 +243,41 @@ def test_event_series_is_cut_at_the_run_end():
         {"kind": "fire", "at": 1000},
         {"kind": "fire", "at": 1001}]
     config = parse_scenario(doc)
-    times = [t for t, _ in config.clients[0].entities[0].events]
+    times = [t for t, _ in walk_events(config.clients[0].entities[0].events)]
     assert times == sorted([*range(100, 1001, 50), 1000])
+
+
+def test_single_events_of_a_kind_share_one_series():
+    """Single "at" events are grouped per kind, so a walk merges one input
+    per series and kind, however many single events a document lists."""
+    doc = minimal_doc()   # duration_ms 1000
+    doc["clients"][0]["entities"][0]["events"] = [
+        {"kind": kind, "at": at} for at in range(1000, -1, -1)
+        for kind in ("spawn", "fire")]
+    spec = parse_scenario(doc).clients[0].entities[0]
+    assert len(spec.events) == 2
+    assert list(walk_events(spec.events)) == [
+        (at, kind) for at in range(1001)
+        for kind in (EventKind.FIRE, EventKind.SPAWN)]
+
+
+def test_one_hour_skirmish_parses_in_constant_memory():
+    """The benchmark's six-tank skirmish stretched to one hour fires
+    431,880 events; parsing it keeps one range per series, so the parse
+    peaks under 64 KiB (an expanded event list took 41.7 MB)."""
+    doc = benchmark_document("skirmish_events", 1)
+    doc["duration_ms"] = 3_600_000
+    for client in doc["clients"]:
+        client["entities"][0]["events"][0]["count"] = (3_600_000 - 1000) // 50
+    tracemalloc.start()
+    try:
+        config = parse_scenario(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(1 for c in config.clients for spec in c.entities
+               for _ in walk_events(spec.events)) == 431_880
+    assert peak < 64 * 1024
 
 
 def test_shipped_carrace_scenario(scenarios_dir):
@@ -260,7 +297,7 @@ def test_shipped_tankshots_scenario(scenarios_dir):
     config = load_scenario(scenarios_dir / "tankshots.json")
     assert config.toggles.sender_side_lag is True
     fires = [e for c in config.clients for spec in c.entities
-             for e in spec.events]
+             for e in walk_events(spec.events)]
     assert len(fires) >= 200
     assert config.policies.classes["tank"].lag_ms == 500
 
@@ -271,7 +308,7 @@ def test_fire_event_shorthand_expansion():
         {"kind": "fire", "first": 100, "every": 50, "count": 4},
         {"kind": "fire", "at": 75}]
     config = parse_scenario(doc)
-    times = [t for t, _ in config.clients[0].entities[0].events]
+    times = [t for t, _ in walk_events(config.clients[0].entities[0].events)]
     assert times == [75, 100, 150, 200, 250]
 
 
