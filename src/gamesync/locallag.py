@@ -12,8 +12,6 @@ one time are released in the rollback log's order, the same for every viewer.
 import heapq
 from typing import NamedTuple
 
-DEFAULT_CLASS = "default"
-
 _new = tuple.__new__    # builds a NamedTuple record without its __new__
 
 

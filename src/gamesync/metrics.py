@@ -74,7 +74,8 @@ def merged_percentiles(sorted_runs, ps) -> list:
 
 
 class RunningStats:
-    """Streaming mean/max over the exact values written to the CSV."""
+    """Streaming mean/max over the exact values written to the CSV; both
+    read 0.0 while no value has been added."""
 
     def __init__(self):
         self.count = 0
@@ -89,11 +90,11 @@ class RunningStats:
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else math.nan
+        return self.total / self.count if self.count else 0.0
 
     @property
     def max(self) -> float:
-        return self.maximum if self.maximum is not None else math.nan
+        return self.maximum if self.maximum is not None else 0.0
 
 
 class CsvWriter:

@@ -33,8 +33,9 @@ class LinkSpec:
     available: bool = True
 
     def __post_init__(self):
-        if self.base_delay_ms < 0 or self.jitter_ms < 0:
-            raise ValueError("delays must be non-negative")
+        for name in ("base_delay_ms", "jitter_ms"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.loss_prob <= 1.0:
             raise ValueError("loss_prob must be in [0, 1]")
 

@@ -60,9 +60,12 @@ through the network layer.
 The Medium's settings are defined here once: a PolicySet (a ClassPolicy per
 object class, which is that class's dead-reckoning policy plus its local
 lag, and the run-wide scales, intervals and dwells) and Toggles (which
-pipeline stages run). A PlayerManagerConfig adds what differs per client
-and the run-wide entity and region tables; every client of a run shares one
-PolicySet and one Toggles, and the manager reads them live.
+pipeline stages run). Each settings type holds its fields' defaults and
+checks their bounds when it is built, raising a ValueError that begins with
+the field's name; the scenario parser reads both from the types. A
+PlayerManagerConfig adds what differs per client and the run-wide entity
+and region tables; every client of a run shares one PolicySet and one
+Toggles, and the manager reads them live.
 """
 
 import math
@@ -80,7 +83,7 @@ from gamesync.clock import (DEFAULT_ALPHA, LatencyEstimator, VirtualClock,
 from gamesync.deadreckoning import (DEFAULT_HEARTBEAT_MS, DeadReckoningPolicy,
                                     EntityKinematics, converge, displayed_at,
                                     should_send)
-from gamesync.locallag import DEFAULT_CLASS, PlayoutBuffer
+from gamesync.locallag import PlayoutBuffer
 from gamesync.overlay import (LinkKind, LinkPartition, LinkSpec,
                               PeerCapabilities, best_link, default_route,
                               partition, select_route)
@@ -137,6 +140,9 @@ class GameCallbacks:
         pass
 
 
+DEFAULT_CLASS = "default"    # the class of an entity whose class is not set
+
+
 @dataclass(frozen=True)
 class ClassPolicy(DeadReckoningPolicy):
     """An object class's dead-reckoning policy plus its local lag."""
@@ -151,6 +157,10 @@ class ClassPolicy(DeadReckoningPolicy):
 
 @dataclass
 class PolicySet:
+    """The run-wide settings, bounds checked when built: the policy of a
+    class not in classes, each other class's policy by class id, and the
+    scales, intervals, dwells and radius."""
+
     default: ClassPolicy = field(default_factory=ClassPolicy)
     classes: dict = field(default_factory=dict)   # class id -> ClassPolicy
     critical_threshold_scale: float = 0.25
@@ -161,6 +171,19 @@ class PolicySet:
     route_hysteresis_ms: int = 500
     idle_ping_ms: int = 1000
     critical_proximity_radius_m: float | None = None
+
+    def __post_init__(self):
+        for name in ("critical_threshold_scale", "critical_lag_scale",
+                     "ewma_alpha"):
+            if not 0 < getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in (0, 1]")
+        for name, low in (("heartbeat_ms", 1), ("idle_ping_ms", 1),
+                          ("exit_hysteresis_ms", 0),
+                          ("route_hysteresis_ms", 0),
+                          ("critical_proximity_radius_m", 0)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}")
 
 
 @dataclass
@@ -242,8 +265,6 @@ class PlayerManager:
         self.callbacks = callbacks
         self._send_fn = send_fn
         pol = config.policies
-        if not 0 < pol.critical_lag_scale <= 1:
-            raise ConfigInvalid("critical_lag_scale must be in (0, 1]")
         self.clock = VirtualClock(config.clock_offset_ms)
         self.estimator = LatencyEstimator(pol.ewma_alpha)
         self.buffer = PlayoutBuffer()
@@ -291,8 +312,6 @@ class PlayerManager:
         session, choose default routes, zero sequence counters, and fire the
         initial ping round. A peer with no link up is routed over its
         lowest-id link, and frames to it queue until a link comes up."""
-        if self.config.policies.heartbeat_ms <= 0:
-            raise ConfigInvalid("heartbeat_ms must be > 0")
         now = self.clock.read(now)
         self._seqs.clear()
         self.estimator.reset()

@@ -460,13 +460,13 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
             "route_switches": sum(pm.counters.route_switches for pm in pms.values()),
             "route_failovers": sum(pm.counters.route_failovers for pm in pms.values()),
             "divergence_rows": divergence.count,
-            "mean_divergence_m": divergence.mean if divergence.count else 0.0,
-            "max_divergence_m": divergence.max if divergence.count else 0.0,
+            "mean_divergence_m": divergence.mean,
+            "max_divergence_m": divergence.max,
             "event_rows": diff_stats.count,
-            "mean_abs_display_diff_ms": diff_stats.mean if diff_stats.count else 0.0,
-            "max_abs_display_diff_ms": diff_stats.max if diff_stats.count else 0.0,
-            "mean_delay_ms": delay_all.mean if delay_all.count else 0.0,
-            "mean_delay_critical_ms": delay_critical.mean if delay_critical.count else 0.0,
+            "mean_abs_display_diff_ms": diff_stats.mean,
+            "max_abs_display_diff_ms": diff_stats.max,
+            "mean_delay_ms": delay_all.mean,
+            "mean_delay_critical_ms": delay_critical.mean,
             "processing_count": processing_count,
             "processing_us_p50": p50 / 1000.0 if processing_count else 0.0,
             "processing_us_p99": p99 / 1000.0 if processing_count else 0.0,

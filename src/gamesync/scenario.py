@@ -4,12 +4,27 @@ entity motion, links, regions, policies, and toggles.
 Motion scripts are closed-form (position as a pure function of virtual
 time), which is what gives the metrics an exact ground-truth oracle. Unknown
 keys anywhere in the document are rejected, and so is a value of the wrong
-type: every failure is a ValidationError naming the field. The "policies"
-and "toggles" objects parse into the Medium's own PolicySet and Toggles
-(gamesync.player), and a missing key takes the default those types define.
-One key is retired: "toggles.rollback_scope" is still accepted, as "all" or
-"events" and nothing else, but it maps to no field and has no effect,
-because rollback covers events only.
+type: every failure is a ValidationError naming the field.
+
+Each setting's default and bounds live in its settings type, and the
+parser reads both from there. "policies", each class policy and "toggles"
+parse into the Medium's own PolicySet, ClassPolicy and Toggles
+(gamesync.player), a link into an overlay.LinkSpec and a client into a
+ClientSpec. The keys a document may omit are the type's fields with a
+default, and an omitted key takes that default; a class policy's omitted
+keys take "policies.default"'s values instead, and "policies.classes" may
+not name the default class, whose policy is "policies.default". A field's
+JSON type comes from its annotation: an integer, a number (read as a
+float), a boolean, and null only where the default is None. A value out of
+the type's bounds raises the type's ValueError, which begins with the
+field's name, and the parser turns it into a ValidationError naming the
+field's path; a link event's change is checked against its link's bounds
+the same way. The parser itself checks only JSON types and the limits no
+settings type holds: those of ids, times, intervals and counts (the wire's
+uint32 ids and uint64 clock among them), duplicate ids, and references to
+clients, links and entities. One key is retired: "toggles.rollback_scope"
+is still accepted, as "all" or "events" and nothing else, but it maps to no
+field and has no effect, because rollback covers events only.
 
 An entity's events parse into series cut at the run's last tick (the last
 multiple of tick_ms at or before duration_ms): later events never fire.
@@ -73,13 +88,13 @@ import heapq
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache
 from itertools import repeat
 
-from gamesync.locallag import DEFAULT_CLASS
 from gamesync.overlay import LinkKind, LinkSpec
 from gamesync.pdu import EventKind
-from gamesync.player import ClassPolicy, PolicySet, Toggles
+from gamesync.player import DEFAULT_CLASS, PolicySet, Toggles
 from gamesync.regions import AnchoredCircle, Circle, Rect, Region
 
 
@@ -213,10 +228,6 @@ def _require_keys(obj: dict, path: str, required: set, optional: set) -> None:
         raise ValidationError(f"{path}: missing key(s) {sorted(missing)}")
 
 
-def _field_names(cls) -> set:
-    return {f.name for f in fields(cls)}
-
-
 U32_MAX = (1 << 32) - 1   # client and entity ids travel as uint32
 U64_MAX = (1 << 64) - 1   # timestamps travel as uint64
 
@@ -249,8 +260,12 @@ def _float(obj, path):
         raise ValidationError(f"{path}: {obj} exceeds the float range") from None
 
 
-def _real(obj, path, minimum=None):
-    return _float(_number(obj, path, minimum), path)
+def _real(obj, path):
+    return _float(_number(obj, path), path)
+
+
+def _integer(obj, path):
+    return _number(obj, path, integer=True)
 
 
 def _point(obj, path):
@@ -296,6 +311,71 @@ def _string(obj, path):
     return obj
 
 
+_LINK_KINDS = {kind.value: kind for kind in LinkKind}
+
+
+def _link_kind(obj, path) -> LinkKind:
+    kind = _LINK_KINDS.get(_string(obj, path))
+    if kind is None:
+        raise ValidationError(f"{path}: unknown link kind {obj!r}")
+    return kind
+
+
+# The reader of a settings field's JSON value, by the field's annotation.
+_READERS = {bool: _bool, int: _integer, float: _real, float | None: _real,
+            LinkKind: _link_kind}
+
+
+@cache
+def _readers(cls) -> tuple:
+    """(name, reader, whether null is read) for each field of the settings
+    dataclass cls whose annotation has a reader; null is read only where
+    the field's default is None. A field of another type (a nested policy,
+    a list, a pair of ids) is the caller's to read."""
+    return tuple((f.name, _READERS[f.type], f.default is None)
+                 for f in fields(cls) if f.type in _READERS)
+
+
+@cache
+def _optional(cls) -> frozenset:
+    """The fields of the settings dataclass cls that have a default: the
+    keys a document may omit."""
+    return frozenset(f.name for f in fields(cls)
+                     if f.default is not MISSING
+                     or f.default_factory is not MISSING)
+
+
+def _fields_set(obj, path, cls) -> dict:
+    """The values obj sets for cls's fields that have a reader, by name."""
+    values = {}
+    for name, read, nullable in _readers(cls):
+        if name in obj:
+            value = obj[name]
+            if value is not None or not nullable:
+                value = read(value, f"{path}.{name}")
+            values[name] = value
+    return values
+
+
+def _build(make, path, *args, **values):
+    """make(*args, **values), where the bounds a settings type checks raise
+    a ValueError that begins with the field's name: that becomes a
+    ValidationError naming the field's path under path."""
+    try:
+        return make(*args, **values)
+    except ValueError as exc:
+        raise ValidationError(f"{path}.{exc}") from None
+
+
+def _settings(obj, path, base, extra=()):
+    """base, an instance of a settings dataclass whose every field has a
+    default, with the fields obj sets. The keys are base's field names, and
+    those in extra, which the caller reads itself; a missing key keeps
+    base's value."""
+    _require_keys(obj, path, set(), _optional(type(base)) | set(extra))
+    return _build(replace, path, base, **_fields_set(obj, path, type(base)))
+
+
 def _parse_motion(obj, path) -> MotionScript:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError(f"{path}: expected a motion object with 'kind'")
@@ -308,8 +388,9 @@ def _parse_motion(obj, path) -> MotionScript:
         _require_keys(obj, path, {"kind", "points", "speed"}, {"loop"})
         pts = [_point(p, f"{path}.points[{i}]")
                for i, p in enumerate(_list(obj["points"], f"{path}.points"))]
-        return WaypointPath(pts, _real(obj["speed"], f"{path}.speed"),
-                            _bool(obj.get("loop", False), f"{path}.loop"))
+        loop = ({"loop": _bool(obj["loop"], f"{path}.loop")} if "loop" in obj
+                else {})
+        return WaypointPath(pts, _real(obj["speed"], f"{path}.speed"), **loop)
     raise ValidationError(f"{path}.kind: unknown motion kind {kind!r}")
 
 
@@ -385,18 +466,6 @@ def _parse_region(obj, path) -> Region:
     raise ValidationError(f"{path}.kind: unknown region kind {kind!r}")
 
 
-def _parse_class_policy(obj, path, base: ClassPolicy) -> ClassPolicy:
-    _require_keys(obj, path, set(), _field_names(ClassPolicy))
-    return ClassPolicy(
-        threshold_m=_real(obj.get("threshold_m", base.threshold_m),
-                          f"{path}.threshold_m", 1e-9),
-        convergence_ms=_number(obj.get("convergence_ms", base.convergence_ms),
-                               f"{path}.convergence_ms", 0, True),
-        lag_ms=_number(obj.get("lag_ms", base.lag_ms), f"{path}.lag_ms", 0, True))
-
-
-_LINK_KINDS = {"relay": LinkKind.RELAY, "direct": LinkKind.DIRECT}
-
 # Accepted for documents written before rollback covered events only; it
 # sets nothing.
 RETIRED_SCOPE = "rollback_scope"
@@ -417,8 +486,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     entity_ids = set()
     for i, obj in enumerate(_list(doc["clients"], "$.clients")):
         path = f"$.clients[{i}]"
-        _require_keys(obj, path, {"id", "entities"},
-                      {"direct_address_known", "clock_offset_ms"})
+        _require_keys(obj, path, {"id", "entities"}, _optional(ClientSpec))
         cid = _number(obj["id"], f"{path}.id", 0, True, U32_MAX)
         if cid in client_ids:
             raise ValidationError(f"{path}.id: duplicate client id {cid}")
@@ -440,25 +508,21 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                 motion=motion,
                 events=_parse_events(ent.get("events", []), f"{epath}.events",
                                      last_tick)))
+        client = ClientSpec(cid, entities,
+                            **_fields_set(obj, path, ClientSpec))
         # A client's clock reads at most duration_ms + its offset.
-        clients.append(ClientSpec(
-            client_id=cid, entities=entities,
-            direct_address_known=_bool(obj.get("direct_address_known", True),
-                                       f"{path}.direct_address_known"),
-            clock_offset_ms=_number(obj.get("clock_offset_ms", 0),
-                                    f"{path}.clock_offset_ms", None, True,
-                                    U64_MAX - duration)))
+        _number(client.clock_offset_ms, f"{path}.clock_offset_ms",
+                maximum=U64_MAX - duration)
+        clients.append(client)
 
-    links = []
-    link_ids = set()
+    links = {}       # id -> LinkSpec, in document order
     for i, obj in enumerate(_list(doc.get("links", []), "$.links")):
         path = f"$.links[{i}]"
         _require_keys(obj, path, {"id", "endpoints", "base_delay_ms"},
-                      {"jitter_ms", "loss_prob", "kind", "available"})
+                      _optional(LinkSpec))
         lid = _number(obj["id"], f"{path}.id", 0, True)
-        if lid in link_ids:
+        if lid in links:
             raise ValidationError(f"{path}.id: duplicate link id {lid}")
-        link_ids.add(lid)
         endpoints = obj["endpoints"]
         if (not isinstance(endpoints, list) or len(endpoints) != 2
                 or endpoints[0] == endpoints[1]):
@@ -466,20 +530,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         for j, e in enumerate(endpoints):
             if _number(e, f"{path}.endpoints[{j}]", 0, True) not in client_ids:
                 raise ValidationError(f"{path}.endpoints: unknown client {e}")
-        kind = _string(obj.get("kind", "relay"), f"{path}.kind")
-        if kind not in _LINK_KINDS:
-            raise ValidationError(f"{path}.kind: unknown link kind {kind!r}")
-        try:
-            links.append(LinkSpec(
-                link_id=lid, endpoints=(endpoints[0], endpoints[1]),
-                base_delay_ms=_number(obj["base_delay_ms"],
-                                      f"{path}.base_delay_ms", 0, True),
-                jitter_ms=_number(obj.get("jitter_ms", 0), f"{path}.jitter_ms", 0, True),
-                loss_prob=_real(obj.get("loss_prob", 0.0), f"{path}.loss_prob", 0),
-                kind=_LINK_KINDS[kind],
-                available=_bool(obj.get("available", True), f"{path}.available")))
-        except ValueError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
+        links[lid] = _build(LinkSpec, path, lid, (endpoints[0], endpoints[1]),
+                            **_fields_set(obj, path, LinkSpec))
 
     link_events = []
     items = _list(doc.get("link_events", []), "$.link_events")
@@ -488,17 +540,14 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         _require_keys(obj, path, {"at", "link"}, {"base_delay_ms", "available"})
         at = _number(obj["at"], f"{path}.at", 0, True)
         lid = _number(obj["link"], f"{path}.link", 0, True)
-        if lid not in link_ids:
+        if lid not in links:
             raise ValidationError(f"{path}.link: unknown link {lid}")
-        if "base_delay_ms" in obj:
-            link_events.append((at, lid, "base_delay_ms",
-                                _number(obj["base_delay_ms"],
-                                        f"{path}.base_delay_ms", 0, True)))
-        if "available" in obj:
-            link_events.append((at, lid, "available",
-                                _bool(obj["available"], f"{path}.available")))
-        if "base_delay_ms" not in obj and "available" not in obj:
+        changes = _fields_set(obj, path, LinkSpec)
+        if not changes:
             raise ValidationError(f"{path}: needs base_delay_ms or available")
+        _build(replace, path, links[lid], **changes)    # the link's bounds
+        link_events.extend((at, lid, name, value)
+                           for name, value in changes.items())
     link_events.sort(key=lambda e: (e[0], e[1], e[2]))
 
     items = _list(doc.get("regions", []), "$.regions")
@@ -510,59 +559,27 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                 f"$.regions[{i}].anchor_entity: unknown entity {region.anchor_entity_id}")
 
     pol = doc.get("policies", {})
-    _require_keys(pol, "$.policies", set(), _field_names(PolicySet))
-    base = PolicySet()
-    default = _parse_class_policy(pol.get("default", {}), "$.policies.default",
-                                  base.default)
-    classes_obj = pol.get("classes", {})
-    if not isinstance(classes_obj, dict):
+    policies = _settings(pol, "$.policies", PolicySet())
+    policies.default = _settings(pol.get("default", {}), "$.policies.default",
+                                 policies.default)
+    classes = pol.get("classes", {})
+    if not isinstance(classes, dict):
         raise ValidationError("$.policies.classes: expected an object")
-    classes = {name: _parse_class_policy(obj, f"$.policies.classes.{name}",
-                                         default)
-               for name, obj in classes_obj.items()}
-
-    def setting(key, minimum, integer=False):
-        value = pol.get(key, getattr(base, key))
-        if integer:
-            return _number(value, f"$.policies.{key}", minimum, True)
-        return _real(value, f"$.policies.{key}", minimum)
-
-    radius = pol.get("critical_proximity_radius_m")
-    if radius is not None:
-        radius = setting("critical_proximity_radius_m", 0)
-    policies = PolicySet(
-        default=default, classes=classes,
-        critical_threshold_scale=setting("critical_threshold_scale", 1e-9),
-        critical_lag_scale=setting("critical_lag_scale", 1e-9),
-        heartbeat_ms=setting("heartbeat_ms", 1, True),
-        ewma_alpha=setting("ewma_alpha", 1e-9),
-        exit_hysteresis_ms=setting("exit_hysteresis_ms", 0, True),
-        route_hysteresis_ms=setting("route_hysteresis_ms", 0, True),
-        idle_ping_ms=setting("idle_ping_ms", 1, True),
-        critical_proximity_radius_m=radius)
-    for key in ("critical_threshold_scale", "critical_lag_scale",
-                "ewma_alpha"):
-        if not 0 < getattr(policies, key) <= 1:
-            raise ValidationError(f"$.policies.{key}: must be in (0, 1]")
+    if DEFAULT_CLASS in classes:
+        raise ValidationError(f"$.policies.classes.{DEFAULT_CLASS}: the "
+                              f"default class's policy is $.policies.default")
+    policies.classes = {
+        name: _settings(obj, f"$.policies.classes.{name}", policies.default)
+        for name, obj in classes.items()}
 
     tog = doc.get("toggles", {})
-    _require_keys(tog, "$.toggles", set(),
-                  _field_names(Toggles) | {RETIRED_SCOPE})
+    toggles = _settings(tog, "$.toggles", Toggles(), (RETIRED_SCOPE,))
     if tog.get(RETIRED_SCOPE, "all") not in ("all", "events"):
         raise ValidationError(
             f"$.toggles.{RETIRED_SCOPE}: must be 'all' or 'events'")
-    base = Toggles()
-
-    def switch(key):
-        return _bool(tog.get(key, getattr(base, key)), f"$.toggles.{key}")
-
-    toggles = Toggles(overlay=switch("overlay"),
-                      sender_side_lag=switch("sender_side_lag"),
-                      receiver_side_lag=switch("receiver_side_lag"),
-                      critical_tightening=switch("critical_tightening"))
 
     return ScenarioConfig(duration_ms=duration, tick_ms=tick, seed=seed,
-                          clients=clients, links=links,
+                          clients=clients, links=list(links.values()),
                           link_events=link_events, regions=regions,
                           policies=policies, toggles=toggles)
 

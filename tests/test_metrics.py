@@ -11,7 +11,7 @@ from conftest import read_rows
 from gamesync.metrics import (DELIVERY_HEADER, DELIVERY_ROW, EVENT_HEADER,
                               EVENT_ROW, TICK_ENTITY, TICK_HEADER, TICK_ROW,
                               TICK_TRUTH, TICK_VIEWER, CsvWriter,
-                              merged_percentiles, percentile)
+                              RunningStats, merged_percentiles, percentile)
 
 SUBNORMAL = 5e-324
 AWKWARD = (-0.0, SUBNORMAL, 1e22, 0.1 + 0.2)
@@ -82,3 +82,11 @@ def test_merged_percentiles_equal_those_of_the_combined_list(runs, ps):
         assert all(math.isnan(v) for v in got) and len(got) == len(ps)
     else:
         assert got == [percentile(combined, p) for p in ps]
+
+
+def test_running_stats_read_zero_while_empty():
+    stats = RunningStats()
+    assert (stats.count, stats.mean, stats.max) == (0, 0.0, 0.0)
+    for value in (2.5, -1.0):
+        stats.add(value)
+    assert (stats.count, stats.mean, stats.max) == (2, 0.75, 2.5)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import minimal_doc
 from gamesync import player
 from gamesync import rollback as rb
 from gamesync.deadreckoning import EntityKinematics
@@ -19,6 +20,7 @@ from gamesync.player import (ClassPolicy, ConfigInvalid, GameCallbacks,
                              PlayerManager, PlayerManagerConfig, PolicySet,
                              Toggles)
 from gamesync.regions import AnchoredCircle, ConsistencyMode, Rect, RegionSet
+from gamesync.scenario import ValidationError, parse_scenario
 
 
 class Spy(GameCallbacks):
@@ -348,8 +350,21 @@ def test_class_lag_is_read_live():
 
 @pytest.mark.parametrize("scale", [0, 1.5])
 def test_critical_lag_scale_outside_unit_interval_is_rejected(scale):
-    with pytest.raises(ConfigInvalid, match="critical_lag_scale"):
-        make_pm(critical_lag_scale=scale)
+    """PolicySet holds the bound: building one fails, and so does parsing
+    a document that sets the scale."""
+    with pytest.raises(ValueError, match="critical_lag_scale"):
+        PolicySet(critical_lag_scale=scale)
+    doc = minimal_doc()
+    doc["policies"] = {"critical_lag_scale": scale}
+    with pytest.raises(ValidationError,
+                       match=r"\$\.policies\.critical_lag_scale"):
+        parse_scenario(doc)
+
+
+def test_link_that_does_not_touch_the_client_is_rejected():
+    config = PlayerManagerConfig(client_id=1, links=[LinkSpec(4, (0, 2), 10)])
+    with pytest.raises(ConfigInvalid, match="link 4 does not touch client 1"):
+        PlayerManager(config, Spy(), lambda link, data: None)
 
 
 def test_frame_from_a_sender_other_than_the_links_peer_moves_its_estimate():

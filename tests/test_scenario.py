@@ -124,6 +124,20 @@ def test_rollback_scope_validated():
         parse_scenario(doc)
 
 
+def test_policy_for_the_default_class_under_classes_rejected(scenarios_dir):
+    """$.policies.default is the policy of an entity with no class; a
+    classes entry for that class would silently replace it."""
+    doc = json.loads((scenarios_dir / "carrace.json").read_text())
+    del doc["clients"][0]["entities"][0]["class"]
+    doc["policies"]["default"]["lag_ms"] = 100
+    doc["policies"]["classes"]["default"] = {"lag_ms": 300}
+    with pytest.raises(ValidationError,
+                       match=r"^\$\.policies\.classes\.default: "):
+        parse_scenario(doc)
+    del doc["policies"]["classes"]["default"]
+    assert parse_scenario(doc).policies.default.lag_ms == 100
+
+
 def test_has_gps_clock_key_rejected():
     doc = minimal_doc()
     doc["clients"][0]["has_gps_clock"] = False
