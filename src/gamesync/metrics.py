@@ -7,14 +7,12 @@ statistics recomputed from the files match the runner's reported summary
 exactly. (For an int, repr() and str() agree.)
 
 Each schema pairs its header with one %-template: %r for a number, %s for
-text. The tick row also comes in parts, so a sampler formats the columns
-an entity's viewers share once per entity and tick: TICK_ENTITY renders
-tick_ms, entity and owner, TICK_TRUTH renders truth_x and truth_y, and
-TICK_VIEWER takes both rendered parts whole, around the viewer, and ends the
-row. Viewers that show an entity at the same point also share its shown
-columns: TICK_SHOWN renders shown_x, shown_y, divergence_m and mode once per
-point, and TICK_SHARED takes that part whole in their place. Either way the
-parts render the same bytes as TICK_ROW.
+text. A tick row is also rendered in parts, so a sampler renders what
+rows share once: TICK_TRUTH renders truth_x and truth_y, once per entity
+and tick, and TICK_SHOWN renders shown_x, shown_y, divergence_m and mode,
+once per point that several viewers show. A row is then the tick_ms
+digits, the row's ",entity,owner,viewer," text, both parts and the
+route's digits and newline, concatenated: the same bytes as TICK_ROW.
 """
 
 import math
@@ -28,15 +26,9 @@ TICK_ROW = "%r,%r,%r,%r,%r,%r,%r,%r,%r,%s,%r\n"
 EVENT_ROW = "%r,%r,%r,%r,%r,%r\n"
 DELIVERY_ROW = "%r,%r,%r,%r,%r,%r,%r\n"
 
-TICK_ENTITY = "%r,%r,%r,"                 # tick_ms, entity, owner
-TICK_TRUTH = ",%r,%r,"                    # truth_x, truth_y
-TICK_VIEWER = "%s%r%s%r,%r,%r,%s,%r\n"    # entity part, viewer, truth part,
-                                          # shown_x, shown_y, divergence_m,
-                                          # mode, route
+TICK_TRUTH = "%r,%r,"                     # truth_x, truth_y
 TICK_SHOWN = "%r,%r,%r,%s,"               # shown_x, shown_y, divergence_m,
                                           # mode
-TICK_SHARED = "%s%r%s%s%r\n"              # entity part, viewer, truth part,
-                                          # shown part, route
 
 
 def percentile(sorted_values, p: float):

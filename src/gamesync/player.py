@@ -62,7 +62,8 @@ object class, which is that class's dead-reckoning policy plus its local
 lag, and the run-wide scales, intervals and dwells) and Toggles (which
 pipeline stages run). Each settings type holds its fields' defaults and
 checks their bounds when it is built, raising a ValueError that begins with
-the field's name; the scenario parser reads both from the types. A
+the field's name, and a PolicySet checks a field's bound whenever the
+field is set; the scenario parser reads both from the types. A
 PlayerManagerConfig adds what differs per client and the run-wide entity
 and region tables; every client of a run shares one PolicySet and one
 Toggles, and the manager reads them live.
@@ -155,11 +156,20 @@ class ClassPolicy(DeadReckoningPolicy):
             raise ValueError("lag_ms must be >= 0")
 
 
+# PolicySet's bounds: the scales and alpha lie in (0, 1], and each other
+# bounded field has a least value (the radius may also be None).
+_UNIT_INTERVAL = frozenset(("critical_threshold_scale", "critical_lag_scale",
+                            "ewma_alpha"))
+_LEAST = {"heartbeat_ms": 1, "idle_ping_ms": 1, "exit_hysteresis_ms": 0,
+          "route_hysteresis_ms": 0, "critical_proximity_radius_m": 0}
+
+
 @dataclass
 class PolicySet:
-    """The run-wide settings, bounds checked when built: the policy of a
-    class not in classes, each other class's policy by class id, and the
-    scales, intervals, dwells and radius."""
+    """The run-wide settings: the policy of a class not in classes, each
+    other class's policy by class id, and the scales, intervals, dwells and
+    radius. Managers read them live, so a field's bound is checked
+    whenever the field is set, by the constructor or after it."""
 
     default: ClassPolicy = field(default_factory=ClassPolicy)
     classes: dict = field(default_factory=dict)   # class id -> ClassPolicy
@@ -172,18 +182,13 @@ class PolicySet:
     idle_ping_ms: int = 1000
     critical_proximity_radius_m: float | None = None
 
-    def __post_init__(self):
-        for name in ("critical_threshold_scale", "critical_lag_scale",
-                     "ewma_alpha"):
-            if not 0 < getattr(self, name) <= 1:
+    def __setattr__(self, name, value):
+        if name in _UNIT_INTERVAL:
+            if not 0 < value <= 1:
                 raise ValueError(f"{name} must be in (0, 1]")
-        for name, low in (("heartbeat_ms", 1), ("idle_ping_ms", 1),
-                          ("exit_hysteresis_ms", 0),
-                          ("route_hysteresis_ms", 0),
-                          ("critical_proximity_radius_m", 0)):
-            value = getattr(self, name)
-            if value is not None and value < low:
-                raise ValueError(f"{name} must be >= {low}")
+        elif name in _LEAST and value is not None and value < _LEAST[name]:
+            raise ValueError(f"{name} must be >= {_LEAST[name]}")
+        object.__setattr__(self, name, value)
 
 
 @dataclass

@@ -5,6 +5,13 @@ rows go only to their files: a run returns its summary and its managers.
 An entity's ground truth is its motion's state(t) position, and a tick
 row's route is the owner manager's route to the viewer.
 
+Sampling is one flat pass over row plans that session start resolves
+once every manager holds its peer records: one per (entity, viewer), with
+the row's fixed ",entity,owner,viewer," text and the owner's live peer
+record of the viewer, whose route each sample reads. A sample renders
+tick_ms once, the truth columns once per entity and the shown columns once
+per shared point, and each row is one concatenation of those parts.
+
 Each client's network handler hands a frame to its manager and then
 records the delivery the manager returns: the delivery row and the delay
 statistics are made after the call, outside the manager's timed span. The
@@ -41,10 +48,9 @@ from dataclasses import dataclass
 
 from gamesync.deadreckoning import EntityKinematics, dist
 from gamesync.metrics import (DELIVERY_HEADER, DELIVERY_ROW, EVENT_HEADER,
-                              EVENT_ROW, TICK_ENTITY, TICK_HEADER, TICK_ROW,
-                              TICK_SHARED, TICK_SHOWN, TICK_TRUTH, TICK_VIEWER,
-                              CsvWriter, RunningStats, format_summary,
-                              merged_percentiles)
+                              EVENT_ROW, TICK_HEADER, TICK_ROW, TICK_SHOWN,
+                              TICK_TRUTH, CsvWriter, RunningStats,
+                              format_summary, merged_percentiles)
 from gamesync.netsim import InvariantViolation, NetworkSim
 from gamesync.overlay import PeerCapabilities
 from gamesync.player import (GameCallbacks, PlayerManager,
@@ -233,17 +239,6 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
             bots[cid] = bot
             pms[cid] = pm
 
-        # One sampling plan per entity, resolved before the first tick: its
-        # motion's state function (the truth), its owner and the owner's
-        # manager, and every other client, its viewers.
-        plans = []
-        for client_spec in clients:
-            owner = client_spec.client_id
-            for spec in client_spec.entities:
-                viewers = [viewer for viewer in client_ids if viewer != owner]
-                plans.append((spec.entity_id, spec.motion.state, owner,
-                              pms[owner], viewers))
-
         caps = {c.client_id: PeerCapabilities(c.client_id,
                                               c.direct_address_known)
                 for c in clients}
@@ -254,11 +249,34 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
         down_links = {l.link_id for l in config.links if not l.available}
         unreachable = set()
 
+        # The sampling plans and each route's text (see sample), resolved
+        # at session start, when every manager holds the peer records its
+        # routes live in. A route is a link id, or -1 with no link.
+        write_ticks = tick_writer.write
+        writing = write_ticks is not None
+        plans = []
+        route_text = {}
+
         def session_start(now):
             for cid in client_ids:
                 peer_caps = [caps[p] for p in client_ids if p != cid]
                 pms[cid].start_session(peer_caps, now)
                 unreachable.update(pms[cid].unreachable)
+            for client_spec in clients:
+                owner = client_spec.client_id
+                owner_pm = pms[owner]
+                for spec in client_spec.entities:
+                    entity_id = spec.entity_id
+                    rows = tuple(
+                        (index, f",{entity_id},{owner},{viewer},"
+                         if writing else None, owner_pm.peers[viewer])
+                        for index, viewer in enumerate(client_ids)
+                        if viewer != owner)
+                    plans.append((entity_id, spec.motion.state,
+                                  owner_pm.mode_of, rows))
+            if writing:
+                for route in [-1] + [link.link_id for link in config.links]:
+                    route_text[route] = f"{route}\n"
 
         # Each link event is a call at its time. Calls due at the same time
         # run in the order they are scheduled, so every delay change is
@@ -315,73 +333,71 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
                     entry[2] = due
             return do_tick
 
-        write_ticks = tick_writer.write
-        viewer_pms = [(cid, pms[cid]) for cid in client_ids]
+        viewer_pms = [pms[cid] for cid in client_ids]
 
         def sample(now):
             """Add every (entity, viewer) divergence to the run's statistics
             in row order, and write the tick's rows in one batch before
             checking the invariants.
 
+            One flat pass over the plans: for each entity in client and
+            entity order, its motion's state function (the truth), its
+            owner's mode_of and one row plan per other client (its viewers,
+            in client order). A row plan holds the viewer's index in
+            viewer_pms, the row's fixed ",entity,owner,viewer," text (None
+            without a tick file) and the owner's live peer record of the
+            viewer, so the route is read as peer.route, never from a copy.
+
             Each viewer's displays come from one displayed_positions pass.
-            The columns an entity's viewers share are formatted once. So are
-            the shown columns of a point that several of them show (viewers
-            past their blend that hold the same update), and its divergence
-            is computed once: the first viewer of a point renders its row
-            whole, and a later one renders the point's shown part once and
-            reuses it. Only points with both coordinates nonzero are shared,
-            because 0.0 == -0.0 but their reprs differ. An entity with one
-            viewer shares nothing and keeps no table of points. Nothing is
-            formatted without a tick file."""
+            A sample renders tick_ms once, the truth columns once per
+            entity, and the shown, divergence and mode columns once per
+            point that several viewers show (viewers past their blend that
+            hold the same update), whose divergence is also computed once;
+            each row is then one concatenation of those parts. Only points
+            with both coordinates nonzero are shared, because
+            0.0 == -0.0 but their reprs differ; an entity with one viewer
+            keeps no table of points. Nothing is formatted without a tick
+            file."""
             if now + tick_ms <= duration_ms:
                 sim.schedule_call(now + tick_ms, sample)
-            shown_by = {}
-            for cid, pm in viewer_pms:
-                shown_by[cid] = pm.displayed_positions(now)
+            shown_by = [pm.displayed_positions(now) for pm in viewer_pms]
             lines = []
+            append = lines.append
             count, total = divergence.count, divergence.total
             maximum = divergence.maximum
-            for entity_id, state, owner, owner_pm, viewers in plans:
+            if writing:
+                when = f"{now}"
+            for entity_id, state, mode_of, rows in plans:
                 tx, ty = state(now)[0]
-                mode = owner_pm.mode_of(entity_id).value
-                peers = owner_pm.peers
-                points = {} if len(viewers) > 1 else None
-                entity_part = None
-                for viewer in viewers:
+                if writing:
+                    truth = TICK_TRUTH % (tx, ty)
+                    mode = mode_of(entity_id).value
+                points = {} if len(rows) > 1 else None
+                for viewer, pair, peer in rows:
                     shown = shown_by[viewer].get(entity_id)
                     if shown is None:
                         continue
                     sx, sy = shown
-                    point = None
                     if points is not None and sx and sy:
                         point = points.get(shown)
                         if point is None:
                             div = dist(tx, ty, sx, sy)
-                            points[shown] = [div, None]
+                            part = (TICK_SHOWN % (sx, sy, div, mode)
+                                    if writing else None)
+                            points[shown] = div, part
                         else:
-                            div = point[0]
+                            div, part = point
                     else:
                         div = dist(tx, ty, sx, sy)
+                        if writing:
+                            part = TICK_SHOWN % (sx, sy, div, mode)
                     count += 1
                     total += div
                     if maximum is None or div > maximum:
                         maximum = div
-                    route = peers[viewer].route
-                    if write_ticks is not None:
-                        if entity_part is None:
-                            entity_part = TICK_ENTITY % (now, entity_id, owner)
-                            truth_part = TICK_TRUTH % (tx, ty)
-                        if point is None:
-                            lines.append(TICK_VIEWER % (
-                                entity_part, viewer, truth_part, sx, sy, div,
-                                mode, route))
-                        else:
-                            part = point[1]
-                            if part is None:
-                                part = point[1] = TICK_SHOWN % (sx, sy, div,
-                                                                mode)
-                            lines.append(TICK_SHARED % (
-                                entity_part, viewer, truth_part, part, route))
+                    if writing:
+                        append(f"{when}{pair}{truth}{part}"
+                               f"{route_text[peer.route]}")
             divergence.count, divergence.total = count, total
             divergence.maximum = maximum
             if lines:

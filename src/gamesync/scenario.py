@@ -9,22 +9,24 @@ type: every failure is a ValidationError naming the field.
 Each setting's default and bounds live in its settings type, and the
 parser reads both from there. "policies", each class policy and "toggles"
 parse into the Medium's own PolicySet, ClassPolicy and Toggles
-(gamesync.player), a link into an overlay.LinkSpec and a client into a
-ClientSpec. The keys a document may omit are the type's fields with a
-default, and an omitted key takes that default; a class policy's omitted
-keys take "policies.default"'s values instead, and "policies.classes" may
-not name the default class, whose policy is "policies.default". A field's
-JSON type comes from its annotation: an integer, a number (read as a
-float), a boolean, and null only where the default is None. A value out of
-the type's bounds raises the type's ValueError, which begins with the
-field's name, and the parser turns it into a ValidationError naming the
-field's path; a link event's change is checked against its link's bounds
-the same way. The parser itself checks only JSON types and the limits no
-settings type holds: those of ids, times, intervals and counts (the wire's
-uint32 ids and uint64 clock among them), duplicate ids, and references to
-clients, links and entities. One key is retired: "toggles.rollback_scope"
-is still accepted, as "all" or "events" and nothing else, but it maps to no
-field and has no effect, because rollback covers events only.
+(gamesync.player), a link into an overlay.LinkSpec, a client into a
+ClientSpec and an entity into an EntitySpec, and the run's tick_ms and
+seed default to ScenarioConfig's. The keys a document may omit are the
+type's fields with a default, and an omitted key takes that default; a
+class policy's omitted keys take "policies.default"'s values instead, and
+"policies.classes" may not name the default class, whose policy is
+"policies.default". A field's JSON type comes from its annotation: an
+integer, a number (read as a float), a boolean, and null only where the
+default is None. A value out of the type's bounds raises the type's
+ValueError, which begins with the field's name, and the parser turns it
+into a ValidationError naming the field's path; a link event's change is
+checked against its link's bounds the same way. The parser itself checks
+only JSON types and the limits no settings type holds: those of ids,
+times, intervals and counts (the wire's uint32 ids and uint64 clock among
+them), duplicate ids, and references to clients, links and entities. One
+key is retired: "toggles.rollback_scope" is still accepted, as "all" or
+"events" and nothing else, but it maps to no field and has no effect,
+because rollback covers events only.
 
 An entity's events parse into series cut at the run's last tick (the last
 multiple of tick_ms at or before duration_ms): later events never fire.
@@ -186,8 +188,8 @@ MotionScript = ConstantVelocity | WaypointPath
 @dataclass
 class EntitySpec:
     entity_id: int
-    class_id: str
     motion: MotionScript
+    class_id: str = DEFAULT_CLASS
     # The entity's event series, [(ascending at_ms, EventKind), ...], cut
     # at the run's last tick: a range per series item, one sorted tuple per
     # kind for single events (see _parse_events and walk_events).
@@ -205,14 +207,14 @@ class ClientSpec:
 @dataclass
 class ScenarioConfig:
     duration_ms: int
-    tick_ms: int
-    seed: int
     clients: list
     links: list
     link_events: list                       # [(at, link_id, field, value)]
     regions: list
     policies: PolicySet
     toggles: Toggles
+    tick_ms: int = 50
+    seed: int = 1
 
 
 # -- parsing ---------------------------------------------------------------
@@ -334,6 +336,11 @@ def _readers(cls) -> tuple:
     a list, a pair of ids) is the caller's to read."""
     return tuple((f.name, _READERS[f.type], f.default is None)
                  for f in fields(cls) if f.type in _READERS)
+
+
+def _default(cls, name):
+    """The default of the field name of the settings dataclass cls."""
+    return next(f.default for f in fields(cls) if f.name == name)
 
 
 @cache
@@ -477,8 +484,10 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                   {"tick_ms", "seed", "links", "link_events", "regions",
                    "policies", "toggles"})
     duration = _number(doc["duration_ms"], "$.duration_ms", 1, True)
-    tick = _number(doc.get("tick_ms", 50), "$.tick_ms", 1, True)
-    seed = _number(doc.get("seed", 1), "$.seed", 0, True)
+    tick = _number(doc.get("tick_ms", _default(ScenarioConfig, "tick_ms")),
+                   "$.tick_ms", 1, True)
+    seed = _number(doc.get("seed", _default(ScenarioConfig, "seed")),
+                   "$.seed", 0, True)
     last_tick = duration - duration % tick
 
     clients = []
@@ -501,13 +510,13 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
             entity_ids.add(eid)
             motion = _parse_motion(ent["motion"], f"{epath}.motion")
             _check_motion_range(motion, duration, f"{epath}.motion")
-            entities.append(EntitySpec(
-                entity_id=eid,
-                class_id=_string(ent.get("class", DEFAULT_CLASS),
-                                 f"{epath}.class"),
-                motion=motion,
-                events=_parse_events(ent.get("events", []), f"{epath}.events",
-                                     last_tick)))
+            given = {}     # an omitted class or events keeps EntitySpec's
+            if "class" in ent:
+                given["class_id"] = _string(ent["class"], f"{epath}.class")
+            if "events" in ent:
+                given["events"] = _parse_events(ent["events"],
+                                                f"{epath}.events", last_tick)
+            entities.append(EntitySpec(entity_id=eid, motion=motion, **given))
         client = ClientSpec(cid, entities,
                             **_fields_set(obj, path, ClientSpec))
         # A client's clock reads at most duration_ms + its offset.

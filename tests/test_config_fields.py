@@ -23,8 +23,9 @@ import pytest
 from conftest import two_client_doc
 from gamesync.overlay import LinkSpec, PeerCapabilities
 from gamesync.player import ClassPolicy, PlayerManagerConfig, PolicySet, Toggles
-from gamesync.scenario import (ClientSpec, EntitySpec, ValidationError,
-                               WaypointPath, parse_scenario)
+from gamesync.runner import run
+from gamesync.scenario import (ClientSpec, EntitySpec, ScenarioConfig,
+                               ValidationError, WaypointPath, parse_scenario)
 from test_golden import GOLDEN, digests, small_mesh_doc
 
 SETTINGS = (PlayerManagerConfig, PolicySet, ClassPolicy, Toggles, ClientSpec,
@@ -125,6 +126,10 @@ def test_omitted_keys_take_the_settings_types_own_defaults():
                        {"id": 1, "entities": []}],
            "links": [{"id": 0, "endpoints": [0, 1], "base_delay_ms": 10}]}
     config = parse_scenario(doc)
+    assert config == ScenarioConfig(1000, config.clients, config.links, [],
+                                    [], config.policies, config.toggles)
+    entity = config.clients[0].entities[0]
+    assert entity == EntitySpec(0, entity.motion)
     assert config.links == [LinkSpec(0, (0, 1), 10)]
     assert config.clients[0] == ClientSpec(0, config.clients[0].entities)
     assert config.clients[1] == ClientSpec(1, [])
@@ -204,6 +209,36 @@ def test_out_of_bounds_value_fails_in_the_type_and_in_the_parser(
     with pytest.raises(ValidationError,
                        match="^" + re.escape(_document_path(where, name))):
         parse_scenario(doc)
+
+
+POLICY_OUT_OF_BOUNDS = [(name, value) for base, name, value, _ in OUT_OF_BOUNDS
+                        if isinstance(base, PolicySet)]
+
+
+@pytest.mark.parametrize("name, value", POLICY_OUT_OF_BOUNDS,
+                         ids=[f"{n}={v}" for n, v in POLICY_OUT_OF_BOUNDS])
+def test_a_policy_bound_holds_when_the_field_is_set_later(name, value):
+    """Managers read the PolicySet live, so assigning a field after it is
+    built is held to the same bound as building it."""
+    policies = PolicySet()
+    before = getattr(policies, name)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        setattr(policies, name, value)
+    assert getattr(policies, name) == before
+
+
+@pytest.mark.parametrize("name, value", [("heartbeat_ms", 0),
+                                         ("critical_lag_scale", 7.0)])
+def test_a_parsed_configs_policies_reject_an_out_of_bounds_assignment(
+        name, value):
+    """A heartbeat of 0 would make the standing client send every tick
+    (202 state updates in this run instead of 12): the assignment is
+    refused, and the run sends what an untouched config sends."""
+    config = parse_scenario(two_client_doc())
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        setattr(config.policies, name, value)
+    assert run(config).summary["state_sends"] == run(
+        parse_scenario(two_client_doc())).summary["state_sends"] == 12
 
 
 def test_a_link_events_change_is_held_to_the_links_own_bounds():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import read_rows
 from gamesync.metrics import (DELIVERY_HEADER, DELIVERY_ROW, EVENT_HEADER,
-                              EVENT_ROW, TICK_ENTITY, TICK_HEADER, TICK_ROW,
-                              TICK_TRUTH, TICK_VIEWER, CsvWriter,
-                              RunningStats, merged_percentiles, percentile)
+                              EVENT_ROW, TICK_HEADER, TICK_ROW, TICK_SHOWN,
+                              TICK_TRUTH, CsvWriter, RunningStats,
+                              merged_percentiles, percentile)
 
 SUBNORMAL = 5e-324
 AWKWARD = (-0.0, SUBNORMAL, 1e22, 0.1 + 0.2)
@@ -40,9 +40,10 @@ def test_tick_rows_match_reference_join():
             for mode, route in (("normal", -1), ("strong", 12))]
     got = written(TICK_HEADER, TICK_ROW, rows)
     assert got == TICK_HEADER + "\n" + "".join(map(join_reference, rows))
-    # The per-entity and per-viewer parts render the same bytes.
-    parts = "".join(TICK_VIEWER % ((TICK_ENTITY % row[:3], row[3],
-                                    TICK_TRUTH % row[4:6]) + row[6:])
+    # A sampler's parts render the same bytes: the tick, the fixed
+    # ",entity,owner,viewer," text, the truth and shown parts, the route.
+    parts = "".join("%d,%d,%d,%d," % row[:4] + TICK_TRUTH % row[4:6]
+                    + TICK_SHOWN % row[6:10] + "%d\n" % row[10]
                     for row in rows)
     assert TICK_HEADER + "\n" + parts == got
 
