@@ -2,7 +2,8 @@
 
 Links have a base delay, symmetric uniform jitter, and a loss probability.
 A link's delay lives on the simulator's copy of the link: set_link_delay
-changes it for every send from then on, and frames in flight keep theirs.
+changes it, within LinkSpec's bound, for every send from then on, and
+frames in flight keep theirs.
 All randomness flows through one seeded xorshift64* generator, so identical
 seeds give identical event traces on every platform. The simulator owns the
 global virtual clock; this is what makes the synchronized-clock assumption
@@ -158,10 +159,13 @@ class NetworkSim:
     def set_link_delay(self, link_id: int, new_base_delay: int) -> None:
         """Sends issued from now on use the new delay; frames already in
         flight keep theirs. A change due at a virtual time is made by a
-        call scheduled at that time (see schedule_call)."""
+        call scheduled at that time (see schedule_call). The delay is held
+        to LinkSpec's own bound, as the parser holds a link event: a
+        negative one raises LinkSpec's ValueError and changes nothing."""
         link = self.links.get(link_id)
         if link is None:
             raise UnknownLink(f"link {link_id}")
+        replace(link, base_delay_ms=new_base_delay)    # the link's bounds
         link.base_delay_ms = new_base_delay
 
     def schedule_call(self, at: int, fn: Callable[[int], None]) -> None:

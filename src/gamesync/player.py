@@ -53,9 +53,11 @@ QUEUE_LIMIT_MS, and the rest are sent, in order, when a link to the peer
 comes up. A tick looks at the peers one by one only when a ping may
 be due (the earliest time any peer went quiet is idle_ping_ms old) and
 only for peers with frames queued. Route switches, and the failovers among
-them, are counted in PmCounters, not logged. Each player manager is
-single-threaded; distinct managers share no mutable state and talk only
-through the network layer.
+them, are counted in PmCounters, not logged; each PmCounters field is named
+for the run summary's key the runner sums it into. A mode, from a frame or
+from a tick, is noted in one place, _note_mode, which tells the game of a
+change. Each player manager is single-threaded; distinct managers share no
+mutable state and talk only through the network layer.
 
 The Medium's settings are defined here once: a PolicySet (a ClassPolicy per
 object class, which is that class's dead-reckoning policy plus its local
@@ -219,19 +221,22 @@ class PlayerManagerConfig:
 
 @dataclass
 class PmCounters:
-    sends: int = 0
+    """A manager's counts. Each field's name is the run summary's key for
+    it, and the runner sums every field over the managers, so a new count
+    is one new field."""
+    state_sends: int = 0
     sends_in_region: int = 0
     events_sent: int = 0
-    data_received: int = 0
+    data_messages_received: int = 0
     decode_errors: int = 0
     late_messages: int = 0
-    # rollbacks, duplicates and beyond_window count events: states never
-    # enter the rollback log
+    # rollbacks, duplicates_dropped and dropped_beyond_window count events:
+    # states never enter the rollback log
     rollbacks: int = 0
-    duplicates: int = 0
-    beyond_window: int = 0
+    duplicates_dropped: int = 0
+    dropped_beyond_window: int = 0
     clock_anomalies: int = 0
-    queue_drops: int = 0
+    messages_dropped_queue: int = 0
     # every route switch, and the failovers among them (see on_link_change)
     route_switches: int = 0
     route_failovers: int = 0
@@ -389,7 +394,7 @@ class PlayerManager:
         # data message (state update or event)
         sender, entity, seq, timestamp = msg[:4]
         counters = self.counters
-        counters.data_received += 1
+        counters.data_messages_received += 1
         delay = now - timestamp
         if delay < 0:
             delay = 0
@@ -454,9 +459,9 @@ class PlayerManager:
                 raise
             self.log.commit(outcome)
         elif kind is rb.DropDuplicate:
-            self.counters.duplicates += 1
+            self.counters.duplicates_dropped += 1
         else:   # DropBeyondWindow
-            self.counters.beyond_window += 1
+            self.counters.dropped_beyond_window += 1
 
     def _apply_state(self, msg: StateUpdate, now: int) -> None:
         """Fold an update's wire kinematics into the entity's view, then
@@ -552,7 +557,6 @@ class PlayerManager:
         # whatever the entities' order. The one test gives the mode and
         # sends_in_region; with tightening off it is made only on a send.
         regions = config.regions
-        noted = self._entity_modes
         tighten = config.toggles.critical_tightening
         gated = []
         for entity_id, kin in states:
@@ -561,9 +565,7 @@ class PlayerManager:
             if tighten:
                 inside = regions.any_contains(kin.pos, positions)
                 mode = self.modes.mode_for(entity_id, inside, now)
-            if noted.get(entity_id) is not mode:
-                noted[entity_id] = mode
-                callbacks.notify_mode(entity_id, mode)
+            self._note_mode(entity_id, mode)
             gated.append((entity_id, kin, mode is STRONG, inside))
 
         pol = config.policies
@@ -582,7 +584,7 @@ class PlayerManager:
             vel = kin.vel
             data = encode(_new(StateUpdate, (config.client_id, entity_id, seq,
                                              now, pos, vel, strong)))
-            counters.sends += 1
+            counters.state_sends += 1
             if inside is None:
                 inside = regions.any_contains(pos, positions)
             if inside:
@@ -692,7 +694,7 @@ class PlayerManager:
         """Drop queued frames older than QUEUE_LIMIT_MS, oldest first."""
         while pending and now - pending[0][1] > QUEUE_LIMIT_MS:
             pending.popleft()
-            self.counters.queue_drops += 1
+            self.counters.messages_dropped_queue += 1
 
     # -- helpers -----------------------------------------------------------
 
@@ -767,7 +769,8 @@ class PlayerManager:
         return lag
 
     def _note_mode(self, entity_id: int, mode: ConsistencyMode) -> None:
-        if self._entity_modes.get(entity_id) != mode:
+        """The one place a mode is noted: the game is told of a change."""
+        if self._entity_modes.get(entity_id) is not mode:
             self._entity_modes[entity_id] = mode
             self.callbacks.notify_mode(entity_id, mode)
 

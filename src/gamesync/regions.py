@@ -16,6 +16,11 @@ one way a point is tested. An anchored circle whose anchor has no known
 position contains nothing. Circles compare sqrt(dx*dx + dy*dy) with the
 radius, the formula of `deadreckoning.dist`, so a point on a boundary gets
 the same answer everywhere.
+
+Each region checks its geometry when it is built and raises
+InvalidGeometry, a ValueError whose message begins with the document key it
+names (a circle's "radius", a rect's "min"), so the scenario parser reports
+it as it reports a settings type's bound: naming the key's path.
 """
 
 from dataclasses import dataclass
@@ -25,8 +30,9 @@ from math import sqrt
 EXIT_HYSTERESIS_MS = 250
 
 
-class InvalidGeometry(Exception):
-    pass
+class InvalidGeometry(ValueError):
+    """A region's geometry is out of bounds. The message begins with the
+    region's document key: "radius must be > 0", "min must be <= max"."""
 
 
 @dataclass(frozen=True)
@@ -38,7 +44,7 @@ class Rect:
 
     def __post_init__(self):
         if self.min_x > self.max_x or self.min_y > self.max_y:
-            raise InvalidGeometry(f"rect min > max: {self}")
+            raise InvalidGeometry("min must be <= max")
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,7 @@ class Circle:
 
     def __post_init__(self):
         if self.radius <= 0:
-            raise InvalidGeometry(f"radius must be > 0: {self}")
+            raise InvalidGeometry("radius must be > 0")
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,7 @@ class AnchoredCircle:
 
     def __post_init__(self):
         if self.radius <= 0:
-            raise InvalidGeometry(f"radius must be > 0: {self}")
+            raise InvalidGeometry("radius must be > 0")
 
 
 Region = Rect | Circle | AnchoredCircle

@@ -18,8 +18,10 @@ statistics are made after the call, outside the manager's timed span. The
 summary's processing percentiles are read from the managers'
 processing_ns arrays (8 bytes a frame): after the run each manager's
 timings are replaced by a sorted array, one manager at a time, and the
-percentiles bisect across them, so no run-wide copy is built. Route
-switches and failovers are summed from the managers' counters.
+percentiles bisect across them, so no run-wide copy is built. Every count
+is summed from the managers' counters in one pass over PmCounters' fields,
+each field's name being its summary key, and late_fraction is read from
+those sums.
 
 Each client's tick fires its entities' scripted events. A run walks each
 entity's event series with one merged iterator (scenario.walk_events),
@@ -44,7 +46,7 @@ simulation.
 import gc
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from gamesync.deadreckoning import EntityKinematics, dist
 from gamesync.metrics import (DELIVERY_HEADER, DELIVERY_ROW, EVENT_HEADER,
@@ -54,7 +56,7 @@ from gamesync.metrics import (DELIVERY_HEADER, DELIVERY_ROW, EVENT_HEADER,
 from gamesync.netsim import InvariantViolation, NetworkSim
 from gamesync.overlay import PeerCapabilities
 from gamesync.player import (GameCallbacks, PlayerManager,
-                             PlayerManagerConfig)
+                             PlayerManagerConfig, PmCounters)
 from gamesync.regions import RegionSet
 from gamesync.scenario import ScenarioConfig, walk_events
 
@@ -450,8 +452,11 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
         processing = [pm.processing_ns for pm in pms.values()]
         processing_count = sum(map(len, processing))
         p50, p99 = merged_percentiles(processing, (50, 99))
-        data_received = sum(pm.counters.data_received for pm in pms.values())
-        late = sum(pm.counters.late_messages for pm in pms.values())
+        # Each PmCounters field is the summary key of its sum.
+        counts = {f.name: sum(getattr(pm.counters, f.name)
+                              for pm in pms.values())
+                  for f in fields(PmCounters)}
+        received = counts["data_messages_received"]
 
         summary = {
             "seed": seed,
@@ -461,20 +466,9 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
             "messages_delivered": sim.counters.delivered,
             "messages_dropped_network": sim.counters.dropped,
             "messages_in_flight_at_end": in_flight,
-            "messages_dropped_queue": sum(pm.counters.queue_drops for pm in pms.values()),
-            "data_messages_received": data_received,
-            "decode_errors": sum(pm.counters.decode_errors for pm in pms.values()),
-            "state_sends": sum(pm.counters.sends for pm in pms.values()),
-            "sends_in_region": sum(pm.counters.sends_in_region for pm in pms.values()),
-            "events_sent": sum(pm.counters.events_sent for pm in pms.values()),
-            "late_messages": late,
-            "late_fraction": (late / data_received) if data_received else 0.0,
-            "rollbacks": sum(pm.counters.rollbacks for pm in pms.values()),
-            "duplicates_dropped": sum(pm.counters.duplicates for pm in pms.values()),
-            "dropped_beyond_window": sum(pm.counters.beyond_window for pm in pms.values()),
-            "clock_anomalies": sum(pm.counters.clock_anomalies for pm in pms.values()),
-            "route_switches": sum(pm.counters.route_switches for pm in pms.values()),
-            "route_failovers": sum(pm.counters.route_failovers for pm in pms.values()),
+            **counts,
+            "late_fraction": (counts["late_messages"] / received
+                              if received else 0.0),
             "divergence_rows": divergence.count,
             "mean_divergence_m": divergence.mean,
             "max_divergence_m": divergence.max,

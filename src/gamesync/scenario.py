@@ -20,13 +20,17 @@ integer, a number (read as a float), a boolean, and null only where the
 default is None. A value out of the type's bounds raises the type's
 ValueError, which begins with the field's name, and the parser turns it
 into a ValidationError naming the field's path; a link event's change is
-checked against its link's bounds the same way. The parser itself checks
-only JSON types and the limits no settings type holds: those of ids,
-times, intervals and counts (the wire's uint32 ids and uint64 clock among
-them), duplicate ids, and references to clients, links and entities. One
-key is retired: "toggles.rollback_scope" is still accepted, as "all" or
-"events" and nothing else, but it maps to no field and has no effect,
-because rollback covers events only.
+checked against its link's bounds the same way. Regions and waypoint paths
+are built the same way: their types check their own geometry, and a bad
+radius, a rect's min above its max, a waypoint path's speed or its points
+raise a ValueError that begins with the key at fault, so every bad value
+reaches the user in one format, "$.regions[0].radius must be > 0". The
+parser itself checks only JSON types and the limits no type holds: those
+of ids, times, intervals and counts (the wire's uint32 ids and uint64
+clock among them), duplicate ids, and references to clients, links and
+entities. One key is retired: "toggles.rollback_scope" is still accepted,
+as "all" or "events" and nothing else, but it maps to no field and has no
+effect, because rollback covers events only.
 
 An entity's events parse into series cut at the run's last tick (the last
 multiple of tick_ms at or before duration_ms): later events never fire.
@@ -124,13 +128,14 @@ class ConstantVelocity:
 
 class WaypointPath:
     """Piecewise-linear path at constant speed; stops at the last point
-    unless loop is set."""
+    unless loop is set. A bad path raises a ValueError that begins with the
+    key at fault, "points" or "speed"."""
 
     def __init__(self, points, speed: float, loop: bool = False):
         if len(points) < 2:
-            raise ValidationError("motion.points needs at least 2 points")
+            raise ValueError("points needs at least 2 points")
         if speed <= 0:
-            raise ValidationError("motion.speed must be > 0")
+            raise ValueError("speed must be > 0")
         self.points = [(float(x), float(y)) for x, y in points]
         self.speed = float(speed)
         self.loop = loop
@@ -142,20 +147,19 @@ class WaypointPath:
         for a, b in zip(pts, pts[1:]):
             length = math.hypot(b[0] - a[0], b[1] - a[1])
             if length == 0.0:
-                raise ValidationError("motion.points contains a zero-length segment")
+                raise ValueError("points contains a zero-length segment")
             scale = self.speed / length
             if not all(map(math.isfinite, (b[0] - a[0], b[1] - a[1],
                                            (b[0] - a[0]) * scale,
                                            (b[1] - a[1]) * scale))):
-                raise ValidationError(
-                    "motion.points: a segment or its velocity exceeds the "
-                    "float range")
+                raise ValueError("points: a segment or its velocity "
+                                 "exceeds the float range")
             self._segments.append((a, b, length))
             self._cum.append(self._cum[-1] + length)
         self.total = self._cum[-1]
         if not math.isfinite(self.total):
-            raise ValidationError("motion.points: the path length exceeds "
-                                  "the float range")
+            raise ValueError("points: the path length exceeds the float "
+                             "range")
 
     def _locate(self, t: int):
         s = self.speed * (t / 1000.0)
@@ -365,9 +369,10 @@ def _fields_set(obj, path, cls) -> dict:
 
 
 def _build(make, path, *args, **values):
-    """make(*args, **values), where the bounds a settings type checks raise
-    a ValueError that begins with the field's name: that becomes a
-    ValidationError naming the field's path under path."""
+    """make(*args, **values), where the bounds a settings type, a region or
+    a waypoint path checks raise a ValueError that begins with the key's
+    name: that becomes a ValidationError naming the key's path under path.
+    Any other exception is not a bad value, and propagates as itself."""
     try:
         return make(*args, **values)
     except ValueError as exc:
@@ -397,7 +402,8 @@ def _parse_motion(obj, path) -> MotionScript:
                for i, p in enumerate(_list(obj["points"], f"{path}.points"))]
         loop = ({"loop": _bool(obj["loop"], f"{path}.loop")} if "loop" in obj
                 else {})
-        return WaypointPath(pts, _real(obj["speed"], f"{path}.speed"), **loop)
+        return _build(WaypointPath, path, pts,
+                      _real(obj["speed"], f"{path}.speed"), **loop)
     raise ValidationError(f"{path}.kind: unknown motion kind {kind!r}")
 
 
@@ -451,25 +457,21 @@ def _parse_region(obj, path) -> Region:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError(f"{path}: expected a region object with 'kind'")
     kind = obj["kind"]
-    try:
-        if kind == "rect":
-            _require_keys(obj, path, {"kind", "min", "max"}, set())
-            lo = _point(obj["min"], f"{path}.min")
-            hi = _point(obj["max"], f"{path}.max")
-            return Rect(lo[0], lo[1], hi[0], hi[1])
-        if kind == "circle":
-            _require_keys(obj, path, {"kind", "center", "radius"}, set())
-            return Circle(_point(obj["center"], f"{path}.center"),
-                          _real(obj["radius"], f"{path}.radius"))
-        if kind == "anchored_circle":
-            _require_keys(obj, path, {"kind", "anchor_entity", "radius"}, set())
-            return AnchoredCircle(
-                _number(obj["anchor_entity"], f"{path}.anchor_entity", 0, True),
-                _real(obj["radius"], f"{path}.radius"))
-    except ValidationError:
-        raise
-    except Exception as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    if kind == "rect":
+        _require_keys(obj, path, {"kind", "min", "max"}, set())
+        lo = _point(obj["min"], f"{path}.min")
+        hi = _point(obj["max"], f"{path}.max")
+        return _build(Rect, path, lo[0], lo[1], hi[0], hi[1])
+    if kind == "circle":
+        _require_keys(obj, path, {"kind", "center", "radius"}, set())
+        return _build(Circle, path, _point(obj["center"], f"{path}.center"),
+                      _real(obj["radius"], f"{path}.radius"))
+    if kind == "anchored_circle":
+        _require_keys(obj, path, {"kind", "anchor_entity", "radius"}, set())
+        return _build(
+            AnchoredCircle, path,
+            _number(obj["anchor_entity"], f"{path}.anchor_entity", 0, True),
+            _real(obj["radius"], f"{path}.radius"))
     raise ValidationError(f"{path}.kind: unknown region kind {kind!r}")
 
 

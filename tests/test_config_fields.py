@@ -10,12 +10,13 @@ nowhere after that is still inert.
 
 Each setting's default and bounds have one home, its settings type: a
 document that omits a key parses to the type's default, and a value out of
-the type's bounds fails in the type and, naming its path, in the parser."""
+the type's bounds fails in the type and, naming its path, in the parser.
+A region's radius and a waypoint path's speed are held the same way."""
 
 import ast
 import inspect
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ import pytest
 from conftest import two_client_doc
 from gamesync.overlay import LinkSpec, PeerCapabilities
 from gamesync.player import ClassPolicy, PlayerManagerConfig, PolicySet, Toggles
+from gamesync.regions import AnchoredCircle, Circle
 from gamesync.runner import run
 from gamesync.scenario import (ClientSpec, EntitySpec, ScenarioConfig,
                                ValidationError, WaypointPath, parse_scenario)
@@ -170,10 +172,33 @@ def _set(doc, where, name, value):
     target[name] = value
 
 
-# (a settings type's instance, field, value, where the document sets it):
-# one value outside each bound a settings type checks.
+def _bounds_doc():
+    """two_client_doc with a circle and an anchored circle region, and
+    client 0's entity on a waypoint path: a key to set for every bound."""
+    doc = two_client_doc(regions=[
+        {"kind": "circle", "center": [0, 0], "radius": 5},
+        {"kind": "anchored_circle", "anchor_entity": 1, "radius": 5}])
+    doc["clients"][0]["entities"][0]["motion"] = {
+        "kind": "waypoints", "points": [[0, 0], [50, 0]], "speed": 10}
+    return doc
+
+
+def _rebuilt(base, name, value):
+    """A new instance of base's type from base's own arguments, with name
+    set to value: what dataclasses.replace does, for any type that keeps
+    each argument as an attribute of the same name (WaypointPath too)."""
+    args = {arg: getattr(base, arg)
+            for arg in inspect.signature(type(base)).parameters}
+    return type(base)(**{**args, name: value})
+
+
+# (a type's instance, field, value, where the document sets it): one value
+# outside each bound a settings type, a region or a waypoint path checks.
 POLICIES, DEFAULT = ("policies",), ("policies", "default")
 CLASS, LINK = ("policies", "classes", "car"), ("links", 0)
+CIRCLE, ANCHORED = ("regions", 0), ("regions", 1)
+MOTION = ("clients", 0, "entities", 0, "motion")
+PATH = WaypointPath([(0, 0), (50, 0)], 10.0)
 OUT_OF_BOUNDS = [
     (ClassPolicy(), "threshold_m", 0, DEFAULT),
     (ClassPolicy(), "threshold_m", -0.5, CLASS),
@@ -194,6 +219,10 @@ OUT_OF_BOUNDS = [
     (LinkSpec(0, (0, 1), 10), "jitter_ms", -1, LINK),
     (LinkSpec(0, (0, 1), 10), "loss_prob", -0.1, LINK),
     (LinkSpec(0, (0, 1), 10), "loss_prob", 1.5, LINK),
+    (Circle((0.0, 0.0), 5.0), "radius", 0, CIRCLE),
+    (AnchoredCircle(1, 5.0), "radius", -1, ANCHORED),
+    (PATH, "speed", 0, MOTION),
+    (PATH, "speed", -0.5, MOTION),
 ]
 
 
@@ -203,8 +232,8 @@ OUT_OF_BOUNDS = [
 def test_out_of_bounds_value_fails_in_the_type_and_in_the_parser(
         base, name, value, where):
     with pytest.raises(ValueError, match=f"^{name} must be"):
-        replace(base, **{name: value})
-    doc = two_client_doc()
+        _rebuilt(base, name, value)
+    doc = _bounds_doc()
     _set(doc, where, name, value)
     with pytest.raises(ValidationError,
                        match="^" + re.escape(_document_path(where, name))):
@@ -270,6 +299,9 @@ AT_BOUNDS = [
     (PolicySet(), "critical_proximity_radius_m", 0.0, POLICIES),
     (LinkSpec(0, (0, 1), 10), "base_delay_ms", 0, LINK),
     (LinkSpec(0, (0, 1), 10), "loss_prob", 1.0, LINK),
+    (Circle((0.0, 0.0), 5.0), "radius", 1e-12, CIRCLE),
+    (AnchoredCircle(1, 5.0), "radius", 1e-12, ANCHORED),
+    (PATH, "speed", 1e-12, MOTION),
 ]
 
 
@@ -278,8 +310,8 @@ AT_BOUNDS = [
     ids=[_document_path(w, n) + f"={v}" for _, n, v, w in AT_BOUNDS])
 def test_value_at_a_bound_is_accepted_by_the_type_and_the_parser(
         base, name, value, where):
-    assert getattr(replace(base, **{name: value}), name) == value
-    doc = two_client_doc()
+    assert getattr(_rebuilt(base, name, value), name) == value
+    doc = _bounds_doc()
     _set(doc, where, name, value)
     assert getattr(_built(parse_scenario(doc), where), name) == value
 

@@ -157,6 +157,17 @@ def test_set_link_delay_idempotent():
     assert sim.links[0].base_delay_ms == 300
 
 
+def test_set_link_delay_is_held_to_the_links_bound():
+    """A negative delay raises LinkSpec's own error and changes nothing:
+    the next send still takes the old delay."""
+    sim = make_sim(base=100)
+    with pytest.raises(ValueError, match="^base_delay_ms must be >= 0"):
+        sim.set_link_delay(0, -50)
+    assert sim.links[0].base_delay_ms == 100
+    sim.set_link_delay(0, 0)
+    assert sim.links[0].base_delay_ms == 0
+
+
 def test_delay_change_ties_and_send_time_boundary():
     """Of two changes at one time the one called last holds, and a send in
     the ms of a change sees it."""

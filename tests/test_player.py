@@ -120,7 +120,7 @@ def test_non_finite_frame_counted_never_crashes():
     assert pm.counters.decode_errors == 1
     pm.on_network_message(inf_vel, 101, 0)
     assert pm.counters.decode_errors == 2
-    assert spy.states == [] and pm.counters.data_received == 0
+    assert spy.states == [] and pm.counters.data_messages_received == 0
     pm.on_network_message(encode(state(102, seq=2)), 102, 0)
     assert [entity for entity, _ in spy.states] == [7]
     assert pm.counters.decode_errors == 2
@@ -180,7 +180,7 @@ def test_failing_game_callback_on_an_in_order_event_leaves_it_unlogged():
     # and a resend of the failed event is delivered, not a duplicate
     spy.apply_event = apply_event
     pm.on_network_message(encode(event(130, seq=2)), 137, 0)
-    assert pm.counters.duplicates == 0
+    assert pm.counters.duplicates_dropped == 0
     assert [m.timestamp for m in spy.events] == [100, 135, 120, 135, 130, 135]
     assert [m.timestamp for m in pm.log.applied] == [100, 120, 130, 135]
 
@@ -282,7 +282,7 @@ def test_reused_seqs_after_a_session_restart_reach_the_game():
         if type(msg) is EventMessage:
             pm.on_network_message(data, msg.timestamp + 5, link)
     assert [(m.seq, m.timestamp) for m in spy.events] == [(1, 100), (1, 900)]
-    assert pm.counters.duplicates == 0
+    assert pm.counters.duplicates_dropped == 0
 
 
 def test_event_beyond_the_history_window_is_counted_never_played_out():
@@ -291,11 +291,11 @@ def test_event_beyond_the_history_window_is_counted_never_played_out():
     window = pm.log.history_window_ms
     pm.on_network_message(encode(event(100, seq=1)), 100 + window + 1, 0)
     assert pm.counters.late_messages == 1
-    assert pm.counters.beyond_window == 1
+    assert pm.counters.dropped_beyond_window == 1
     assert spy.events == [] and len(pm.log) == 0
     # one exactly a window old is still played out
     pm.on_network_message(encode(event(101, seq=2)), 101 + window, 0)
-    assert pm.counters.beyond_window == 1
+    assert pm.counters.dropped_beyond_window == 1
     assert [m.timestamp for m in spy.events] == [101]
 
 
@@ -414,7 +414,7 @@ def test_duplicate_dropped():
     msg = event(100, seq=1)
     pm.on_network_message(encode(msg), 105, 0)
     pm.on_network_message(encode(msg), 106, 0)
-    assert pm.counters.duplicates == 1
+    assert pm.counters.duplicates_dropped == 1
     assert len(spy.events) == 1
 
 
@@ -482,7 +482,7 @@ def test_local_modes_do_not_depend_on_entity_order(order):
                if isinstance(m, StateUpdate) and m.entity_id == 1]
     assert [m.critical for m in updates] == [False, True]
     # entity 2 is always inside its own circle; entity 1 from tick 50
-    assert pm.counters.sends == 4
+    assert pm.counters.state_sends == 4
     assert pm.counters.sends_in_region == 3
 
 
@@ -588,10 +588,10 @@ def test_queue_then_drop_when_all_links_down():
     # expiry is continuous: by tick 1400 the entries queued before 400 ms
     # have already aged out of the 1000 ms budget
     assert len(pm._pending[1]) == len(range(400, 1450, 50))
-    assert pm.counters.queue_drops == len(range(100, 400, 50))
+    assert pm.counters.messages_dropped_queue == len(range(100, 400, 50))
     pm.on_link_change(0, True, 1450)
     # restoring the link drops what aged out meanwhile and flushes the rest
-    assert pm.counters.queue_drops == len(range(100, 450, 50))
+    assert pm.counters.messages_dropped_queue == len(range(100, 450, 50))
     assert len(sent) == base_sent + len(range(450, 1450, 50))
     assert 1 not in pm._pending       # only peers with frames queued
 
@@ -770,7 +770,7 @@ def test_route_sits_on_a_down_link_only_while_no_link_is_up(rows, overlay,
         assert queued == sorted(queued)
         dropped = set(frames.values()) - set(sent) - set(queued)
         assert not set(sent) & set(queued)
-        assert len(dropped) == pm.counters.queue_drops
+        assert len(dropped) == pm.counters.messages_dropped_queue
         assert not queued or not dropped or max(dropped) < min(queued)
 
     check()

@@ -7,6 +7,7 @@ import tempfile
 import tracemalloc
 from array import array
 from collections.abc import Sized
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,21 @@ def test_summary_matches_recomputation_from_csv(tmp_path):
     assert f"mean_divergence_m={res.summary['mean_divergence_m']!r}" in text
 
 
+def test_every_manager_count_is_a_summary_key_holding_the_managers_sum():
+    """A count has one name: each PmCounters field is the summary key of
+    its sum over the managers, and late_fraction is read from those sums.
+    Every manager of the small mesh sends, so a sum that dropped a manager
+    would show."""
+    res = run_doc(small_mesh_doc())
+    pms = res.pms.values()
+    sums = {f.name: sum(getattr(pm.counters, f.name) for pm in pms)
+            for f in fields(player.PmCounters)}
+    assert {name: res.summary.get(name) for name in sums} == sums
+    assert all(pm.counters.state_sends > 0 for pm in pms)
+    assert res.summary["late_fraction"] == (
+        sums["late_messages"] / sums["data_messages_received"])
+
+
 def test_no_lates_when_lag_covers_max_delay():
     doc = two_client_doc()
     doc["links"][0]["jitter_ms"] = 50
@@ -257,7 +273,7 @@ def test_events_beyond_the_history_window_reach_the_summary_not_the_game():
         {"kind": "fire", "first": 100, "every": 100, "count": 10}]
     res = run_doc(doc)
     viewer = res.pms[1]
-    assert viewer.counters.beyond_window == 10
+    assert viewer.counters.dropped_beyond_window == 10
     assert res.summary["dropped_beyond_window"] == 10
     assert len(res.pms[0].callbacks.event_streams[0, 0][0]) == 10
     assert [time for (sender, _), (_, times)
@@ -490,7 +506,7 @@ def test_heartbeat_keeps_streams_alive():
     doc["policies"]["heartbeat_ms"] = 1000
     res = run_doc(doc)
     # stationary client 1 still sends one update per second
-    assert res.pms[0].counters.data_received >= 5
+    assert res.pms[0].counters.data_messages_received >= 5
 
 
 def test_clock_offset_flags_anomalies():

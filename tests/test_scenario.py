@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -13,7 +14,7 @@ from conftest import minimal_doc, two_client_doc
 from gamesync.overlay import LinkKind
 from gamesync.pdu import EventKind
 from gamesync.player import Toggles
-from gamesync.regions import Rect
+from gamesync.regions import Circle, Rect
 from gamesync.scenario import (ConstantVelocity, ParseError, ValidationError,
                                WaypointPath, load_scenario, parse_scenario,
                                walk_events)
@@ -414,12 +415,61 @@ def test_locate_matches_the_segment_scan(case):
 
 
 def test_waypoint_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError, match="^points"):
         WaypointPath([(0, 0)], speed=10.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError, match="^speed"):
         WaypointPath([(0, 0), (1, 0)], speed=0.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError, match="^points"):
         WaypointPath([(0, 0), (0, 0)], speed=1.0)
+
+
+MOTION = "$.clients[0].entities[0].motion"
+BAD_GEOMETRY = [
+    ({"kind": "circle", "center": [0, 0], "radius": 0}, None,
+     "$.regions[0].radius must be > 0"),
+    ({"kind": "anchored_circle", "anchor_entity": 0, "radius": -1}, None,
+     "$.regions[0].radius must be > 0"),
+    ({"kind": "rect", "min": [5, 0], "max": [4, 10]}, None,
+     "$.regions[0].min must be <= max"),
+    (None, {"kind": "waypoints", "points": [[0, 0], [1, 0]], "speed": 0},
+     f"{MOTION}.speed must be > 0"),
+    (None, {"kind": "waypoints", "points": [[0, 0]], "speed": 1},
+     f"{MOTION}.points needs at least 2 points"),
+    (None, {"kind": "waypoints", "points": [[0, 0], [3, 4], [3, 4]],
+            "speed": 1},
+     f"{MOTION}.points contains a zero-length segment"),
+]
+
+
+@pytest.mark.parametrize("region, motion, message", BAD_GEOMETRY,
+                         ids=["radius 0", "anchored radius -1",
+                              "rect min > max", "speed 0", "single point",
+                              "zero-length segment"])
+def test_region_and_waypoint_errors_name_the_full_path(region, motion,
+                                                       message):
+    """A region's or a waypoint path's bad value is reported like a
+    settings type's: the key's full document path, then the type's own
+    message, and nothing else."""
+    doc = minimal_doc()
+    if region is not None:
+        doc["regions"] = [region]
+    if motion is not None:
+        doc["clients"][0]["entities"][0]["motion"] = motion
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        parse_scenario(doc)
+
+
+def test_a_type_error_inside_a_region_type_propagates(monkeypatch):
+    """Only a bad value becomes a ValidationError: a TypeError raised while
+    a region is built is a fault of the program, and propagates as
+    itself."""
+    def broken(self):
+        raise TypeError("broken region type")
+    monkeypatch.setattr(Circle, "__post_init__", broken)
+    doc = minimal_doc()
+    doc["regions"] = [{"kind": "circle", "center": [0, 0], "radius": 5}]
+    with pytest.raises(TypeError, match="broken region type"):
+        parse_scenario(doc)
 
 
 def test_scenario_json_round_trip(tmp_path):

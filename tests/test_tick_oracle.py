@@ -70,7 +70,7 @@ class ReferenceManager(PlayerManager):
             msg = StateUpdate(self.config.client_id, entity_id, seq, now,
                               kin.pos, kin.vel, mode is STRONG)
             data = encode(msg)
-            self.counters.sends += 1
+            self.counters.state_sends += 1
             if self.config.regions.any_contains(kin.pos,
                                                 self._entity_positions):
                 self.counters.sends_in_region += 1
