@@ -53,11 +53,9 @@ QUEUE_LIMIT_MS, and the rest are sent, in order, when a link to the peer
 comes up. A tick looks at the peers one by one only when a ping may
 be due (the earliest time any peer went quiet is idle_ping_ms old) and
 only for peers with frames queued. Route switches, and the failovers among
-them, are counted in PmCounters, not logged; each PmCounters field is named
-for the run summary's key the runner sums it into. A mode, from a frame or
-from a tick, is noted in one place, _note_mode, which tells the game of a
-change. Each player manager is single-threaded; distinct managers share no
-mutable state and talk only through the network layer.
+them, are counted in PmCounters, not logged. Each player manager is
+single-threaded; distinct managers share no mutable state and talk only
+through the network layer.
 
 The Medium's settings are defined here once: a PolicySet (a ClassPolicy per
 object class, which is that class's dead-reckoning policy plus its local
@@ -769,7 +767,6 @@ class PlayerManager:
         return lag
 
     def _note_mode(self, entity_id: int, mode: ConsistencyMode) -> None:
-        """The one place a mode is noted: the game is told of a change."""
         if self._entity_modes.get(entity_id) is not mode:
             self._entity_modes[entity_id] = mode
             self.callbacks.notify_mode(entity_id, mode)

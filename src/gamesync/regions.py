@@ -43,7 +43,7 @@ class Rect:
     max_y: float
 
     def __post_init__(self):
-        if self.min_x > self.max_x or self.min_y > self.max_y:
+        if not (self.min_x <= self.max_x and self.min_y <= self.max_y):
             raise InvalidGeometry("min must be <= max")
 
 
@@ -53,7 +53,7 @@ class Circle:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise InvalidGeometry("radius must be > 0")
 
 
@@ -63,7 +63,7 @@ class AnchoredCircle:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise InvalidGeometry("radius must be > 0")
 
 

@@ -19,9 +19,7 @@ summary's processing percentiles are read from the managers'
 processing_ns arrays (8 bytes a frame): after the run each manager's
 timings are replaced by a sorted array, one manager at a time, and the
 percentiles bisect across them, so no run-wide copy is built. Every count
-is summed from the managers' counters in one pass over PmCounters' fields,
-each field's name being its summary key, and late_fraction is read from
-those sums.
+is summed from the managers' counters under its PmCounters field name.
 
 Each client's tick fires its entities' scripted events. A run walks each
 entity's event series with one merged iterator (scenario.walk_events),
@@ -452,7 +450,6 @@ def run(config: ScenarioConfig, out=None, events_out=None, deliveries_out=None,
         processing = [pm.processing_ns for pm in pms.values()]
         processing_count = sum(map(len, processing))
         p50, p99 = merged_percentiles(processing, (50, 99))
-        # Each PmCounters field is the summary key of its sum.
         counts = {f.name: sum(getattr(pm.counters, f.name)
                               for pm in pms.values())
                   for f in fields(PmCounters)}

@@ -134,7 +134,7 @@ class WaypointPath:
     def __init__(self, points, speed: float, loop: bool = False):
         if len(points) < 2:
             raise ValueError("points needs at least 2 points")
-        if speed <= 0:
+        if not speed > 0:
             raise ValueError("speed must be > 0")
         self.points = [(float(x), float(y)) for x, y in points]
         self.speed = float(speed)

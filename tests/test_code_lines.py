@@ -57,5 +57,3 @@ def test_the_command_prints_the_total_then_each_file(tmp_path, capsys):
     assert lines[0] == "11"
     assert [line.split() for line in lines[1:]] == [
         ["9", str(tmp_path / "a.py")], ["2", str(tmp_path / "sub" / "b.py")]]
-    assert code_lines.main(["--total", str(tmp_path)]) == 0
-    assert capsys.readouterr().out == "11\n"

@@ -52,6 +52,12 @@ def test_invalid_geometry():
         AnchoredCircle(1, -2.0)
     with pytest.raises(InvalidGeometry):
         Rect(5, 0, 4, 10)
+    nan = float("nan")
+    for build in (lambda: Circle((0.0, 0.0), nan),
+                  lambda: AnchoredCircle(1, nan),
+                  lambda: Rect(0, 0, nan, 1), lambda: Rect(nan, 0, 1, 1)):
+        with pytest.raises(InvalidGeometry):
+            build()
 
 
 def test_region_ids_stable_and_unique():

@@ -419,6 +419,8 @@ def test_waypoint_validation():
         WaypointPath([(0, 0)], speed=10.0)
     with pytest.raises(ValueError, match="^speed"):
         WaypointPath([(0, 0), (1, 0)], speed=0.0)
+    with pytest.raises(ValueError, match="^speed"):
+        WaypointPath([(0, 0), (1, 0)], speed=float("nan"))
     with pytest.raises(ValueError, match="^points"):
         WaypointPath([(0, 0), (0, 0)], speed=1.0)
 

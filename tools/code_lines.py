@@ -4,11 +4,9 @@ a string that stands alone as a statement (a module, class or function
 docstring, or any other bare string) do not count; a line that holds code
 and a comment counts once.
 
-    python tools/code_lines.py src/gamesync          # total, then per file
-    python tools/code_lines.py --total src/gamesync  # the total alone
+    python tools/code_lines.py src/gamesync   # the total, then each file
 """
 
-import argparse
 import io
 import sys
 import tokenize
@@ -47,19 +45,13 @@ def count_paths(paths) -> dict:
     return {str(f): code_lines(f.read_text(encoding="utf-8")) for f in files}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("paths", nargs="+", help="files or directories")
-    parser.add_argument("--total", action="store_true",
-                        help="print the total alone")
-    args = parser.parse_args(argv)
-    counts = count_paths(args.paths)
+def main(paths) -> int:
+    counts = count_paths(paths)
     print(sum(counts.values()))
-    if not args.total:
-        for name, count in counts.items():
-            print(f"{count:6d}  {name}")
+    for name, count in counts.items():
+        print(f"{count:6d}  {name}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
